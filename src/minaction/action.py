@@ -15,6 +15,15 @@ and substituting it gives the reduced, time-free functional
 
 which is nonnegative by Cauchy-Schwarz and vanishes exactly when p' is a
 positive multiple of b(p) almost everywhere (a rescaled flow trajectory).
+
+The gradient of S_opt is the fixed-T gradient evaluated at T = T_opt(p)
+(envelope identity): S_opt(p) = S(T_opt(p), p) and dS/dT vanishes at T_opt,
+so the chain-rule term through T_opt drops out.  This holds exactly for the
+discrete functionals too, because the quadrature expands the squared residual
+term by term into |p'|^2 / (2T) - <p', b(p)> + (T/2) |b(p)|^2, whose minimizer
+in T is exactly |p'| / |b(p)|.  One residual-form gradient therefore serves
+both functionals.
+
 Everything here evaluates these quantities and their exact gradients with
 respect to the interior nodal values of a piecewise-linear path, using
 Gauss-Legendre quadrature per element (exact for linear drift when the rule
@@ -146,29 +155,6 @@ class _Assembly:
     def cross_term(self) -> float:
         return float(np.einsum("ei,q,eqi->", self.delta, self.w, self.b_quad))
 
-    def grad_pieces(self):
-        """Gradients of (|p'|^2, |b(p)|^2, <p', b(p)>) w.r.t. all nodal values."""
-        num_nodes = self.h.size + 1
-        jac = self.jac_quad()
-        shape_l = (1.0 - self.xi)
-        shape_r = self.xi
-
-        g_dsq = np.zeros((num_nodes, self.n))
-        g_dsq[:-1] -= 2.0 * self.deriv
-        g_dsq[1:] += 2.0 * self.deriv
-
-        jtb = np.einsum("eqji,eqj->eqi", jac, self.b_quad)
-        g_bsq = np.zeros((num_nodes, self.n))
-        g_bsq[:-1] += 2.0 * np.einsum("e,q,q,eqi->ei", self.h, self.w, shape_l, jtb)
-        g_bsq[1:] += 2.0 * np.einsum("e,q,q,eqi->ei", self.h, self.w, shape_r, jtb)
-
-        jtd = np.einsum("eqji,ej->eqi", jac, self.delta)
-        wb = np.einsum("q,eqi->ei", self.w, self.b_quad)
-        g_cross = np.zeros((num_nodes, self.n))
-        g_cross[:-1] += -wb + np.einsum("q,q,eqi->ei", self.w, shape_l, jtd)
-        g_cross[1:] += wb + np.einsum("q,q,eqi->ei", self.w, shape_r, jtd)
-        return g_dsq, g_bsq, g_cross
-
     def fixed_t_value(self, t_scale: float) -> float:
         resid = self.deriv[:, None, :] / t_scale - self.b_quad
         return 0.5 * t_scale * float(np.einsum("e,q,eqi,eqi->", self.h, self.w, resid, resid))
@@ -227,30 +213,34 @@ def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
     return alpha / beta
 
 
+def _reduced(asm: _Assembly):
+    """(value, interior gradient, t_hat, |p'|) of the reduced functional.
+
+    The value uses the rewrite form |p'| |b(p)| - <p', b(p)>; the gradient is
+    the fixed-T residual gradient at t_hat (envelope identity, module docstring).
+    """
+    alpha, beta = _seminorms(asm)
+    t_hat = alpha / beta
+    return alpha * beta - asm.cross_term(), asm.fixed_t_grad(t_hat)[1:-1], t_hat, alpha
+
+
 def action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> ActionReport:
     """Reduced action at the optimal horizon, with gradient and diagnostics.
 
     The value comes from the inner-product rewrite
     |p'| |b(p)| - <p', b(p)> and equals ``action_fixed_T`` evaluated at
-    ``t_hat`` up to roundoff.
+    ``t_hat`` up to roundoff.  The gradient is the fixed-horizon gradient at
+    ``t_hat``, which by the envelope identity is the exact reduced gradient,
+    so it also feeds the Euler-Lagrange residual directly.
     """
     asm = _assemble(path, field, quad)
-    alpha, beta = _seminorms(asm)
-    t_hat = alpha / beta
-    value = alpha * beta - asm.cross_term()
-    g_dsq, g_bsq, g_cross = asm.grad_pieces()
-    grad = (beta / (2.0 * alpha)) * g_dsq + (alpha / (2.0 * beta)) * g_bsq - g_cross
-    grad = grad[1:-1]
-    viol = _violation_from_assembly(asm, t_hat)
-    # by the envelope identity this gradient equals the fixed-horizon one at
-    # t_hat, so it feeds the residual diagnostic directly
-    resid = _el_residual_from_grad(grad, t_hat, alpha)
+    value, grad, t_hat, alpha = _reduced(asm)
     return ActionReport(
-        value=float(value),
-        t_hat=float(t_hat),
+        value=value,
+        t_hat=t_hat,
         grad=grad,
-        hamiltonian_violation=viol,
-        el_residual=resid,
+        hamiltonian_violation=_violation_from_assembly(asm, t_hat),
+        el_residual=_el_residual_from_grad(grad, t_hat, alpha),
     )
 
 
@@ -264,15 +254,12 @@ def grad_action_fixed_T(path: FePath, field: DriftField, T: float, quad: Quadrat
 def grad_action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> np.ndarray:
     """Exact gradient of the reduced action w.r.t. interior nodes.
 
-    Assembled from the rewrite form; by the envelope identity (the T
-    derivative vanishes at the optimal horizon) it agrees with
-    ``grad_action_fixed_T`` evaluated at ``optimal_time(path)``.
+    It is ``grad_action_fixed_T`` evaluated at ``optimal_time(path)``: the T
+    derivative of the fixed-T action vanishes at the optimal horizon, so the
+    dependence of the horizon on the path contributes nothing (envelope
+    identity, exact for the discrete functional).
     """
-    asm = _assemble(path, field, quad)
-    alpha, beta = _seminorms(asm)
-    g_dsq, g_bsq, g_cross = asm.grad_pieces()
-    grad = (beta / (2.0 * alpha)) * g_dsq + (alpha / (2.0 * beta)) * g_bsq - g_cross
-    return grad[1:-1]
+    return _reduced(_assemble(path, field, quad))[1]
 
 
 def _violation_from_assembly(asm: _Assembly, t_scale: float) -> float:
@@ -324,9 +311,9 @@ def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadratu
 
 
 def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
-    asm = _assemble(path, field, quad)
-    alpha, beta = _seminorms(asm)
-    value = alpha * beta - asm.cross_term()
-    g_dsq, g_bsq, g_cross = asm.grad_pieces()
-    grad = (beta / (2.0 * alpha)) * g_dsq + (alpha / (2.0 * beta)) * g_bsq - g_cross
-    return float(value), grad[1:-1], alpha / beta
+    """(value, interior gradient, t_hat) of the reduced action from one assembly.
+
+    The gradient is the fixed-T gradient at t_hat (envelope identity).
+    """
+    value, grad, t_hat, _ = _reduced(_assemble(path, field, quad))
+    return value, grad, t_hat

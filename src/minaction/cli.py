@@ -31,12 +31,14 @@ from .linoracle import (
 from .optimize import OptimConfig, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
+    _write_samples_csv,
     linear_interpolant_path,
     read_path_csv,
     uniform_mesh,
     write_path_csv,
 )
 from .study import (
+    _record_from_result,
     case_i_assertions,
     case_ii_assertions,
     fit_rate,
@@ -141,8 +143,9 @@ def _require(cfg: dict, key: str):
 
 
 def _positive_number(value, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"{key} must be a positive number")
+    # JSON parsing accepts Infinity, so the upper bound is checked too
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
+        raise ConfigError(f"{key} must be a finite positive number")
     return float(value)
 
 
@@ -178,9 +181,10 @@ def _build_optimizer(cfg: dict, iteration_log: Optional[str]) -> OptimConfig:
     if "max_iters" in opts:
         kwargs["max_iters"] = _positive_int(opts["max_iters"], "optimizer.max_iters")
     if "memory" in opts:
-        if not isinstance(opts["memory"], int) or opts["memory"] < 0:
+        memory = opts["memory"]
+        if not isinstance(memory, int) or isinstance(memory, bool) or memory < 0:
             raise ConfigError("optimizer.memory must be a nonnegative integer")
-        kwargs["memory"] = opts["memory"]
+        kwargs["memory"] = memory
     if "sobolev_precondition" in opts:
         if not isinstance(opts["sobolev_precondition"], bool):
             raise ConfigError("optimizer.sobolev_precondition must be a boolean")
@@ -372,23 +376,7 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
             results = continuation_sweep(
                 field, x1, x2, n_list, opt_cfg, quad, mode=kind, T=T
             )
-            from .study import StudyRecord
-
-            records = [
-                StudyRecord(
-                    N=r.path.mesh.num_elements,
-                    h=r.path.mesh.h,
-                    action=r.value,
-                    action_error=r.value,
-                    t_hat=r.t_hat,
-                    t_error=None,
-                    h1_error=None,
-                    frechet=None,
-                    hamiltonian_violation=r.hamiltonian_violation,
-                    iterations=r.iterations,
-                )
-                for r in results
-            ]
+            records = [_record_from_result(r, action_error=r.value) for r in results]
             try:
                 rates = {"action": _rate_payload(fit_rate(records, "action_error"))}
             except ValueError:
@@ -446,7 +434,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
             raise ConfigError("oracle.samples must be an integer >= 2")
         times, points = trajectory_times_points(matrix, x1, t_end, samples)
         target = _out_path(outputs, "trajectory_csv", out_dir)
-        _write_times_csv(times, points, target)
+        _write_samples_csv(times, points, sys.stdout if target is None else target)
         return EXIT_OK
 
     x2 = _vector(_require(cfg, "problem.x2"), "problem.x2")
@@ -467,19 +455,6 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     else:
         write_path_csv(path, sys.stdout)
     return EXIT_OK
-
-
-def _write_times_csv(times, points, target: Optional[str]) -> None:
-    header = ["s"] + [f"x{j + 1}" for j in range(points.shape[1])]
-    lines = [",".join(header)]
-    for t, row in zip(times, points):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -345,16 +345,13 @@ def minimize_tmam(
 
     def evaluate(z):
         p = start.replace_interior(z.reshape(-1, n))
-        return tmam_value_grad(p, field, quad)
-
-    def flat_evaluate(z):
-        f, g, th = evaluate(z)
+        f, g, th = tmam_value_grad(p, field, quad)
         return f, g.ravel(), th
 
     t_ref = optimal_time(start, field, quad)  # degenerate starts raise here
     z0 = start.values[1:-1].ravel().copy()
     z, value, grad, t_hat, iters, ok, cap_active, rows = _lbfgs_loop(
-        flat_evaluate, z0, cfg, _precond_factory(start, field, t_ref, cfg), cap=cfg.t_cap
+        evaluate, z0, cfg, _precond_factory(start, field, t_ref, cfg), cap=cfg.t_cap
     )
     _write_log(rows, cfg.log_path)
     path = start.replace_interior(z.reshape(-1, n))

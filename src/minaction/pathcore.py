@@ -244,21 +244,30 @@ def path_polyline(path: FePath) -> Polyline:
     return Polyline(path.values)
 
 
-def write_path_csv(path: FePath, target) -> None:
-    """Write a path as CSV with header ``s,x1,...,xn`` (round-trip precision)."""
-    header = ["s"] + [f"x{j + 1}" for j in range(path.dim)]
+def _write_samples_csv(s, values, target) -> None:
+    """Write rows ``s, x1, ..., xn`` under that header, floats in round-trip ``repr``.
+
+    ``s`` need not be a mesh: trajectory times run past 1 and may end in inf.
+    ``target`` is a file path or an open text stream.
+    """
+    header = ["s"] + [f"x{j + 1}" for j in range(values.shape[1])]
 
     def _dump(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for s, row in zip(path.mesh.nodes, path.values):
-            writer.writerow([repr(float(s))] + [repr(float(v)) for v in row])
+        for t, row in zip(s, values):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
     if hasattr(target, "write"):
         _dump(target)
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             _dump(fh)
+
+
+def write_path_csv(path: FePath, target) -> None:
+    """Write a path as CSV with header ``s,x1,...,xn`` (round-trip precision)."""
+    _write_samples_csv(path.mesh.nodes, path.values, target)
 
 
 def read_path_csv(source) -> FePath:

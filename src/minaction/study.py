@@ -45,7 +45,6 @@ __all__ = [
     "fit_rate",
     "h1_seminorm_error",
     "run_case_i",
-    "run_case_ii",
     "run_case_ii_full",
     "run_linear_fixed_T_study",
     "case_i_assertions",
@@ -223,17 +222,6 @@ def run_case_ii_full(
         results_tmam=results_tmam,
         results_fixed=results_fixed,
     )
-
-
-def run_case_ii(
-    N_list,
-    T_fixed: float = 100.0,
-    cfg: Optional[OptimConfig] = None,
-    quad: Optional[Quadrature] = None,
-):
-    """Infinite-horizon comparison sweep; returns (records_tmam, records_fixed, rate_tmam)."""
-    data = run_case_ii_full(N_list, T_fixed, cfg, quad)
-    return data.records_tmam, data.records_fixed, data.rate_tmam
 
 
 def run_linear_fixed_T_study(

@@ -219,7 +219,7 @@ class TestGradients:
             assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
     def test_envelope_identity(self):
-        # the rewrite-form gradient equals the fixed-horizon gradient at t_hat
+        # the reduced gradient is the fixed-horizon gradient at t_hat
         rng = np.random.default_rng(104)
         fields = list(builtin_fields().values())
         for k in range(40):
@@ -229,6 +229,37 @@ class TestGradients:
             g_opt = grad_action_optimal(path, field, DEFAULT_QUAD)
             g_fix = grad_action_fixed_T(path, field, t_hat, DEFAULT_QUAD)
             assert np.max(np.abs(g_opt - g_fix)) <= 1e-10 * max(1.0, np.max(np.abs(g_fix)))
+
+    @pytest.mark.parametrize(
+        "field,x1,x2",
+        [
+            (maier_stein_field(10.0), [-1.0, 0.0], [0.0, 0.0]),
+            (two_scale_field(), [1.0, 1.0], [0.0, 0.0]),
+        ],
+        ids=["maier_stein", "two_scale"],
+    )
+    def test_reduced_taylor_remainder_is_second_order(self, field, x1, x2):
+        # |S(p + eps d) - S(p) - eps g.d| must fall 100x per decade of eps;
+        # this ties the rewrite-form value to the residual-form gradient, as
+        # an error in g.d adds a first-order term that flattens the drop
+        rng = np.random.default_rng(105)
+        mesh = uniform_mesh(64)
+        s = mesh.nodes[:, None]
+        values = (1.0 - s) * np.asarray(x1) + s * np.asarray(x2)
+        values += 0.3 * np.sin(np.pi * s) * np.array([0.0, 1.0])
+        values[1:-1] += 0.01 * rng.standard_normal(values[1:-1].shape)
+        path = FePath(mesh, values)
+        d = rng.standard_normal(values[1:-1].shape)
+        d /= np.linalg.norm(d)
+
+        def reduced(eps):
+            moved = path.replace_interior(values[1:-1] + eps * d)
+            return action_optimal(moved, field, DEFAULT_QUAD).value
+
+        slope = float(np.sum(grad_action_optimal(path, field, DEFAULT_QUAD) * d))
+        remainders = [abs(reduced(eps) - reduced(0.0) - eps * slope) for eps in (1e-2, 1e-3, 1e-4)]
+        for coarse, fine in zip(remainders, remainders[1:]):
+            assert np.log10(coarse / fine) == pytest.approx(2.0, abs=0.01)
 
     def test_stationary_at_minimizer(self):
         field = SCALAR

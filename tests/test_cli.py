@@ -136,6 +136,22 @@ class TestSolve:
         assert rc == EXIT_CONFIG
         assert section in capsys.readouterr().err
 
+    # JSON parsing accepts Infinity, and a JSON true is a Python int.
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ("mode.T=Infinity", "mode.T"),
+            ("optimizer.tol_grad=Infinity", "optimizer.tol_grad"),
+            ("optimizer.t_cap=Infinity", "optimizer.t_cap"),
+            ("optimizer.memory=true", "optimizer.memory"),
+        ],
+    )
+    def test_nonfinite_and_bool_values_rejected(self, tmp_path, capsys, override, key):
+        cfg = write_config(tmp_path, solve_config(mode={"kind": "fixed_t", "T": 1.0}))
+        rc = main(["solve", "--config", cfg, "--set", override, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
 
 class TestStudy:
     def test_case_i_passes_assertions(self, tmp_path):
@@ -278,6 +294,21 @@ class TestOracle:
         assert lines[0] == "s,x1,x2"
         first = [float(c) for c in lines[1].split(",")]
         assert first == [0.0, 1.0, 1.0]
+
+    def test_trajectory_to_equilibrium_ends_at_inf(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]},
+                "oracle": {"kind": "trajectory", "t_end": "inf", "samples": 8},
+                "outputs": {"trajectory_csv": "traj.csv"},
+            },
+        )
+        rc = main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        assert lines[0] == "s,x1,x2"
+        assert lines[-1] == "inf,0.0,0.0"
 
     def test_exact_minimizer_midpoint(self, tmp_path):
         cfg = write_config(

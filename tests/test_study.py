@@ -8,7 +8,7 @@ from minaction import (
     h1_seminorm_error,
     linear_interpolant_path,
     run_case_i,
-    run_case_ii,
+    run_case_ii_full,
     run_linear_fixed_T_study,
     uniform_mesh,
 )
@@ -98,7 +98,8 @@ class TestCaseStudies:
             run_case_i([8, 16])
 
     def test_case_ii_returns_parallel_sweeps(self):
-        records_tmam, records_fixed, rate = run_case_ii([8, 16, 32], T_fixed=50.0)
+        data = run_case_ii_full([8, 16, 32], T_fixed=50.0)
+        records_tmam, records_fixed, rate = data.records_tmam, data.records_fixed, data.rate_tmam
         assert len(records_tmam) == len(records_fixed) == 3
         assert all(r.frechet is not None for r in records_tmam)
         assert all(r.frechet is None for r in records_fixed)
