@@ -39,9 +39,9 @@ from .pathcore import (
 )
 from .study import (
     _record_from_result,
+    _try_fit,
     case_i_assertions,
     case_ii_assertions,
-    fit_rate,
     linear_fixed_t_assertions,
     run_case_i,
     run_case_ii_full,
@@ -155,13 +155,15 @@ def _positive_int(value, key: str) -> int:
     return value
 
 
-def _vector(value, key: str) -> np.ndarray:
+def _endpoint(cfg: dict, key: str, dim: int) -> np.ndarray:
     try:
-        vec = np.asarray(value, dtype=float)
+        vec = np.asarray(_require(cfg, key), dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key} must be a list of numbers") from err
-    if vec.ndim != 1 or vec.size < 1 or not np.all(np.isfinite(vec)):
+    if vec.ndim != 1 or not np.all(np.isfinite(vec)):
         raise ConfigError(f"{key} must be a finite vector")
+    if vec.size != dim:
+        raise ConfigError(f"{key} must have {dim} entries to match the field dimension")
     return vec
 
 
@@ -240,10 +242,8 @@ def _mode_of(cfg: dict):
 def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     cfg = load_config(config_path, overrides)
     field = _build_field(cfg)
-    x1 = _vector(_require(cfg, "problem.x1"), "problem.x1")
-    x2 = _vector(_require(cfg, "problem.x2"), "problem.x2")
-    if x1.size != field.dim or x2.size != field.dim:
-        raise ConfigError("problem.x1/problem.x2 must match the field dimension")
+    x1 = _endpoint(cfg, "problem.x1", field.dim)
+    x2 = _endpoint(cfg, "problem.x2", field.dim)
     kind, T = _mode_of(cfg)
     num_elems = _positive_int(_require(cfg, "mesh.N"), "mesh.N")
     outputs = cfg.get("outputs", {})
@@ -355,8 +355,8 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
                 if field.linear_matrix is None:
                     raise ConfigError("problem.field must be linear for the linear_fixed_t study")
                 matrix = field.linear_matrix
-                x1 = _vector(_require(cfg, "problem.x1"), "problem.x1")
-                x2 = _vector(_require(cfg, "problem.x2"), "problem.x2")
+                x1 = _endpoint(cfg, "problem.x1", field.dim)
+                x2 = _endpoint(cfg, "problem.x2", field.dim)
                 kind, T = _mode_of(cfg)
                 if kind != "fixed_t":
                     raise ConfigError("mode.kind must be fixed_t for the linear_fixed_t study")
@@ -370,17 +370,14 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
         else:  # custom
             n_list = _n_list(cfg, 2)
             field = _build_field(cfg)
-            x1 = _vector(_require(cfg, "problem.x1"), "problem.x1")
-            x2 = _vector(_require(cfg, "problem.x2"), "problem.x2")
+            x1 = _endpoint(cfg, "problem.x1", field.dim)
+            x2 = _endpoint(cfg, "problem.x2", field.dim)
             kind, T = _mode_of(cfg)
             results = continuation_sweep(
                 field, x1, x2, n_list, opt_cfg, quad, mode=kind, T=T
             )
             records = [_record_from_result(r, action_error=r.value) for r in results]
-            try:
-                rates = {"action": _rate_payload(fit_rate(records, "action_error"))}
-            except ValueError:
-                rates = {"action": None}
+            rates = {"action": _rate_payload(_try_fit(records, "action_error"))}
             assertions = {"monotone_minima": values_nonincreasing(records)}
     except ActionError as err:
         _dump_json({"error": err.code, "message": str(err), "study": name}, summary_json)
@@ -414,9 +411,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     if field.linear_matrix is None:
         raise ConfigError("problem.field must be linear for oracle output")
     matrix = field.linear_matrix
-    if float(np.max(np.abs(matrix - matrix.T))) > 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
-        raise ConfigError("problem.field matrix must be symmetric for oracle output")
-    x1 = _vector(_require(cfg, "problem.x1"), "problem.x1")
+    x1 = _endpoint(cfg, "problem.x1", field.dim)
     outputs = cfg.get("outputs", {})
     oracle = cfg.get("oracle", {})
     kind = oracle.get("kind", "trajectory")
@@ -432,12 +427,15 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         samples = oracle.get("samples", 200)
         if not isinstance(samples, int) or samples < 2:
             raise ConfigError("oracle.samples must be an integer >= 2")
-        times, points = trajectory_times_points(matrix, x1, t_end, samples)
+        try:
+            times, points = trajectory_times_points(matrix, x1, t_end, samples)
+        except ValueError as err:
+            raise ConfigError(f"problem.field: {err}") from err
         target = _out_path(outputs, "trajectory_csv", out_dir)
         _write_samples_csv(times, points, sys.stdout if target is None else target)
         return EXIT_OK
 
-    x2 = _vector(_require(cfg, "problem.x2"), "problem.x2")
+    x2 = _endpoint(cfg, "problem.x2", field.dim)
     kind_mode, T = _mode_of(cfg)
     if kind_mode != "fixed_t":
         raise ConfigError("mode.kind must be fixed_t for the exact minimizer oracle")
@@ -445,7 +443,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     try:
         prob = SpectralLinearProblem(matrix, x1, x2, T=T)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"problem.field: {err}") from err
     mesh = uniform_mesh(num_elems)
     values = exact_fixed_T_minimizer(prob, mesh.nodes)
     path = FePath(mesh, values)

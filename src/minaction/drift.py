@@ -9,7 +9,7 @@ and reentrant; evaluation is vectorized over batches of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,10 +65,6 @@ class DriftField:
     def jacobian_many(self, pts: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points, shape (m, n) -> (m, n, n)."""
         return self._jac_many(np.asarray(pts, dtype=float))
-
-    def with_confinement(self, beta: float, r2: float, r1: Optional[float] = None) -> "DriftField":
-        """Copy of the field annotated with inward-drift constants."""
-        return replace(self, beta=float(beta), r2=float(r2), r1=None if r1 is None else float(r1))
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,8 @@ def maier_stein_field(gamma: float = 10.0) -> DriftField:
     (+-1, 0); the field is not a gradient for gamma != 1.
     """
     gamma = float(gamma)
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
 
     def eval_many(pts):
         u, v = pts[:, 0], pts[:, 1]
@@ -244,5 +242,8 @@ def field_from_config(spec: dict) -> DriftField:
         extra = set(spec) - {"type", "gamma"}
         if extra:
             raise ValueError(f"unknown field config key: {sorted(extra)[0]}")
-        return maier_stein_field(spec.get("gamma", 10.0))
+        gamma = spec.get("gamma", 10.0)
+        if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
+            raise ValueError("maier_stein gamma must be a number")
+        return maier_stein_field(gamma)
     raise ValueError(f"unknown field type: {kind!r}")

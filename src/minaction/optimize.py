@@ -1,17 +1,21 @@
 """Minimization of the discrete action functionals over interior nodal values.
 
 Both the fixed-horizon functional and the reduced (optimal-horizon) functional
-are smooth in the (N-1)*n interior unknowns, so a limited-memory quasi-Newton
-iteration with a backtracking line search is used.  Because the stationarity
-system is elliptic, raw nodal gradients condition badly as the mesh or the
-horizon grows; by default the inverse of a stiffness-plus-scaled-mass operator
-on interior nodes is applied per state component as the initial inverse-Hessian
-guess (a Sobolev-type gradient), which keeps iteration counts roughly mesh- and
-horizon-independent.  Endpoints are never touched.
+are smooth in the (N-1)*n interior unknowns, so both are minimized by one
+shared routine: a limited-memory quasi-Newton iteration with a backtracking
+line search.  The two public solvers differ only in the value/gradient call,
+the reference horizon of the preconditioner and the optional optimal-time cap.
+Because the stationarity system is elliptic, raw nodal gradients condition
+badly as the mesh or the horizon grows; by default the inverse of a
+stiffness-plus-scaled-mass operator on interior nodes is applied per state
+component as the initial inverse-Hessian guess (a Sobolev-type gradient),
+which keeps iteration counts roughly mesh- and horizon-independent.
+Endpoints are never touched.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,16 +42,25 @@ __all__ = [
     "continuation_sweep",
 ]
 
+# Armijo sufficient-decrease constant and backtracking factor of the line search.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     """Solver knobs.
 
     ``tol_grad`` stops the iteration once the gradient max-norm falls below
-    tol_grad * max(1, |value|).  ``t_cap`` optionally rejects line-search
-    trial points whose optimal time exceeds the cap (reduced functional only);
-    for discrete problems the cap is provably inactive at the minimizer, and
-    ``OptimResult.cap_active`` records whether it ever fired.
+    tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
+    ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
+    scaled preconditioner); ``sobolev_precondition`` toggles the elliptic
+    preconditioner.  ``t_cap`` optionally rejects line-search trial points
+    whose optimal time exceeds the cap (reduced functional only); for
+    discrete problems the cap is provably inactive at the minimizer, and
+    ``OptimResult.cap_active`` records whether it ever fired.  ``log_path``
+    names an optional per-iteration CSV log.  The line search's Armijo
+    constant (1e-4) and backtracking factor (0.5) are fixed.
     """
 
     tol_grad: float = 1e-9
@@ -55,8 +68,6 @@ class OptimConfig:
     memory: int = 10
     sobolev_precondition: bool = True
     t_cap: Optional[float] = None
-    ls_sufficient_decrease: float = 1e-4
-    ls_shrink: float = 0.5
     log_path: Optional[str] = None
 
     def __post_init__(self):
@@ -85,42 +96,6 @@ class OptimResult:
     cap_active: bool = False
 
 
-class _EllipticPreconditioner:
-    """Inverse of (1/T) K + T kappa M on interior nodes, applied per component.
-
-    K is the 1-D stiffness matrix and M the mass matrix of the path's mesh;
-    kappa estimates the squared local Lipschitz rate of the drift.  The
-    operator mirrors the elliptic part of the stationarity system: for small
-    horizons it is essentially the (Sobolev) inverse Laplacian, for large
-    horizons the reaction term keeps it aligned with the Hessian, so iteration
-    counts stay roughly mesh- and horizon-independent in both regimes.
-    Factored once per solve via banded Cholesky.
-    """
-
-    def __init__(self, mesh_nodes: np.ndarray, t_ref: float, kappa: float):
-        h = np.diff(mesh_nodes)
-        m = h.size - 1  # interior node count
-        self.m = m
-        if m == 0:
-            self.factor = None
-            return
-        stiff_diag = 1.0 / h[:-1] + 1.0 / h[1:]
-        stiff_off = -1.0 / h[1:-1]
-        mass_diag = (h[:-1] + h[1:]) / 3.0
-        mass_off = h[1:-1] / 6.0
-        reaction = t_ref * max(kappa, 0.0)
-        band = np.zeros((2, m))
-        band[1] = stiff_diag / t_ref + reaction * mass_diag
-        band[0, 1:] = stiff_off / t_ref + reaction * mass_off
-        self.factor = cholesky_banded(band, lower=False)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Solve P z = vec for each column of a (m, n) array (or flat (m,))."""
-        if self.factor is None or vec.size == 0:
-            return vec.copy()
-        return cho_solve_banded((self.factor, False), vec)
-
-
 def _max_norm(vec: np.ndarray) -> float:
     return float(np.max(np.abs(vec))) if vec.size else 0.0
 
@@ -137,18 +112,13 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
     points; trials that raise, or whose t_hat exceeds the cap, are rejected by
     shrinking the step.  Returns the final state and bookkeeping flags.
     """
-    c1 = cfg.ls_sufficient_decrease
-    shrink = cfg.ls_shrink
-
     z = z0.copy()
     value, grad, t_hat = evaluate(z)  # degenerate start propagates
     log_rows = [(0, value, _max_norm(grad), t_hat)]
     cap_active = False
     iterations = 0
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history = deque(maxlen=cfg.memory)  # (s, y, 1/(s.y)) curvature pairs
     gamma = 1.0
 
     def converged_now(f, g):
@@ -162,29 +132,27 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         # two-loop recursion with H0 = gamma * P^-1
         q = grad.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(history):
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
         r = gamma * precond_apply(q)
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, y, rho), a in zip(history, reversed(alphas)):
             b = rho * float(y @ r)
             r += (a - b) * s
         direction = -r
         slope = float(grad @ direction)
         if not slope < 0.0:
+            # P is SPD, so the preconditioned gradient is a descent direction
             direction = -precond_apply(grad)
             slope = float(grad @ direction)
-            if not slope < 0.0:
-                direction = -grad
-                slope = float(grad @ direction)
 
         # Near the minimizer the largest decrease the Armijo test could see,
         # c1 * |slope|, drops below the roundoff noise of the value; comparing
         # values there is meaningless while the analytic gradient still holds
         # real signal.  Switch the acceptance test to gradient-norm descent.
         noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
-        grad_mode = c1 * (-slope) < noise_floor
+        grad_mode = _ARMIJO_C1 * (-slope) < noise_floor
         cur_gn2 = float(np.linalg.norm(grad))
 
         step = 1.0
@@ -194,27 +162,25 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
             try:
                 f_try, g_try, t_try = evaluate(z_try)
             except ActionError:
-                step *= shrink
+                step *= _BACKTRACK
                 continue
             if cap is not None and t_try > cap:
                 cap_active = True
-                step *= shrink
+                step *= _BACKTRACK
                 continue
             if grad_mode:
                 if float(np.linalg.norm(g_try)) < 0.999 * cur_gn2 and f_try <= value + noise_floor:
                     accepted = True
                     break
-            elif f_try <= value + c1 * step * slope:
+            elif f_try <= value + _ARMIJO_C1 * step * slope:
                 accepted = True
                 break
-            step *= shrink
+            step *= _BACKTRACK
 
         if not accepted:
-            if s_hist:
+            if history:
                 # retry with fresh curvature before giving up
-                s_hist.clear()
-                y_hist.clear()
-                rho_hist.clear()
+                history.clear()
                 dead += 1
                 if dead < _DEAD_LIMIT:
                     continue
@@ -232,13 +198,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         if sy > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
             py = precond_apply(y_vec)
             gamma = sy / float(y_vec @ py)
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
 
         z, value, grad, t_hat = z_try, f_try, g_try, t_try
         iterations = it
@@ -273,16 +233,78 @@ def _drift_rate_sq(field: DriftField, start: FePath) -> float:
     return max(float(np.linalg.norm(j, 2)) ** 2 for j in jacs)
 
 
-def _precond_factory(start: FePath, field: DriftField, t_ref: float, cfg: OptimConfig):
+def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimConfig):
+    """Apply closure of P^-1, P = (1/T) K + T kappa M on interior nodes per component.
+
+    K is the 1-D stiffness matrix and M the mass matrix of the start path's
+    mesh, T = ``t_ref`` and kappa estimates the squared local Lipschitz rate
+    of the drift.  The operator mirrors the elliptic part of the stationarity
+    system: for small horizons it is essentially the (Sobolev) inverse
+    Laplacian, for large horizons the reaction term keeps it aligned with the
+    Hessian, so iteration counts stay roughly mesh- and horizon-independent in
+    both regimes.  P is SPD, factored once per solve by banded Cholesky; the
+    closure maps a flat interior vector to P^-1 applied to each component.
+    With ``cfg.sobolev_precondition`` off it is the identity.
+    """
+    if not cfg.sobolev_precondition:
+        return lambda vec: vec
     n = start.dim
-    if cfg.sobolev_precondition:
-        solver = _EllipticPreconditioner(start.mesh.nodes, t_ref, _drift_rate_sq(field, start))
+    kappa = _drift_rate_sq(field, start)
+    h = np.diff(start.mesh.nodes)
+    stiff_diag = 1.0 / h[:-1] + 1.0 / h[1:]
+    stiff_off = -1.0 / h[1:-1]
+    mass_diag = (h[:-1] + h[1:]) / 3.0
+    mass_off = h[1:-1] / 6.0
+    reaction = t_ref * max(kappa, 0.0)
+    band = np.zeros((2, h.size - 1))
+    band[1] = stiff_diag / t_ref + reaction * mass_diag
+    band[0, 1:] = stiff_off / t_ref + reaction * mass_off
+    factor = cholesky_banded(band, lower=False)
 
-        def apply(vec):
-            return solver.apply(vec.reshape(-1, n)).ravel()
+    def apply(vec):
+        return cho_solve_banded((factor, False), vec.reshape(-1, n)).ravel()
 
-        return apply
-    return lambda vec: vec.copy()
+    return apply
+
+
+def _minimize(
+    start: FePath,
+    field: DriftField,
+    cfg: OptimConfig,
+    quad: Quadrature,
+    value_grad,
+    t_ref: float,
+    cap: Optional[float],
+) -> OptimResult:
+    """Shared solve: L-BFGS over the interior of ``start``, log, package.
+
+    ``value_grad(path) -> (value, grad, t_hat)`` is the functional;
+    ``t_ref`` is the preconditioner's horizon and ``cap`` the optional
+    optimal-time cap.  The diagnostics are evaluated at the final t_hat.
+    """
+    n = start.dim
+
+    def evaluate(z):
+        f, g, th = value_grad(start.replace_interior(z.reshape(-1, n)))
+        return f, g.ravel(), th
+
+    z0 = start.values[1:-1].ravel().copy()
+    z, value, grad, t_hat, iters, ok, cap_active, rows = _lbfgs_loop(
+        evaluate, z0, cfg, _preconditioner(start, field, t_ref, cfg), cap
+    )
+    _write_log(rows, cfg.log_path)
+    path = start.replace_interior(z.reshape(-1, n))
+    return OptimResult(
+        path=path,
+        value=float(value),
+        t_hat=float(t_hat),
+        iterations=iters,
+        converged=ok,
+        grad_norm=_max_norm(grad),
+        el_residual=el_residual(path, field, t_hat, quad),
+        hamiltonian_violation=hamiltonian_violation(path, field, t_hat, quad),
+        cap_active=cap_active,
+    )
 
 
 def minimize_fixed_T(
@@ -299,31 +321,12 @@ def minimize_fixed_T(
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
-    cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
-    n = start.dim
 
-    def evaluate(z):
-        p = start.replace_interior(z.reshape(-1, n))
-        f, g = fixed_t_value_grad(p, field, T, quad)
-        return f, g.ravel(), T
+    def value_grad(p):  # t_hat stays T as given: an int T is logged as an int
+        return (*fixed_t_value_grad(p, field, T, quad), T)
 
-    z0 = start.values[1:-1].ravel().copy()
-    z, value, grad, _, iters, ok, _, rows = _lbfgs_loop(
-        evaluate, z0, cfg, _precond_factory(start, field, float(T), cfg), cap=None
-    )
-    _write_log(rows, cfg.log_path)
-    path = start.replace_interior(z.reshape(-1, n))
-    return OptimResult(
-        path=path,
-        value=float(value),
-        t_hat=float(T),
-        iterations=iters,
-        converged=ok,
-        grad_norm=_max_norm(grad),
-        el_residual=el_residual(path, field, T, quad),
-        hamiltonian_violation=hamiltonian_violation(path, field, T, quad),
-    )
+    return _minimize(start, field, cfg or OptimConfig(), quad, value_grad, float(T), None)
 
 
 def minimize_tmam(
@@ -341,30 +344,9 @@ def minimize_tmam(
     """
     cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
-    n = start.dim
-
-    def evaluate(z):
-        p = start.replace_interior(z.reshape(-1, n))
-        f, g, th = tmam_value_grad(p, field, quad)
-        return f, g.ravel(), th
-
     t_ref = optimal_time(start, field, quad)  # degenerate starts raise here
-    z0 = start.values[1:-1].ravel().copy()
-    z, value, grad, t_hat, iters, ok, cap_active, rows = _lbfgs_loop(
-        evaluate, z0, cfg, _precond_factory(start, field, t_ref, cfg), cap=cfg.t_cap
-    )
-    _write_log(rows, cfg.log_path)
-    path = start.replace_interior(z.reshape(-1, n))
-    return OptimResult(
-        path=path,
-        value=float(value),
-        t_hat=float(t_hat),
-        iterations=iters,
-        converged=ok,
-        grad_norm=_max_norm(grad),
-        el_residual=el_residual(path, field, t_hat, quad),
-        hamiltonian_violation=hamiltonian_violation(path, field, t_hat, quad),
-        cap_active=cap_active,
+    return _minimize(
+        start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad), t_ref, cfg.t_cap
     )
 
 

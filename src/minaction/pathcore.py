@@ -63,10 +63,6 @@ class Mesh:
         return self.nodes.size - 1
 
     @property
-    def element_sizes(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
     def h(self) -> float:
         """Largest element size."""
         return float(np.max(np.diff(self.nodes)))

@@ -120,6 +120,14 @@ def fit_rate(records, field_name: str) -> RateFit:
     return RateFit(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)))
 
 
+def _try_fit(records, field_name: str) -> Optional[RateFit]:
+    """fit_rate, or None when fewer than two records have positive errors."""
+    try:
+        return fit_rate(records, field_name)
+    except ValueError:
+        return None
+
+
 _H1_RULE = np.polynomial.legendre.leggauss(10)
 
 
@@ -255,14 +263,7 @@ def run_linear_fixed_T_study(
         )
         for res in results
     ]
-
-    def _try_fit(name):
-        try:
-            return fit_rate(records, name)
-        except ValueError:
-            return None
-
-    return records, _try_fit("h1_error"), _try_fit("action_error")
+    return records, _try_fit(records, "h1_error"), _try_fit(records, "action_error")
 
 
 # ---------------------------------------------------------------------------

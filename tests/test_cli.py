@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import minaction
 from minaction.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 
 
@@ -247,6 +249,10 @@ class TestStudy:
                 "outputs": {"study_csv": "det.csv", "summary_json": "det.json"},
             },
         )
+        # the child imports the same minaction tree as this process
+        src_dir = os.path.dirname(os.path.dirname(minaction.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         outputs = []
         for run_dir in ("a", "b"):
             out = tmp_path / run_dir
@@ -255,6 +261,7 @@ class TestStudy:
                 [sys.executable, "-m", "minaction.cli", "study", "--config", cfg,
                  "--out-dir", str(out)],
                 capture_output=True,
+                env=env,
             )
             # coarse 3-level sweep may legitimately trip the rate windows
             assert proc.returncode in (EXIT_OK, EXIT_ASSERTION), proc.stderr
@@ -369,3 +376,57 @@ class TestOracle:
         rc = main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,payload,key",
+    [
+        (
+            "solve",
+            solve_config(
+                problem={"field": {"type": "maier_stein", "gamma": math.inf},
+                         "x1": [-1.0, 0.0], "x2": [0.0, 0.0]}
+            ),
+            "problem.field",
+        ),
+        (
+            "study",
+            {
+                "study": {"name": "custom"},
+                "problem": {"field": {"type": "maier_stein"}, "x1": [-1.0, 0.0, 0.0],
+                            "x2": [0.0, 0.0, 0.0]},
+                "mode": {"kind": "tmam"},
+                "mesh": {"N_list": [8, 16]},
+            },
+            "problem.x1",
+        ),
+        (
+            "oracle",
+            {
+                "problem": {"field": {"type": "linear", "matrix": [[-1.0, 0.0], [0.0, -2.0]]},
+                            "x1": [1.0, 1.0, 1.0]},
+                "oracle": {"kind": "trajectory", "t_end": 1.0, "samples": 4},
+            },
+            "problem.x1",
+        ),
+        (
+            "oracle",
+            {
+                "problem": {"field": {"type": "linear", "matrix": [[1.0]]}, "x1": [1.0]},
+                "oracle": {"kind": "trajectory", "t_end": "inf", "samples": 4},
+            },
+            "problem.field",
+        ),
+    ],
+    ids=[
+        "maier_stein_nonfinite_gamma",
+        "custom_endpoint_dimension",
+        "oracle_endpoint_dimension",
+        "oracle_unstable_infinite",
+    ],
+)
+def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, payload)
+    rc = main([command, "--config", cfg, "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err

@@ -207,6 +207,9 @@ class TestFieldConfig:
             {"type": "linear", "matrix": [[1.0]], "extra": 1},
             {"type": "two_scale", "matrix": [[1.0]]},
             {},
+            {"type": "maier_stein", "gamma": float("inf")},
+            {"type": "maier_stein", "gamma": float("nan")},
+            {"type": "maier_stein", "gamma": True},
         ],
     )
     def test_invalid_specs_rejected(self, spec):

@@ -158,13 +158,23 @@ class TestTmamSolver:
         assert capped.t_hat <= cap + 1e-9
         assert capped.value >= free.value - 1e-12
 
-    def test_preconditioner_toggle_same_minimum(self):
+    # memory=0 keeps no curvature pairs: the scaled preconditioner alone
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            OptimConfig(sobolev_precondition=False),
+            OptimConfig(memory=0),
+            OptimConfig(memory=1),
+        ],
+        ids=["precond_off", "memory0", "memory1"],
+    )
+    def test_preconditioner_toggle_same_minimum(self, variant):
         field = two_scale_field()
         x1 = np.array([1.0, 1.0])
         x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
         start = linear_interpolant_path(x1, x2, uniform_mesh(24))
         on = minimize_tmam(start, field, OptimConfig(sobolev_precondition=True), QUAD)
-        off = minimize_tmam(start, field, OptimConfig(sobolev_precondition=False), QUAD)
+        off = minimize_tmam(start, field, variant, QUAD)
         assert on.converged and off.converged
         assert abs(on.value - off.value) <= 1e-9 * max(1.0, abs(on.value))
 
@@ -177,6 +187,21 @@ class TestTmamSolver:
         assert rows[0] == ["iteration", "value", "grad_norm", "t_hat"]
         assert len(rows) >= 3
         assert [r[0] for r in rows[1:3]] == ["0", "1"]
+
+
+@pytest.mark.parametrize("mode", ["fixed_t", "tmam"])
+def test_single_element_returns_straight_line(mode):
+    # N=1 has no interior node: nothing to optimize, the start is returned
+    field = two_scale_field()
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.5], uniform_mesh(1))
+    if mode == "fixed_t":
+        res = minimize_fixed_T(start, field, 2.0, quad=QUAD)
+    else:
+        res = minimize_tmam(start, field, quad=QUAD)
+    assert res.converged
+    assert res.iterations == 0
+    assert np.array_equal(res.path.values, start.values)
+    assert res.grad_norm == 0.0
 
 
 class TestContinuationSweep:
