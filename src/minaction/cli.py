@@ -28,7 +28,7 @@ from .linoracle import (
     exact_fixed_T_minimizer,
     trajectory_times_points,
 )
-from .optimize import OptimConfig, minimize_fixed_T, minimize_tmam
+from .optimize import OptimConfig, _nested_levels, continuation_sweep, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
     _write_samples_csv,
@@ -49,7 +49,6 @@ from .study import (
     values_nonincreasing,
     write_study_csv,
 )
-from .optimize import continuation_sweep
 
 __all__ = ["main", "cmd_solve", "cmd_study", "cmd_oracle", "ConfigError"]
 
@@ -167,10 +166,27 @@ def _endpoint(cfg: dict, key: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _build_field(cfg: dict):
+def _build_field(cfg: dict, linear_for: Optional[str] = None):
     spec = _require(cfg, "problem.field")
     try:
-        return field_from_config(spec)
+        field = field_from_config(spec)
+    except ValueError as err:
+        raise ConfigError(f"problem.field: {err}") from err
+    if linear_for is not None and field.linear_matrix is None:
+        raise ConfigError(f"problem.field must be linear for {linear_for}")
+    return field
+
+
+def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
+    """The checked fixed-horizon problem of a linear field, x1, x2 and mode.T."""
+    field = _build_field(cfg, linear_for=purpose)
+    x1 = _endpoint(cfg, "problem.x1", field.dim)
+    x2 = _endpoint(cfg, "problem.x2", field.dim)
+    kind, T = _mode_of(cfg)
+    if kind != "fixed_t":
+        raise ConfigError(f"mode.kind must be fixed_t for {purpose}")
+    try:
+        return SpectralLinearProblem(field.linear_matrix, x1, x2, T=T)
     except ValueError as err:
         raise ConfigError(f"problem.field: {err}") from err
 
@@ -309,7 +325,11 @@ def _n_list(cfg: dict, minimum: int) -> list:
     n_list = _require(cfg, "mesh.N_list")
     if not isinstance(n_list, list) or len(n_list) < minimum:
         raise ConfigError(f"mesh.N_list must be a list of at least {minimum} resolutions")
-    return [_positive_int(n, "mesh.N_list") for n in n_list]
+    levels = [_positive_int(n, "mesh.N_list") for n in n_list]
+    try:
+        return _nested_levels(levels)
+    except ValueError as err:
+        raise ConfigError(f"mesh.N_list: {err}") from err
 
 
 def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
@@ -351,19 +371,11 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
         elif name == "linear_fixed_t":
             n_list = _n_list(cfg, 2)
             if "problem" in cfg:
-                field = _build_field(cfg)
-                if field.linear_matrix is None:
-                    raise ConfigError("problem.field must be linear for the linear_fixed_t study")
-                matrix = field.linear_matrix
-                x1 = _endpoint(cfg, "problem.x1", field.dim)
-                x2 = _endpoint(cfg, "problem.x2", field.dim)
-                kind, T = _mode_of(cfg)
-                if kind != "fixed_t":
-                    raise ConfigError("mode.kind must be fixed_t for the linear_fixed_t study")
+                prob = _linear_problem(cfg, "the linear_fixed_t study")
             else:
-                matrix, x1, x2, T = np.array([[-1.0]]), np.array([0.0]), np.array([1.0]), 1.0
+                prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
             records, rate_h1, rate_a = run_linear_fixed_T_study(
-                matrix, x1, x2, T, n_list, opt_cfg, quad
+                prob.matrix, prob.x1, prob.x2, prob.T, n_list, opt_cfg, quad
             )
             rates = {"h1": _rate_payload(rate_h1), "action": _rate_payload(rate_a)}
             assertions = linear_fixed_t_assertions(records, rate_h1, rate_a)
@@ -407,11 +419,6 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
 
 def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     cfg = load_config(config_path, overrides)
-    field = _build_field(cfg)
-    if field.linear_matrix is None:
-        raise ConfigError("problem.field must be linear for oracle output")
-    matrix = field.linear_matrix
-    x1 = _endpoint(cfg, "problem.x1", field.dim)
     outputs = cfg.get("outputs", {})
     oracle = cfg.get("oracle", {})
     kind = oracle.get("kind", "trajectory")
@@ -419,6 +426,8 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         raise ConfigError("oracle.kind must be 'trajectory' or 'exact_minimizer'")
 
     if kind == "trajectory":
+        field = _build_field(cfg, linear_for="the trajectory oracle")
+        x1 = _endpoint(cfg, "problem.x1", field.dim)
         raw_t_end = oracle.get("t_end", "inf")
         if raw_t_end == "inf":
             t_end = math.inf
@@ -428,30 +437,18 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         if not isinstance(samples, int) or samples < 2:
             raise ConfigError("oracle.samples must be an integer >= 2")
         try:
-            times, points = trajectory_times_points(matrix, x1, t_end, samples)
+            times, points = trajectory_times_points(field.linear_matrix, x1, t_end, samples)
         except ValueError as err:
             raise ConfigError(f"problem.field: {err}") from err
         target = _out_path(outputs, "trajectory_csv", out_dir)
         _write_samples_csv(times, points, sys.stdout if target is None else target)
         return EXIT_OK
 
-    x2 = _endpoint(cfg, "problem.x2", field.dim)
-    kind_mode, T = _mode_of(cfg)
-    if kind_mode != "fixed_t":
-        raise ConfigError("mode.kind must be fixed_t for the exact minimizer oracle")
-    num_elems = _positive_int(_require(cfg, "mesh.N"), "mesh.N")
-    try:
-        prob = SpectralLinearProblem(matrix, x1, x2, T=T)
-    except ValueError as err:
-        raise ConfigError(f"problem.field: {err}") from err
-    mesh = uniform_mesh(num_elems)
-    values = exact_fixed_T_minimizer(prob, mesh.nodes)
-    path = FePath(mesh, values)
+    prob = _linear_problem(cfg, "the exact minimizer oracle")
+    mesh = uniform_mesh(_positive_int(_require(cfg, "mesh.N"), "mesh.N"))
+    path = FePath(mesh, exact_fixed_T_minimizer(prob, mesh.nodes))
     target = _out_path(outputs, "minimizer_csv", out_dir)
-    if target is not None:
-        write_path_csv(path, target)
-    else:
-        write_path_csv(path, sys.stdout)
+    write_path_csv(path, sys.stdout if target is None else target)
     return EXIT_OK
 
 

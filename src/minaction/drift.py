@@ -34,8 +34,8 @@ class DriftField:
 
     Metadata (all optional): ``lipschitz`` is a Lipschitz constant K,
     ``beta``/``r2`` parametrize the inward-drift condition
-    <b(x), x> <= -beta |x|^2 for |x| >= r2, ``r1`` is the confinement radius,
-    and ``linear_matrix`` carries A when b(x) = A x exactly.
+    <b(x), x> <= -beta |x|^2 for |x| >= r2, and ``linear_matrix`` carries A
+    when b(x) = A x exactly.
     """
 
     dim: int
@@ -43,7 +43,6 @@ class DriftField:
     _jac_many: Callable[[np.ndarray], np.ndarray]
     lipschitz: Optional[float] = None
     beta: Optional[float] = None
-    r1: Optional[float] = None
     r2: Optional[float] = None
     linear_matrix: Optional[np.ndarray] = None
     jacobian_fd: bool = False

@@ -7,6 +7,10 @@ provides the spectral problem container, the matrix exponential, exact
 fixed-horizon minimizers and action values, and dense flow-trajectory
 polylines - the reference data for the convergence studies.
 
+There is one decomposition, ``_spectrum``: it raises ``ValueError`` for a
+non-finite, non-square or nonsymmetric A and for an eigendecomposition that
+does not reconstruct A (tolerances 1e-10 * max(1, max|A_ij|)).
+
 sinh/cosh ratios are evaluated in exp-difference form so horizons with
 mu*T > 700 do not overflow (the stiff, boundary-layer regime).
 """
@@ -31,18 +35,33 @@ __all__ = [
     "trajectory_polyline",
 ]
 
-_SYMMETRY_TOL = 1e-10
+_MATRIX_TOL = 1e-10
 _TINY_RATE = 1e-12
+_DECAYED = 1e-10
 
 
-def _check_symmetric(a_mat: np.ndarray) -> np.ndarray:
-    a_mat = np.asarray(a_mat, dtype=float)
+def _spectrum(matrix):
+    """Checked eigendecomposition (A, eigenvalues, eigenvectors) of a symmetric A."""
+    a_mat = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(a_mat)):
+        raise ValueError("matrix must be finite")
     if a_mat.ndim != 2 or a_mat.shape[0] != a_mat.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(a_mat))))
-    if float(np.max(np.abs(a_mat - a_mat.T))) > _SYMMETRY_TOL * scale:
+    tol = _MATRIX_TOL * max(1.0, float(np.max(np.abs(a_mat))))
+    if float(np.max(np.abs(a_mat - a_mat.T))) > tol:
         raise ValueError("matrix must be symmetric")
-    return a_mat
+    eigvals, eigvecs = np.linalg.eigh(a_mat)
+    if float(np.max(np.abs(eigvecs @ np.diag(eigvals) @ eigvecs.T - a_mat))) > tol:
+        raise ValueError("eigendecomposition failed to reconstruct the matrix")
+    return a_mat, eigvals, eigvecs
+
+
+def _flow(eigvals, eigvecs, x, times) -> np.ndarray:
+    """Rows e^{tA} x for t in ``times``; a t = 0 row is x itself."""
+    times = np.asarray(times, dtype=float)
+    scaled = np.exp(times[:, None] * eigvals) * (eigvecs.T @ x)
+    # one product per row: a single stacked (m, n) @ (n, n) product moves last bits
+    return np.array([x if t == 0.0 else eigvecs @ row for t, row in zip(times, scaled)])
 
 
 @dataclass(frozen=True)
@@ -60,11 +79,7 @@ class SpectralLinearProblem:
     T: Optional[float] = None
 
     def __post_init__(self):
-        a_mat = _check_symmetric(self.matrix)
-        eigvals, eigvecs = np.linalg.eigh(a_mat)
-        recon_err = float(np.max(np.abs(eigvecs @ np.diag(eigvals) @ eigvecs.T - a_mat)))
-        if recon_err > 1e-10 * max(1.0, float(np.max(np.abs(a_mat)))):
-            raise ValueError("eigendecomposition failed to reconstruct the matrix")
+        a_mat, eigvals, eigvecs = _spectrum(self.matrix)
         x1 = np.atleast_1d(np.asarray(self.x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(self.x2, dtype=float))
         if x1.shape != (a_mat.shape[0],) or x2.shape != (a_mat.shape[0],):
@@ -89,14 +104,11 @@ class SpectralLinearProblem:
 
 def matrix_exp_apply(matrix, t: float, x) -> np.ndarray:
     """e^{tA} x for symmetric A, via the spectral decomposition."""
-    a_mat = _check_symmetric(matrix)
+    _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (a_mat.shape[0],):
+    if x.shape != (eigvals.size,):
         raise ValueError("vector must match the matrix dimension")
-    if t == 0.0:
-        return x.copy()
-    eigvals, eigvecs = np.linalg.eigh(a_mat)
-    return eigvecs @ (np.exp(float(t) * eigvals) * (eigvecs.T @ x))
+    return _flow(eigvals, eigvecs, x, [t])[0]
 
 
 def _sinh_ratio(a: np.ndarray, b: float) -> np.ndarray:
@@ -111,10 +123,22 @@ def _cosh_over_sinh(a: np.ndarray, b: float) -> np.ndarray:
     return -np.exp(a - b) * (1.0 + np.exp(-2.0 * a)) / math.expm1(-2.0 * b)
 
 
-def _spectral_coords(prob: SpectralLinearProblem):
-    y1 = prob.eigenvectors.T @ prob.x1
-    y2 = prob.eigenvectors.T @ prob.x2
-    return y1, y2
+def _exact(prob: SpectralLinearProblem, s, deriv: bool) -> np.ndarray:
+    """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s."""
+    T = prob._require_T()
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
+    ratio, sign = (_cosh_over_sinh, -1.0) if deriv else (_sinh_ratio, 1.0)
+    coords = np.empty((s_arr.size, prob.dim))
+    for i, lam in enumerate(prob.eigenvalues):
+        b = abs(float(lam)) * T
+        if b < _TINY_RATE:
+            coords[:, i] = y2[i] - y1[i] if deriv else y1[i] * (1.0 - s_arr) + y2[i] * s_arr
+        else:
+            blend = sign * y1[i] * ratio(b * (1.0 - s_arr), b) + y2[i] * ratio(b * s_arr, b)
+            coords[:, i] = b * blend if deriv else blend
+    out = coords @ prob.eigenvectors.T
+    return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
 def exact_fixed_T_minimizer(prob: SpectralLinearProblem, s) -> np.ndarray:
@@ -125,39 +149,12 @@ def exact_fixed_T_minimizer(prob: SpectralLinearProblem, s) -> np.ndarray:
     degenerating to the straight line when mu = 0.  Returns shape (n,) for a
     scalar s, (m, n) for an array.
     """
-    T = prob._require_T()
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    y1, y2 = _spectral_coords(prob)
-    coords = np.empty((s_arr.size, prob.dim))
-    for i, lam in enumerate(prob.eigenvalues):
-        mu = abs(float(lam))
-        if mu * T < _TINY_RATE:
-            coords[:, i] = y1[i] * (1.0 - s_arr) + y2[i] * s_arr
-        else:
-            b = mu * T
-            coords[:, i] = y1[i] * _sinh_ratio(b * (1.0 - s_arr), b) + y2[i] * _sinh_ratio(b * s_arr, b)
-    out = coords @ prob.eigenvectors.T
-    return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
+    return _exact(prob, s, deriv=False)
 
 
 def exact_fixed_T_minimizer_deriv(prob: SpectralLinearProblem, s) -> np.ndarray:
     """d/ds of the exact fixed-horizon minimizer at scaled time(s) s."""
-    T = prob._require_T()
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    y1, y2 = _spectral_coords(prob)
-    coords = np.empty((s_arr.size, prob.dim))
-    for i, lam in enumerate(prob.eigenvalues):
-        mu = abs(float(lam))
-        if mu * T < _TINY_RATE:
-            coords[:, i] = y2[i] - y1[i]
-        else:
-            b = mu * T
-            coords[:, i] = b * (
-                -y1[i] * _cosh_over_sinh(b * (1.0 - s_arr), b)
-                + y2[i] * _cosh_over_sinh(b * s_arr, b)
-            )
-    out = coords @ prob.eigenvectors.T
-    return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
+    return _exact(prob, s, deriv=True)
 
 
 def _coth(b: float) -> float:
@@ -181,7 +178,7 @@ def exact_fixed_T_action(prob: SpectralLinearProblem) -> float:
     with limit (y2 - y1)^2 / (2 T) when mu = 0.
     """
     T = prob._require_T()
-    y1, y2 = _spectral_coords(prob)
+    y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     total = 0.0
     for i, lam in enumerate(prob.eigenvalues):
         lam = float(lam)
@@ -202,24 +199,21 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     geometrically spaced up to the horizon so the fast initial transient is
     densely sampled.  With ``t_end = inf`` the horizon is extended until
     |e^{tA} x| < 1e-10 and the equilibrium 0 is appended as a final row (its
-    time entry is inf).
+    time entry is inf).  The infinite horizon is rejected when x has a part
+    of norm >= 1e-10 on eigenvalues >= 0, which never decays.
     """
     if samples < 2:
         raise ValueError("at least two samples required")
-    a_mat = _check_symmetric(matrix)
+    _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eigvals, eigvecs = np.linalg.eigh(a_mat)
-    coords0 = eigvecs.T @ x
 
-    def at(t):
-        if t == 0.0:
-            return x.copy()
-        return eigvecs @ (np.exp(t * eigvals) * coords0)
-
-    infinite = math.isinf(t_end)
+    infinite = t_end == math.inf
     if infinite:
+        if np.linalg.norm((eigvecs.T @ x)[eigvals >= 0.0]) >= _DECAYED:
+            raise ValueError("trajectory does not decay; infinite horizon invalid")
         t_hi = 1.0
-        while np.linalg.norm(at(t_hi)) >= 1e-10:
+        # "not <" also keeps doubling past a NaN norm from an overflowed e^{tA}
+        while not np.linalg.norm(_flow(eigvals, eigvecs, x, [t_hi])[0]) < _DECAYED:
             t_hi *= 2.0
             if t_hi > 1e9:
                 raise ValueError("trajectory does not decay; infinite horizon invalid")
@@ -232,7 +226,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
         times = np.array([0.0, t_hi])
     else:
         times = np.concatenate([[0.0], np.geomspace(t_hi * 1e-4, t_hi, samples - 1)])
-    pts = np.stack([at(t) for t in times])
+    pts = _flow(eigvals, eigvecs, x, times)
     if infinite:
         times = np.concatenate([times, [math.inf]])
         pts = np.vstack([pts, np.zeros(x.size)])

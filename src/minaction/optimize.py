@@ -230,7 +230,7 @@ def _drift_rate_sq(field: DriftField, start: FePath) -> float:
     if field.lipschitz is not None:
         return float(field.lipschitz) ** 2
     jacs = field.jacobian_many(start.values)
-    return max(float(np.linalg.norm(j, 2)) ** 2 for j in jacs)
+    return float(np.max(np.linalg.norm(jacs, 2, axis=(1, 2)))) ** 2
 
 
 def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimConfig):
@@ -350,6 +350,16 @@ def minimize_tmam(
     )
 
 
+def _nested_levels(N_list) -> list[int]:
+    """``N_list`` as ints: nonempty, positive, strictly increasing, each entry dividing the next."""
+    N_list = [int(N) for N in N_list]
+    if not N_list or N_list[0] < 1:
+        raise ValueError("N_list must be nonempty with positive entries")
+    if any(b <= a or b % a != 0 for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("N_list must be strictly increasing with nested entries")
+    return N_list
+
+
 def continuation_sweep(
     field: DriftField,
     x1,
@@ -369,12 +379,7 @@ def continuation_sweep(
     the next.  Typed solver errors are re-raised with the failing level in the
     message.
     """
-    N_list = [int(N) for N in N_list]
-    if not N_list:
-        raise ValueError("N_list must be nonempty")
-    for a, b in zip(N_list, N_list[1:]):
-        if b <= a or b % a != 0:
-            raise ValueError("N_list must be strictly increasing with nested entries")
+    N_list = _nested_levels(N_list)
     if mode not in ("tmam", "fixed_t"):
         raise ValueError("mode must be 'tmam' or 'fixed_t'")
     if mode == "fixed_t" and (T is None or not T > 0.0):

@@ -128,7 +128,7 @@ def _try_fit(records, field_name: str) -> Optional[RateFit]:
         return None
 
 
-_H1_RULE = np.polynomial.legendre.leggauss(10)
+_H1_RULE = Quadrature(10)
 
 
 def h1_seminorm_error(path, prob: SpectralLinearProblem) -> float:
@@ -141,8 +141,7 @@ def h1_seminorm_error(path, prob: SpectralLinearProblem) -> float:
     nodes = path.mesh.nodes
     h = np.diff(nodes)
     d = np.diff(path.values, axis=0) / h[:, None]
-    xi = 0.5 * (_H1_RULE[0] + 1.0)
-    w = 0.5 * _H1_RULE[1]
+    xi, w = _H1_RULE.xi, _H1_RULE.w
     s_pts = nodes[:-1, None] + h[:, None] * xi[None, :]
     oracle_d = exact_fixed_T_minimizer_deriv(prob, s_pts.ravel()).reshape(
         h.size, xi.size, path.dim

@@ -417,12 +417,35 @@ class TestOracle:
             },
             "problem.field",
         ),
+        (
+            "study",
+            {
+                "study": {"name": "custom"},
+                "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0], "x2": [0.0, 0.0]},
+                "mode": {"kind": "tmam"},
+                "mesh": {"N_list": [8, 12]},
+            },
+            "mesh.N_list",
+        ),
+        (
+            "study",
+            {
+                "study": {"name": "linear_fixed_t"},
+                "problem": {"field": {"type": "linear", "matrix": [[-1.0, 1.0], [0.0, -2.0]]},
+                            "x1": [1.0, 0.0], "x2": [0.0, 1.0]},
+                "mode": {"kind": "fixed_t", "T": 1.0},
+                "mesh": {"N_list": [4, 8]},
+            },
+            "problem.field",
+        ),
     ],
     ids=[
         "maier_stein_nonfinite_gamma",
         "custom_endpoint_dimension",
         "oracle_endpoint_dimension",
         "oracle_unstable_infinite",
+        "custom_unnested_n_list",
+        "linear_fixed_t_nonsymmetric",
     ],
 )
 def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key):

@@ -189,6 +189,50 @@ class TestTrajectory:
             trajectory_polyline(TWO_SCALE, [1.0, 1.0], 1.0, 1)
 
 
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: SpectralLinearProblem(a, [1.0], [0.0], T=1.0),
+            lambda a: matrix_exp_apply(a, 1.0, [1.0]),
+            lambda a: trajectory_times_points(a, [1.0], 1.0, 4),
+            lambda a: trajectory_times_points(a, [1.0], math.inf, 4),
+        ],
+        ids=["problem", "matrix_exp", "trajectory", "trajectory_inf"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_matrix_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            call([[bad]])
+
+    def test_negative_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="t_end"):
+            trajectory_times_points([[-1.0]], [1.0], -math.inf, 4)
+
+    @pytest.mark.parametrize(
+        "matrix,x",
+        [([[1.0]], [1.0]), ([[0.0]], [1.0]), ([[-1.0, 0.0], [0.0, 2.0]], [1.0, 1e-9])],
+        ids=["unstable", "neutral", "small_unstable_part"],
+    )
+    def test_nondecaying_infinite_horizon_rejected(self, matrix, x):
+        with pytest.raises(ValueError, match="does not decay"):
+            trajectory_times_points(matrix, x, math.inf, 4)
+
+    def test_overflowing_search_rejected(self):
+        # a part below 1e-10 on a positive eigenvalue still grows; e^{tA} x
+        # overflows to NaN during the search instead of decaying
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="does not decay"):
+                trajectory_times_points([[-1.0, 0.0], [0.0, 1.0]], [1.0, 1e-11], math.inf, 4)
+
+    def test_infinite_horizon_off_the_neutral_eigenspace(self):
+        # a zero eigenvalue is harmless when x has no part along it
+        times, pts = trajectory_times_points([[-1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], math.inf, 8)
+        assert times[-1] == math.inf
+        assert np.linalg.norm(pts[-2]) < 1e-10
+        assert np.array_equal(pts[-1], [0.0, 0.0])
+
+
 class TestTinyRateAccuracy:
     def test_small_rate_matches_direct_evaluation(self):
         # mu*T ~ 1e-8: stable forms must agree with direct sinh to full precision

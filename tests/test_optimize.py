@@ -235,7 +235,7 @@ class TestContinuationSweep:
 
     def test_bad_level_lists_rejected(self):
         field = SCALAR
-        for bad in ([], [8, 4], [8, 12], [8, 8]):
+        for bad in ([], [8, 4], [8, 12], [8, 8], [0, 4], [-2, 4]):
             with pytest.raises(ValueError):
                 continuation_sweep(field, [0.0], [1.0], bad, quad=QUAD, mode="tmam")
         with pytest.raises(ValueError):
