@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField
-from .pathcore import FePath
+from .pathcore import FePath, _finite_positive, _int_at_least
 
 __all__ = [
     "Quadrature",
@@ -92,10 +92,9 @@ class Quadrature:
     points_per_element: int = 3
 
     def __post_init__(self):
-        q = self.points_per_element
-        if q < 1:
-            raise ValueError("need at least one quadrature point per element")
-        x, w = np.polynomial.legendre.leggauss(q)
+        x, w = np.polynomial.legendre.leggauss(
+            _int_at_least(self.points_per_element, "points_per_element", 1)
+        )
         xi = 0.5 * (x + 1.0)
         wts = 0.5 * w
         xi.flags.writeable = False
@@ -198,9 +197,7 @@ def _seminorms(asm: _Assembly):
 
 def action_fixed_T(path: FePath, field: DriftField, T: float, quad: Quadrature) -> float:
     """Action of the path at the fixed horizon T (scaled-time quadrature form)."""
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    return _assemble(path, field, quad).fixed_t_value(float(T))
+    return _assemble(path, field, quad).fixed_t_value(_finite_positive(T, "T"))
 
 
 def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
@@ -246,9 +243,7 @@ def action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> ActionR
 
 def grad_action_fixed_T(path: FePath, field: DriftField, T: float, quad: Quadrature) -> np.ndarray:
     """Exact gradient of the discretized fixed-T action w.r.t. interior nodes."""
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    return _assemble(path, field, quad).fixed_t_grad(float(T))[1:-1]
+    return _assemble(path, field, quad).fixed_t_grad(_finite_positive(T, "T"))[1:-1]
 
 
 def grad_action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> np.ndarray:
@@ -274,9 +269,7 @@ def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Q
     Zero along any exact minimizer of the time-optimized problem (the
     zero-Hamiltonian constraint); positive otherwise.
     """
-    if not t_hat > 0.0:
-        raise ValueError("t_hat must be positive")
-    return _violation_from_assembly(_assemble(path, field, quad), float(t_hat))
+    return _violation_from_assembly(_assemble(path, field, quad), _finite_positive(t_hat, "t_hat"))
 
 
 def _el_residual_from_grad(grad_interior: np.ndarray, t_scale: float, h1_seminorm: float) -> float:
@@ -294,12 +287,11 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
     path's H1 seminorm.  One defensible norm choice among several; used as a
     stationarity diagnostic, not an error bound.
     """
-    if not t_or_that > 0.0:
-        raise ValueError("T must be positive")
+    t_scale = _finite_positive(t_or_that, "T")
     asm = _assemble(path, field, quad)
-    grad = asm.fixed_t_grad(float(t_or_that))[1:-1]
+    grad = asm.fixed_t_grad(t_scale)[1:-1]
     h1 = math.sqrt(asm.deriv_norm_sq())
-    return _el_residual_from_grad(grad, float(t_or_that), h1)
+    return _el_residual_from_grad(grad, t_scale, h1)
 
 
 # fused value+gradient entry points for the optimizer (single assembly pass)

@@ -13,6 +13,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,9 @@ from .linoracle import (
 from .optimize import OptimConfig, _nested_levels, continuation_sweep, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
+    _finite_positive,
+    _int_at_least,
+    _opened,
     _write_samples_csv,
     linear_interpolant_path,
     read_path_csv,
@@ -69,11 +73,11 @@ class ConfigError(ValueError):
 _KNOWN_KEYS = {
     "": {"problem", "mode", "mesh", "optimizer", "quadrature", "study", "oracle", "outputs"},
     "problem": {"field", "x1", "x2", "start_csv"},
-    "problem.field": {"type", "matrix", "gamma"},
     "mode": {"kind", "T"},
     "mesh": {"N", "N_list"},
-    "optimizer": {"tol_grad", "max_iters", "memory", "sobolev_precondition", "t_cap"},
-    "quadrature": {"points_per_element"},
+    # forwarded whole to the constructors, which check the values
+    "optimizer": {f.name for f in dataclasses.fields(OptimConfig)} - {"log_path"},
+    "quadrature": {f.name for f in dataclasses.fields(Quadrature)},
     "study": {"name", "T_fixed"},
     "oracle": {"kind", "t_end", "samples"},
     "outputs": {
@@ -141,19 +145,6 @@ def _require(cfg: dict, key: str):
     return node
 
 
-def _positive_number(value, key: str) -> float:
-    # JSON parsing accepts Infinity, so the upper bound is checked too
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
-        raise ConfigError(f"{key} must be a finite positive number")
-    return float(value)
-
-
-def _positive_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer")
-    return value
-
-
 def _endpoint(cfg: dict, key: str, dim: int) -> np.ndarray:
     try:
         vec = np.asarray(_require(cfg, key), dtype=float)
@@ -191,30 +182,12 @@ def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
         raise ConfigError(f"problem.field: {err}") from err
 
 
-def _build_optimizer(cfg: dict, iteration_log: Optional[str]) -> OptimConfig:
-    opts = cfg.get("optimizer", {})
-    kwargs = {}
-    if "tol_grad" in opts:
-        kwargs["tol_grad"] = _positive_number(opts["tol_grad"], "optimizer.tol_grad")
-    if "max_iters" in opts:
-        kwargs["max_iters"] = _positive_int(opts["max_iters"], "optimizer.max_iters")
-    if "memory" in opts:
-        memory = opts["memory"]
-        if not isinstance(memory, int) or isinstance(memory, bool) or memory < 0:
-            raise ConfigError("optimizer.memory must be a nonnegative integer")
-        kwargs["memory"] = memory
-    if "sobolev_precondition" in opts:
-        if not isinstance(opts["sobolev_precondition"], bool):
-            raise ConfigError("optimizer.sobolev_precondition must be a boolean")
-        kwargs["sobolev_precondition"] = opts["sobolev_precondition"]
-    if "t_cap" in opts and opts["t_cap"] is not None:
-        kwargs["t_cap"] = _positive_number(opts["t_cap"], "optimizer.t_cap")
-    return OptimConfig(log_path=iteration_log, **kwargs)
-
-
-def _build_quadrature(cfg: dict) -> Quadrature:
-    q = cfg.get("quadrature", {}).get("points_per_element", 3)
-    return Quadrature(_positive_int(q, "quadrature.points_per_element"))
+def _from_section(cls, cfg: dict, section: str, **fixed):
+    """``cls`` built from a whole config section; its argument errors name the key."""
+    try:
+        return cls(**fixed, **cfg.get(section, {}))
+    except ValueError as err:
+        raise ConfigError(f"{section}.{err}") from err
 
 
 def _out_path(outputs: dict, key: str, out_dir: str) -> Optional[str]:
@@ -230,12 +203,8 @@ def _out_path(outputs: dict, key: str, out_dir: str) -> Optional[str]:
 
 
 def _dump_json(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _opened(sys.stdout if path is None else path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
 def _mode_of(cfg: dict):
@@ -244,9 +213,7 @@ def _mode_of(cfg: dict):
     if kind not in ("tmam", "fixed_t"):
         raise ConfigError("mode.kind must be 'tmam' or 'fixed_t'")
     if kind == "fixed_t":
-        if "T" not in mode:
-            raise ConfigError("missing config key: mode.T")
-        return kind, _positive_number(mode["T"], "mode.T")
+        return kind, _finite_positive(_require(cfg, "mode.T"), "mode.T")
     return kind, None
 
 
@@ -261,11 +228,11 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     x1 = _endpoint(cfg, "problem.x1", field.dim)
     x2 = _endpoint(cfg, "problem.x2", field.dim)
     kind, T = _mode_of(cfg)
-    num_elems = _positive_int(_require(cfg, "mesh.N"), "mesh.N")
+    num_elems = _int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1)
     outputs = cfg.get("outputs", {})
     iteration_log = _out_path(outputs, "iteration_log", out_dir)
-    opt_cfg = _build_optimizer(cfg, iteration_log)
-    quad = _build_quadrature(cfg)
+    opt_cfg = _from_section(OptimConfig, cfg, "optimizer", log_path=iteration_log)
+    quad = _from_section(Quadrature, cfg, "quadrature")
 
     start_csv = cfg.get("problem", {}).get("start_csv")
     if start_csv is not None:
@@ -325,9 +292,8 @@ def _n_list(cfg: dict, minimum: int) -> list:
     n_list = _require(cfg, "mesh.N_list")
     if not isinstance(n_list, list) or len(n_list) < minimum:
         raise ConfigError(f"mesh.N_list must be a list of at least {minimum} resolutions")
-    levels = [_positive_int(n, "mesh.N_list") for n in n_list]
     try:
-        return _nested_levels(levels)
+        return _nested_levels(n_list)
     except ValueError as err:
         raise ConfigError(f"mesh.N_list: {err}") from err
 
@@ -338,8 +304,8 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     if name not in ("case_i", "case_ii", "linear_fixed_t", "custom"):
         raise ConfigError("study.name must be one of case_i, case_ii, linear_fixed_t, custom")
     outputs = cfg.get("outputs", {})
-    opt_cfg = _build_optimizer(cfg, None)
-    quad = _build_quadrature(cfg)
+    opt_cfg = _from_section(OptimConfig, cfg, "optimizer")
+    quad = _from_section(Quadrature, cfg, "quadrature")
     study_csv = _out_path(outputs, "study_csv", out_dir)
     summary_json = _out_path(outputs, "summary_json", out_dir)
 
@@ -355,7 +321,7 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
             assertions = case_i_assertions(records, rate_a, rate_t)
         elif name == "case_ii":
             n_list = _n_list(cfg, 3)
-            t_fixed = _positive_number(cfg.get("study", {}).get("T_fixed", 100.0), "study.T_fixed")
+            t_fixed = _finite_positive(cfg.get("study", {}).get("T_fixed", 100.0), "study.T_fixed")
             data = run_case_ii_full(n_list, t_fixed, opt_cfg, quad)
             records = data.records_tmam
             rates = {"action_tmam": _rate_payload(data.rate_tmam)}
@@ -394,8 +360,6 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     except ActionError as err:
         _dump_json({"error": err.code, "message": str(err), "study": name}, summary_json)
         return EXIT_SOLVER
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
     if study_csv is not None:
         write_study_csv(records, study_csv)
@@ -432,10 +396,8 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         if raw_t_end == "inf":
             t_end = math.inf
         else:
-            t_end = _positive_number(raw_t_end, "oracle.t_end")
-        samples = oracle.get("samples", 200)
-        if not isinstance(samples, int) or samples < 2:
-            raise ConfigError("oracle.samples must be an integer >= 2")
+            t_end = _finite_positive(raw_t_end, "oracle.t_end")
+        samples = _int_at_least(oracle.get("samples", 200), "oracle.samples", 2)
         try:
             times, points = trajectory_times_points(field.linear_matrix, x1, t_end, samples)
         except ValueError as err:
@@ -445,7 +407,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         return EXIT_OK
 
     prob = _linear_problem(cfg, "the exact minimizer oracle")
-    mesh = uniform_mesh(_positive_int(_require(cfg, "mesh.N"), "mesh.N"))
+    mesh = uniform_mesh(_int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1))
     path = FePath(mesh, exact_fixed_T_minimizer(prob, mesh.nodes))
     target = _out_path(outputs, "minimizer_csv", out_dir)
     write_path_csv(path, sys.stdout if target is None else target)
@@ -477,7 +439,7 @@ def main(argv=None) -> int:
     handler = {"solve": cmd_solve, "study": cmd_study, "oracle": cmd_oracle}[args.command]
     try:
         return handler(args.config, args.set, args.out_dir)
-    except ConfigError as err:
+    except ValueError as err:  # a ConfigError, or a library argument check
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

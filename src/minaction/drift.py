@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .pathcore import _int_at_least
+
 __all__ = [
     "DriftField",
     "InwardReport",
@@ -198,8 +200,7 @@ def check_inward_condition(field: DriftField, samples: int, radius: float) -> In
     """
     if field.beta is None or field.r2 is None:
         raise ValueError("field is missing beta/r2 metadata for the inward check")
-    if samples < 1:
-        raise ValueError("at least one sample required")
+    samples = _int_at_least(samples, "samples", 1)
     if radius < field.r2:
         raise ValueError("radius must be >= the field's r2")
     rng = np.random.default_rng(20210317)

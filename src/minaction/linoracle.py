@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pathcore import Polyline
+from .pathcore import Polyline, _finite_positive, _int_at_least
 
 __all__ = [
     "SpectralLinearProblem",
@@ -64,6 +64,15 @@ def _flow(eigvals, eigvecs, x, times) -> np.ndarray:
     return np.array([x if t == 0.0 else eigvecs @ row for t, row in zip(times, scaled)])
 
 
+def _finite_flow(eigvals, eigvecs, x, times) -> np.ndarray:
+    """``_flow`` rows, raising ``ValueError`` instead of returning overflowed ones."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _flow(eigvals, eigvecs, x, times)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("e^{tA} x overflows at this horizon")
+    return pts
+
+
 @dataclass(frozen=True)
 class SpectralLinearProblem:
     """Symmetric linear transition problem with its eigendecomposition.
@@ -84,8 +93,8 @@ class SpectralLinearProblem:
         x2 = np.atleast_1d(np.asarray(self.x2, dtype=float))
         if x1.shape != (a_mat.shape[0],) or x2.shape != (a_mat.shape[0],):
             raise ValueError("endpoints must match the matrix dimension")
-        if self.T is not None and not self.T > 0.0:
-            raise ValueError("T must be positive when given")
+        if self.T is not None:
+            _finite_positive(self.T, "T")
         for name, arr in (("matrix", a_mat), ("x1", x1), ("x2", x2),
                           ("eigenvalues", eigvals), ("eigenvectors", eigvecs)):
             arr = np.array(arr)
@@ -103,12 +112,15 @@ class SpectralLinearProblem:
 
 
 def matrix_exp_apply(matrix, t: float, x) -> np.ndarray:
-    """e^{tA} x for symmetric A, via the spectral decomposition."""
+    """e^{tA} x for symmetric A, via the spectral decomposition.
+
+    Raises ``ValueError`` when the result overflows.
+    """
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (eigvals.size,):
         raise ValueError("vector must match the matrix dimension")
-    return _flow(eigvals, eigvecs, x, [t])[0]
+    return _finite_flow(eigvals, eigvecs, x, [t])[0]
 
 
 def _sinh_ratio(a: np.ndarray, b: float) -> np.ndarray:
@@ -200,10 +212,10 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     densely sampled.  With ``t_end = inf`` the horizon is extended until
     |e^{tA} x| < 1e-10 and the equilibrium 0 is appended as a final row (its
     time entry is inf).  The infinite horizon is rejected when x has a part
-    of norm >= 1e-10 on eigenvalues >= 0, which never decays.
+    of norm >= 1e-10 on eigenvalues >= 0, which never decays; a finite
+    horizon is rejected when a sample overflows.
     """
-    if samples < 2:
-        raise ValueError("at least two samples required")
+    samples = _int_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
@@ -226,7 +238,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
         times = np.array([0.0, t_hi])
     else:
         times = np.concatenate([[0.0], np.geomspace(t_hi * 1e-4, t_hi, samples - 1)])
-    pts = _flow(eigvals, eigvecs, x, times)
+    pts = _finite_flow(eigvals, eigvecs, x, times)
     if infinite:
         times = np.concatenate([times, [math.inf]])
         pts = np.vstack([pts, np.zeros(x.size)])

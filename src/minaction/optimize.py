@@ -32,7 +32,14 @@ from .action import (
     tmam_value_grad,
 )
 from .drift import DriftField
-from .pathcore import FePath, linear_interpolant_path, resample_path, uniform_mesh
+from .pathcore import (
+    FePath,
+    _finite_positive,
+    _int_at_least,
+    linear_interpolant_path,
+    resample_path,
+    uniform_mesh,
+)
 
 __all__ = [
     "OptimConfig",
@@ -71,14 +78,13 @@ class OptimConfig:
     log_path: Optional[str] = None
 
     def __post_init__(self):
-        if not self.tol_grad > 0.0:
-            raise ValueError("tol_grad must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.memory < 0:
-            raise ValueError("memory must be >= 0")
-        if self.t_cap is not None and not self.t_cap > 0.0:
-            raise ValueError("t_cap must be positive")
+        _finite_positive(self.tol_grad, "tol_grad")
+        _int_at_least(self.max_iters, "max_iters", 1)
+        _int_at_least(self.memory, "memory", 0)
+        if not isinstance(self.sobolev_precondition, bool):
+            raise ValueError("sobolev_precondition must be a boolean")
+        if self.t_cap is not None:
+            _finite_positive(self.t_cap, "t_cap")
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,10 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
     """
     z = z0.copy()
     value, grad, t_hat = evaluate(z)  # degenerate start propagates
+    # the line search accepts only trial points with a finite value, so this
+    # one check keeps an overflowed start from passing the stopping test
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        raise ActionError("action or gradient is not finite at the start path")
     log_rows = [(0, value, _max_norm(grad), t_hat)]
     cap_active = False
     iterations = 0
@@ -259,6 +269,8 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimCo
     band = np.zeros((2, h.size - 1))
     band[1] = stiff_diag / t_ref + reaction * mass_diag
     band[0, 1:] = stiff_off / t_ref + reaction * mass_off
+    if not np.all(np.isfinite(band)):
+        raise ActionError("preconditioner is not finite at this horizon")
     factor = cholesky_banded(band, lower=False)
 
     def apply(vec):
@@ -319,8 +331,7 @@ def minimize_fixed_T(
     Non-convergence is reported through ``OptimResult.converged``; the best
     iterate found is always returned.
     """
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    _finite_positive(T, "T")
     quad = quad or Quadrature()
 
     def value_grad(p):  # t_hat stays T as given: an int T is logged as an int
@@ -352,9 +363,9 @@ def minimize_tmam(
 
 def _nested_levels(N_list) -> list[int]:
     """``N_list`` as ints: nonempty, positive, strictly increasing, each entry dividing the next."""
-    N_list = [int(N) for N in N_list]
-    if not N_list or N_list[0] < 1:
-        raise ValueError("N_list must be nonempty with positive entries")
+    N_list = [_int_at_least(N, "N_list entry", 1) for N in N_list]
+    if not N_list:
+        raise ValueError("N_list must be nonempty")
     if any(b <= a or b % a != 0 for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing with nested entries")
     return N_list
@@ -382,8 +393,8 @@ def continuation_sweep(
     N_list = _nested_levels(N_list)
     if mode not in ("tmam", "fixed_t"):
         raise ValueError("mode must be 'tmam' or 'fixed_t'")
-    if mode == "fixed_t" and (T is None or not T > 0.0):
-        raise ValueError("fixed_t mode requires a positive T")
+    if mode == "fixed_t":
+        _finite_positive(T, "T")
 
     results: list[OptimResult] = []
     prev_path: Optional[FePath] = None

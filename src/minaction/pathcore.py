@@ -10,6 +10,10 @@ diagnostics) and the path CSV format.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _finite_positive(value, name: str) -> float:
+    """``value`` as a float; it must be a real number, not a bool, with 0 < value < inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number")
+    return float(value)
+
+
+def _int_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int; it must be an int or numpy integer, not a bool, with value >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return int(value)
+
+
+@contextmanager
+def _opened(target, mode: str):
+    """``target`` itself if it is an open text stream, else the file it names.
+
+    Files are opened in ``mode`` as UTF-8 with no newline translation, so
+    what is written is what lands on disk.
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
 
 
 @dataclass(frozen=True)
@@ -70,8 +102,7 @@ class Mesh:
 
 def uniform_mesh(num_elements: int) -> Mesh:
     """Equispaced mesh with the given number of elements (h = 1/N)."""
-    if num_elements < 1:
-        raise ValueError("number of elements must be >= 1")
+    _int_at_least(num_elements, "num_elements", 1)
     return Mesh(np.linspace(0.0, 1.0, num_elements + 1))
 
 
@@ -228,8 +259,7 @@ def clustering_fraction(path: FePath, center, radius: float) -> float:
     Diagnoses node clustering near slow dynamics: fixed-time discretizations
     with an overlarge horizon park most nodes next to a stable equilibrium.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _finite_positive(radius, "radius")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dist = np.linalg.norm(path.values - center[None, :], axis=1)
     return float(np.count_nonzero(dist <= radius) / path.values.shape[0])
@@ -246,19 +276,11 @@ def _write_samples_csv(s, values, target) -> None:
     ``s`` need not be a mesh: trajectory times run past 1 and may end in inf.
     ``target`` is a file path or an open text stream.
     """
-    header = ["s"] + [f"x{j + 1}" for j in range(values.shape[1])]
-
-    def _dump(fh):
+    with _opened(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(["s"] + [f"x{j + 1}" for j in range(values.shape[1])])
         for t, row in zip(s, values):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-    if hasattr(target, "write"):
-        _dump(target)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _dump(fh)
 
 
 def write_path_csv(path: FePath, target) -> None:
@@ -268,20 +290,12 @@ def write_path_csv(path: FePath, target) -> None:
 
 def read_path_csv(source) -> FePath:
     """Read a path written by :func:`write_path_csv`."""
-
-    def _load(fh):
+    with _opened(source, "r") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "s":
             raise ValueError("path CSV must start with an 's' column")
-        rows = [[float(c) for c in row] for row in reader if row]
-        return np.asarray(rows, dtype=float)
-
-    if hasattr(source, "read"):
-        data = _load(source)
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            data = _load(fh)
+        data = np.asarray([[float(c) for c in row] for row in reader if row], dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("path CSV must have an s column and at least one component")
     return FePath(Mesh(data[:, 0]), data[:, 1:])

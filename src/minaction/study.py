@@ -36,7 +36,13 @@ from .linoracle import (
     trajectory_polyline,
 )
 from .optimize import OptimConfig, OptimResult, continuation_sweep
-from .pathcore import clustering_fraction, discrete_frechet, path_polyline
+from .pathcore import (
+    _finite_positive,
+    _opened,
+    clustering_fraction,
+    discrete_frechet,
+    path_polyline,
+)
 
 __all__ = [
     "StudyRecord",
@@ -205,8 +211,7 @@ def run_case_ii_full(
     """
     if len(N_list) < 3:
         raise ValueError("case_ii needs at least three resolutions to fit rates")
-    if not T_fixed > 0.0:
-        raise ValueError("T_fixed must be positive")
+    _finite_positive(T_fixed, "T_fixed")
     quad = quad or Quadrature(2)
     field = two_scale_field()
     x1 = np.array([1.0, 1.0])
@@ -359,9 +364,5 @@ def study_csv_text(records) -> str:
 
 
 def write_study_csv(records, target) -> None:
-    text = study_csv_text(records)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _opened(target, "w") as fh:
+        fh.write(study_csv_text(records))

@@ -146,6 +146,10 @@ class TestSolve:
             ("optimizer.tol_grad=Infinity", "optimizer.tol_grad"),
             ("optimizer.t_cap=Infinity", "optimizer.t_cap"),
             ("optimizer.memory=true", "optimizer.memory"),
+            ("optimizer.max_iters=2.5", "optimizer.max_iters"),
+            ("optimizer.sobolev_precondition=1", "optimizer.sobolev_precondition"),
+            ("quadrature.points_per_element=true", "quadrature.points_per_element"),
+            ("mesh.N=true", "mesh.N"),
         ],
     )
     def test_nonfinite_and_bool_values_rejected(self, tmp_path, capsys, override, key):
@@ -153,6 +157,25 @@ class TestSolve:
         rc = main(["solve", "--config", cfg, "--set", override, "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    # the action overflows at a tiny horizon, the preconditioner at a huge one
+    @pytest.mark.parametrize("horizon", [1e-200, 1e308])
+    def test_nonfinite_action_is_solver_error(self, tmp_path, horizon):
+        cfg = write_config(tmp_path, solve_config(mode={"kind": "fixed_t", "T": horizon}))
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["error"] == "ActionError"
+        assert "not finite" in result["message"]
+
+    def test_empty_start_csv_names_key(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        payload = solve_config()
+        payload["problem"]["start_csv"] = str(tmp_path / "empty.csv")
+        cfg = write_config(tmp_path, payload)
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "problem.start_csv" in capsys.readouterr().err
 
 
 class TestStudy:
@@ -418,6 +441,14 @@ class TestOracle:
             "problem.field",
         ),
         (
+            "oracle",
+            {
+                "problem": {"field": {"type": "linear", "matrix": [[1.0]]}, "x1": [1.0]},
+                "oracle": {"kind": "trajectory", "t_end": 1000, "samples": 4},
+            },
+            "problem.field",
+        ),
+        (
             "study",
             {
                 "study": {"name": "custom"},
@@ -444,6 +475,7 @@ class TestOracle:
         "custom_endpoint_dimension",
         "oracle_endpoint_dimension",
         "oracle_unstable_infinite",
+        "oracle_finite_overflow",
         "custom_unnested_n_list",
         "linear_fixed_t_nonsymmetric",
     ],

@@ -225,6 +225,18 @@ class TestInvalidInputs:
             with pytest.raises(ValueError, match="does not decay"):
                 trajectory_times_points([[-1.0, 0.0], [0.0, 1.0]], [1.0, 1e-11], math.inf, 4)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: matrix_exp_apply([[1.0]], 1000.0, [1.0]),
+            lambda: trajectory_times_points([[1.0]], [1.0], 1000.0, 4),
+        ],
+        ids=["matrix_exp", "trajectory"],
+    )
+    def test_finite_horizon_overflow_rejected(self, call):
+        with pytest.raises(ValueError, match="overflow"):
+            call()
+
     def test_infinite_horizon_off_the_neutral_eigenspace(self):
         # a zero eigenvalue is harmless when x has no part along it
         times, pts = trajectory_times_points([[-1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], math.inf, 8)

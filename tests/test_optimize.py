@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minaction import (
+    ActionError,
     DegeneratePathError,
     DriftVanishesError,
     OptimConfig,
@@ -52,6 +53,13 @@ class TestFixedTSolver:
         assert res.converged
         assert res.iterations == 0
         assert res.value == 0.0
+
+    # the start action overflows at a tiny horizon, the preconditioner at a huge one
+    @pytest.mark.parametrize("horizon", [1e-200, 1e308])
+    def test_nonfinite_start_is_action_error(self, horizon):
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(24))
+        with pytest.raises(ActionError, match="not finite"):
+            minimize_fixed_T(start, two_scale_field(), horizon, quad=QUAD)
 
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):

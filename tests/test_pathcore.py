@@ -256,6 +256,10 @@ class TestPathCsv:
         with pytest.raises(ValueError):
             read_path_csv(io.StringIO("t,x1\n0.0,0.0\n1.0,1.0\n"))
 
+    def test_empty_file_rejected(self):
+        with pytest.raises(ValueError, match="'s' column"):
+            read_path_csv(io.StringIO(""))
+
     def test_polyline_view(self):
         path = linear_interpolant_path([0.0], [1.0], uniform_mesh(3))
         poly = path_polyline(path)
