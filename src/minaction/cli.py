@@ -303,6 +303,12 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     name = _require(cfg, "study.name")
     if name not in ("case_i", "case_ii", "linear_fixed_t", "custom"):
         raise ConfigError("study.name must be one of case_i, case_ii, linear_fixed_t, custom")
+    if name in ("case_i", "case_ii"):
+        for section in ("problem", "mode"):
+            if section in cfg:
+                raise ConfigError(
+                    f"{section} is not read by the {name} study, which builds its own problem"
+                )
     outputs = cfg.get("outputs", {})
     opt_cfg = _from_section(OptimConfig, cfg, "optimizer")
     quad = _from_section(Quadrature, cfg, "quadrature")

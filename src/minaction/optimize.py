@@ -119,9 +119,11 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
     shrinking the step.  Returns the final state and bookkeeping flags.
     """
     z = z0.copy()
-    value, grad, t_hat = evaluate(z)  # degenerate start propagates
     # the line search accepts only trial points with a finite value, so this
-    # one check keeps an overflowed start from passing the stopping test
+    # one check keeps an overflowed start from passing the stopping test; the
+    # overflow it catches is reported as the typed error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad, t_hat = evaluate(z)  # degenerate start propagates
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise ActionError("action or gradient is not finite at the start path")
     log_rows = [(0, value, _max_norm(grad), t_hat)]

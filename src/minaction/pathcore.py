@@ -231,26 +231,32 @@ def discrete_frechet(a: Polyline, b: Polyline) -> float:
     Dynamic program over the monotone coupling lattice with Euclidean
     point-to-point costs (Eiter-Mannila recursion).  Symmetric, nonnegative,
     and zero only when the point sequences admit a perfect coupling.
+
+    Costs O(PQ) time and O(P+Q) memory for P and Q points: the lattice is
+    swept one anti-diagonal i + j = d at a time, each a numpy step along the
+    shorter polyline, keeping only the last two diagonals.  The recursion
+    runs on squared distances with one square root at the end; the root is
+    monotone and correctly rounded, so the value is that of the full table.
     """
     if a.dim != b.dim:
         raise ValueError("polylines must share the state dimension")
-    p_pts, q_pts = a.points, b.points
-    diff = p_pts[:, None, :] - q_pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    p, q = dist.shape
-    ca = np.empty((p, q))
-    ca[0, 0] = dist[0, 0]
-    for j in range(1, q):
-        ca[0, j] = max(ca[0, j - 1], dist[0, j])
-    for i in range(1, p):
-        ca[i, 0] = max(ca[i - 1, 0], dist[i, 0])
-        row_prev = ca[i - 1]
-        row = ca[i]
-        d_row = dist[i]
-        for j in range(1, q):
-            reach = min(row_prev[j], row_prev[j - 1], row[j - 1])
-            row[j] = reach if reach > d_row[j] else d_row[j]
-    return float(ca[-1, -1])
+    # (x - y)**2 == (y - x)**2 bit for bit, so which side is swept is free
+    short, tall = sorted((a.points, b.points), key=len)
+    p, q = len(short), len(tall)
+    rev = tall[::-1]  # a diagonal's partners j = d - i, as a forward slice
+    # Diagonal buffers: cell i sits at slot i + 1, and the slots just outside
+    # each diagonal's range hold +inf, so edge cells see no neighbour there.
+    prev2, prev1, cur = (np.full(p + 2, np.inf) for _ in range(3))  # d-2, d-1, d
+    prev2[0] = 0.0  # a free cell (-1, -1) starts every coupling at (0, 0)
+    for d in range(p + q - 1):
+        lo, hi = max(0, d - q + 1), min(d, p - 1)
+        diff = short[lo:hi + 1] - rev[q - 1 - d + lo:q - d + hi]
+        reach = np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2])
+        np.minimum(reach, prev2[lo:hi + 1], out=reach)
+        np.maximum(reach, np.sum(diff * diff, axis=1), out=cur[lo + 1:hi + 2])
+        cur[lo] = cur[hi + 2] = np.inf
+        prev2, prev1, cur = prev1, cur, prev2
+    return float(np.sqrt(prev1[p]))
 
 
 def clustering_fraction(path: FePath, center, radius: float) -> float:

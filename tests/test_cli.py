@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def child_env():
+    """Environment in which a child process imports the same minaction tree as this one."""
+    src_dir = os.path.dirname(os.path.dirname(minaction.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
 
 
 def solve_config(**updates):
@@ -168,6 +177,20 @@ class TestSolve:
         assert result["error"] == "ActionError"
         assert "not finite" in result["message"]
 
+    def test_start_overflow_is_solver_error_without_warning(self, tmp_path):
+        # with no preconditioner to fail first, the start gradient overflows
+        payload = solve_config(mode={"kind": "fixed_t", "T": 1e308})
+        payload["optimizer"] = {"sobolev_precondition": False}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert [str(w.message) for w in caught] == []
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["error"] == "ActionError"
+        assert "not finite" in result["message"]
+
     def test_empty_start_csv_names_key(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")
         payload = solve_config()
@@ -215,6 +238,26 @@ class TestStudy:
         assert (tmp_path / "case_ii.csv").exists()
         assert (tmp_path / "case_ii_fixed.csv").exists()
         assert summary["tmam_over_fixed_at_max_N"] < 0.1
+
+    @pytest.mark.parametrize(
+        "name, section, body",
+        [("case_i", "problem", {"x1": "nonsense"}), ("case_ii", "mode", {"kind": "nope"})],
+        ids=["case_i_problem", "case_ii_mode"],
+    )
+    def test_unread_section_rejected(self, tmp_path, capsys, name, section, body):
+        cfg = write_config(
+            tmp_path,
+            {
+                "study": {"name": name},
+                section: body,
+                "mesh": {"N_list": [8, 16, 32]},
+                "outputs": {"summary_json": "s.json"},
+            },
+        )
+        rc = main(["study", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {section} ")
+        assert not (tmp_path / "s.json").exists()
 
     def test_single_resolution_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -272,10 +315,7 @@ class TestStudy:
                 "outputs": {"study_csv": "det.csv", "summary_json": "det.json"},
             },
         )
-        # the child imports the same minaction tree as this process
-        src_dir = os.path.dirname(os.path.dirname(minaction.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        env = child_env()
         outputs = []
         for run_dir in ("a", "b"):
             out = tmp_path / run_dir
@@ -485,3 +525,14 @@ def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key
     rc = main([command, "--config", cfg, "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "minaction", "study", "--config", str(tmp_path / "missing.json")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: cannot read config file")

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,9 +191,16 @@ class TestDiscreteFrechet:
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(42)
-        for _ in range(30):
-            p = rng.standard_normal((int(rng.integers(2, 6)), 2))
-            q = rng.standard_normal((int(rng.integers(2, 6)), 2))
+        for k in range(60):
+            p_len, q_len = (int(m) for m in rng.integers(2, 6, size=2))
+            # two points, the fewest a polyline has, on either side
+            if k % 4 == 0:
+                p_len = 2
+            elif k % 4 == 1:
+                q_len = 2
+            n = 1 + k % 3
+            p = rng.standard_normal((p_len, n))
+            q = rng.standard_normal((q_len, n))
             want = brute_force_frechet(p, q)
             got = discrete_frechet(Polyline(p), Polyline(q))
             assert got == pytest.approx(want, abs=1e-12)
@@ -212,6 +220,45 @@ class TestDiscreteFrechet:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             discrete_frechet(Polyline([[0.0], [1.0]]), Polyline([[0.0, 0.0], [1.0, 1.0]]))
+
+    # Values of the Eiter-Mannila loop over a stored P x Q distance table, on
+    # random walks with one side much longer than the other.
+    @pytest.mark.parametrize(
+        "p, q, n, want",
+        [
+            (7, 300, 1, "0x1.352ac0c6a1624p+0"),
+            (7, 300, 2, "0x1.2479418749988p+0"),
+            (7, 300, 3, "0x1.44353b176bee9p+1"),
+            (300, 7, 1, "0x1.eb476cfab23ecp-1"),
+            (300, 7, 2, "0x1.0828ee5f6f899p+1"),
+            (300, 7, 3, "0x1.104fe38648b7ap+1"),
+            (2, 50, 1, "0x1.331e5948f2c0fp+0"),
+            (2, 50, 2, "0x1.050388b0d2f78p+1"),
+            (2, 50, 3, "0x1.b64592e40ca02p+0"),
+            (50, 2, 1, "0x1.04199074abc52p+1"),
+            (50, 2, 2, "0x1.6029104f1b413p+0"),
+            (50, 2, 3, "0x1.5f51538c4cd19p+0"),
+        ],
+    )
+    def test_lopsided_pairs_match_full_table(self, p, q, n, want):
+        rng = np.random.default_rng([p, q, n])
+        a = np.cumsum(rng.standard_normal((p, n)), axis=0) / np.sqrt(p)
+        b = np.cumsum(rng.standard_normal((q, n)), axis=0) / np.sqrt(q)
+        assert discrete_frechet(Polyline(a), Polyline(b)) == float.fromhex(want)
+
+    def test_memory_stays_linear(self):
+        # the full table of a 513 x 5121 pair (the case_ii size at N=512)
+        # takes about 84 MB of temporaries; two diagonals take a few kB
+        rng = np.random.default_rng(9)
+        a = Polyline(np.cumsum(rng.standard_normal((513, 2)), axis=0))
+        b = Polyline(np.cumsum(rng.standard_normal((5121, 2)), axis=0))
+        tracemalloc.start()
+        try:
+            discrete_frechet(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestClustering:
