@@ -70,41 +70,58 @@ class ConfigError(ValueError):
 # config loading and validation
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "": {"problem", "mode", "mesh", "optimizer", "quadrature", "study", "oracle", "outputs"},
-    "problem": {"field", "x1", "x2", "start_csv"},
-    "mode": {"kind", "T"},
-    "mesh": {"N", "N_list"},
+_SOLVER_KEYS = {
     # forwarded whole to the constructors, which check the values
-    "optimizer": {f.name for f in dataclasses.fields(OptimConfig)} - {"log_path"},
-    "quadrature": {f.name for f in dataclasses.fields(Quadrature)},
-    "study": {"name", "T_fixed"},
-    "oracle": {"kind", "t_end", "samples"},
-    "outputs": {
-        "result_json",
-        "path_csv",
-        "study_csv",
-        "summary_json",
-        "iteration_log",
-        "trajectory_csv",
-        "minimizer_csv",
-    },
+    *(f"optimizer.{f.name}" for f in dataclasses.fields(OptimConfig) if f.name != "log_path"),
+    *(f"quadrature.{f.name}" for f in dataclasses.fields(Quadrature)),
 }
+_PROBLEM_KEYS = {"problem.field", "problem.x1", "problem.x2", "mode.kind", "mode.T"}
+_STUDY_KEYS = {"study.name", "mesh.N_list", "outputs.study_csv", "outputs.summary_json"} | _SOLVER_KEYS
+
+# The config keys each command reads, per study and oracle kind.  A key that
+# no entry reads is unknown; one that only other entries read is rejected too.
+_READS = {
+    "solve command": _PROBLEM_KEYS | _SOLVER_KEYS | {
+        "problem.start_csv", "mesh.N", "outputs.result_json", "outputs.path_csv",
+        "outputs.iteration_log",
+    },
+    "case_i study": _STUDY_KEYS,
+    "case_ii study": _STUDY_KEYS | {"study.T_fixed"},
+    # without a problem section the study solves its built-in scalar problem
+    "linear_fixed_t study": _STUDY_KEYS,
+    "linear_fixed_t study of a given problem": _STUDY_KEYS | _PROBLEM_KEYS,
+    "custom study": _STUDY_KEYS | _PROBLEM_KEYS,
+    "trajectory oracle": {
+        "problem.field", "problem.x1", "oracle.kind", "oracle.t_end", "oracle.samples",
+        "outputs.trajectory_csv",
+    },
+    "exact_minimizer oracle": _PROBLEM_KEYS | {"mesh.N", "oracle.kind", "outputs.minimizer_csv"},
+}
+_ALL_KEYS = set().union(*_READS.values())
+_SECTIONS = {key.split(".")[0] for key in _ALL_KEYS}
 
 
-def _reject_unknown_keys(cfg: dict, prefix: str = "") -> None:
-    known = _KNOWN_KEYS.get(prefix)
-    if known is None:
-        return
-    for key in cfg:
-        path = f"{prefix}.{key}" if prefix else key
-        if key not in known:
-            raise ConfigError(f"unknown config key: {path}")
-        if path in _KNOWN_KEYS:
-            # sections with their own key schema must be objects
-            if not isinstance(cfg[key], dict):
-                raise ConfigError(f"{path} must be an object")
-            _reject_unknown_keys(cfg[key], path)
+def _reject_unknown_keys(cfg: dict) -> None:
+    for section, body in cfg.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config key: {section}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"{section} must be an object")
+        for key in body:
+            if f"{section}.{key}" not in _ALL_KEYS:
+                raise ConfigError(f"unknown config key: {section}.{key}")
+
+
+def _reject_unread_keys(cfg: dict, reader: str) -> None:
+    """Reject every config key that ``reader`` (a ``_READS`` entry) does not read."""
+    reads = _READS[reader]
+    for section, body in cfg.items():
+        unread = [f"{section}.{key}" for key in body if f"{section}.{key}" not in reads]
+        if not any(key.startswith(section + ".") for key in reads):
+            got = f" (got {unread[0]})" if unread else ""
+            raise ConfigError(f"{section} is not read by the {reader}{got}")
+        if unread:
+            raise ConfigError(f"{unread[0]} is not read by the {reader}")
 
 
 def load_config(path: str, overrides) -> dict:
@@ -214,6 +231,8 @@ def _mode_of(cfg: dict):
         raise ConfigError("mode.kind must be 'tmam' or 'fixed_t'")
     if kind == "fixed_t":
         return kind, _finite_positive(_require(cfg, "mode.T"), "mode.T")
+    if "T" in mode:
+        raise ConfigError("mode.T is not read in tmam mode, which optimizes the horizon")
     return kind, None
 
 
@@ -224,6 +243,7 @@ def _mode_of(cfg: dict):
 
 def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     cfg = load_config(config_path, overrides)
+    _reject_unread_keys(cfg, "solve command")
     field = _build_field(cfg)
     x1 = _endpoint(cfg, "problem.x1", field.dim)
     x2 = _endpoint(cfg, "problem.x2", field.dim)
@@ -303,12 +323,8 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     name = _require(cfg, "study.name")
     if name not in ("case_i", "case_ii", "linear_fixed_t", "custom"):
         raise ConfigError("study.name must be one of case_i, case_ii, linear_fixed_t, custom")
-    if name in ("case_i", "case_ii"):
-        for section in ("problem", "mode"):
-            if section in cfg:
-                raise ConfigError(
-                    f"{section} is not read by the {name} study, which builds its own problem"
-                )
+    given_problem = name == "linear_fixed_t" and "problem" in cfg
+    _reject_unread_keys(cfg, f"{name} study" + (" of a given problem" if given_problem else ""))
     outputs = cfg.get("outputs", {})
     opt_cfg = _from_section(OptimConfig, cfg, "optimizer")
     quad = _from_section(Quadrature, cfg, "quadrature")
@@ -342,7 +358,7 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
                 extra["study_csv_fixed"] = fixed_csv
         elif name == "linear_fixed_t":
             n_list = _n_list(cfg, 2)
-            if "problem" in cfg:
+            if given_problem:
                 prob = _linear_problem(cfg, "the linear_fixed_t study")
             else:
                 prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
@@ -394,6 +410,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     kind = oracle.get("kind", "trajectory")
     if kind not in ("trajectory", "exact_minimizer"):
         raise ConfigError("oracle.kind must be 'trajectory' or 'exact_minimizer'")
+    _reject_unread_keys(cfg, f"{kind} oracle")
 
     if kind == "trajectory":
         field = _build_field(cfg, linear_for="the trajectory oracle")

@@ -176,17 +176,29 @@ def field_from_callable(
     central finite differences with step 1e-6 * max(1, |x|), flagged as
     approximate.
 
-    ``func`` maps a single point to a single vector; batching is added here.
+    ``func`` maps a single point to a single vector of ``dim`` entries, and
+    ``jac`` to a ``dim`` x ``dim`` matrix; batching is added here.  A batch of
+    another shape raises ``ValueError``.
     """
 
-    def eval_many(pts):
-        return np.stack([np.asarray(func(p), dtype=float) for p in pts])
+    def batched(fn, name, shape):
+        def many(pts):
+            out = np.array([fn(p) for p in pts], dtype=float)
+            if out.shape != (len(pts), *shape):
+                raise ValueError(
+                    f"{name} must return shape {shape} per point for dim={dim}; "
+                    f"got a batch of shape {out.shape} for {len(pts)} points"
+                )
+            return out
 
+        return many
+
+    eval_many = batched(func, "func", (dim,))
     if jac is None:
         jac_many = lambda pts: _fd_jacobian_many(eval_many, pts)
         fd = True
     else:
-        jac_many = lambda pts: np.stack([np.asarray(jac(p), dtype=float) for p in pts])
+        jac_many = batched(jac, "jac", (dim, dim))
         fd = False
     return DriftField(dim=dim, _eval_many=eval_many, _jac_many=jac_many, jacobian_fd=fd, **metadata)
 

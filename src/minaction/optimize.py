@@ -11,6 +11,12 @@ stiffness-plus-scaled-mass operator on interior nodes is applied per state
 component as the initial inverse-Hessian guess (a Sobolev-type gradient),
 which keeps iteration counts roughly mesh- and horizon-independent.
 Endpoints are never touched.
+
+A line search halves the step from 1 until a trial is accepted, and ends
+unaccepted after the step 2**-66.  It also ends at the first trial that
+rounds to the current iterate bitwise: every smaller step gives the iterate
+too, so the remaining trials are decided from the values already held
+instead of being evaluated again.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ __all__ = [
     "continuation_sweep",
 ]
 
-# Armijo sufficient-decrease constant and backtracking factor of the line search.
+# Armijo sufficient-decrease constant of the line search and its trial steps:
+# 1, 1/2, 1/4, ... down to 2**-66, the last power of two above 1e-20.
 _ARMIJO_C1 = 1e-4
-_BACKTRACK = 0.5
+_STEPS = tuple(0.5**k for k in range(67))
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,12 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
 
     ``evaluate(z) -> (value, grad, t_hat)`` may raise ActionError for trial
     points; trials that raise, or whose t_hat exceeds the cap, are rejected by
-    shrinking the step.  Returns the final state and bookkeeping flags.
+    halving the step.  A line search ends at its first accepted trial, after
+    its last step (2**-66), or at its first trial that equals ``z`` bitwise.
+    That trial is not evaluated: it and every smaller step are the iterate,
+    and the outcome the remaining trials would reach (the cap flag, and an
+    Armijo acceptance of a zero step) is taken from the held value, gradient
+    and t_hat.  Returns the final state and bookkeeping flags.
     """
     z = z0.copy()
     # the line search accepts only trial points with a finite value, so this
@@ -167,18 +179,29 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         grad_mode = _ARMIJO_C1 * (-slope) < noise_floor
         cur_gn2 = float(np.linalg.norm(grad))
 
-        step = 1.0
         accepted = False
-        while step > 1e-20:
+        for step in _STEPS:
             z_try = z + step * direction
+            if z_try.tobytes() == z.tobytes():
+                # The trial is the iterate, and so is every smaller step,
+                # since rounding to nearest is monotone: each remaining trial
+                # would evaluate to (value, grad, t_hat).  Decide them here.
+                # The cap rejects all of them or none, the gradient-norm test
+                # rejects all of them, and the Armijo bound is monotone in the
+                # step, so it holds for one of them iff it holds for the
+                # first or the last.
+                f_try, g_try, t_try = value, grad, t_hat
+                if cap is not None and t_hat > cap:
+                    cap_active = True
+                elif not grad_mode:
+                    accepted = any(value <= value + _ARMIJO_C1 * s * slope for s in (step, _STEPS[-1]))
+                break
             try:
                 f_try, g_try, t_try = evaluate(z_try)
             except ActionError:
-                step *= _BACKTRACK
                 continue
             if cap is not None and t_try > cap:
                 cap_active = True
-                step *= _BACKTRACK
                 continue
             if grad_mode:
                 if float(np.linalg.norm(g_try)) < 0.999 * cur_gn2 and f_try <= value + noise_floor:
@@ -187,7 +210,6 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
             elif f_try <= value + _ARMIJO_C1 * step * slope:
                 accepted = True
                 break
-            step *= _BACKTRACK
 
         if not accepted:
             if history:

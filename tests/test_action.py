@@ -7,10 +7,12 @@ from helpers import (
     builtin_fields,
     fd_grad_fixed_T,
     fd_grad_optimal,
+    random_mesh,
     random_path,
 )
 from minaction import (
     DegeneratePathError,
+    DriftField,
     DriftVanishesError,
     FePath,
     Quadrature,
@@ -32,6 +34,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
+from minaction.action import _assemble
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -381,3 +384,42 @@ class TestRefinementConsistency:
             v0 = action_optimal(path, field, quad).value
             v1 = action_optimal(fine, field, quad).value
             assert abs(v1 - v0) <= 1e-12 * max(1.0, abs(v0))
+
+
+def with_signed_zeros(rng, arr):
+    """``arr`` with about a quarter of its entries set to +0.0 or -0.0."""
+    mask = rng.random(arr.shape) < 0.25
+    arr[mask] = np.where(rng.random(int(mask.sum())) < 0.5, 0.0, -0.0)
+    return arr
+
+
+def einsum_fixed_t_grad(asm, t_scale):
+    """Reference: the residual-form gradient with four-operand einsums."""
+    resid = asm.deriv[:, None, :] / t_scale - asm.b_quad
+    jtr = np.einsum("eqji,eqj->eqi", asm.jac_quad(), resid)
+    wr = np.einsum("q,eqi->ei", asm.w, resid)
+    grad = np.zeros((asm.h.size + 1, asm.n))
+    grad[:-1] += -wr - t_scale * np.einsum("e,q,q,eqi->ei", asm.h, asm.w, 1.0 - asm.xi, jtr)
+    grad[1:] += wr - t_scale * np.einsum("e,q,q,eqi->ei", asm.h, asm.w, asm.xi, jtr)
+    return grad
+
+
+class TestGradientBits:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 10])
+    def test_fixed_t_grad_matches_einsum_formula(self, q, n):
+        rng = np.random.default_rng(100 * q + n)
+        quad = Quadrature(q)
+        for _ in range(25):
+            mesh = random_mesh(rng, n_lo=1, n_hi=40, nonuniform=True)
+            m = mesh.num_elements * q
+            drift = with_signed_zeros(rng, rng.standard_normal((m, n)))
+            jac = with_signed_zeros(rng, rng.standard_normal((m, n, n)))
+            field = DriftField(dim=n, _eval_many=lambda pts: drift, _jac_many=lambda pts: jac)
+            values = with_signed_zeros(rng, rng.standard_normal((mesh.num_elements + 1, n)))
+            asm = _assemble(FePath(mesh, values), field, quad)
+            t_scale = float(np.exp(rng.uniform(-2.0, 2.0)))
+            grad = asm.fixed_t_grad(t_scale)
+            ref = einsum_fixed_t_grad(asm, t_scale)
+            assert np.array_equal(grad, ref)
+            assert np.array_equal(np.signbit(grad), np.signbit(ref))

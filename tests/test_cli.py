@@ -94,6 +94,21 @@ class TestSolve:
         assert rc == EXIT_CONFIG
         assert "optimizer.memoryy" in capsys.readouterr().err
 
+    def test_study_section_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(study={"name": "case_i"}))
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: study is not read by the solve command (got study.name)"
+        )
+        assert not (tmp_path / "result.json").exists()
+
+    def test_horizon_rejected_in_tmam_mode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(mode={"kind": "tmam", "T": 5.0}))
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: mode.T is not read in tmam mode")
+
     def test_set_overrides(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())
         rc = main([
@@ -259,6 +274,31 @@ class TestStudy:
         assert capsys.readouterr().err.startswith(f"config error: {section} ")
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"study": {"name": "case_i", "T_fixed": -5}}, "study.T_fixed"),
+            ({"study": {"name": "case_i"}, "oracle": {"kind": "bogus"}}, "oracle.kind"),
+            ({"study": {"name": "case_i"}, "mesh": {"N_list": [8, 16, 32], "N": "x"}}, "mesh.N"),
+            ({"study": {"name": "linear_fixed_t"}, "mode": {"kind": "nope"}}, "mode.kind"),
+            ({"study": {"name": "case_ii"}, "outputs": {"result_json": "r.json"}},
+             "outputs.result_json"),
+            ({"study": {"name": "custom"}, "problem": {"start_csv": "p.csv"}}, "problem.start_csv"),
+        ],
+        ids=["case_i_T_fixed", "case_i_oracle", "case_i_mesh_N", "linear_default_mode",
+             "case_ii_result_json", "custom_start_csv"],
+    )
+    def test_unread_key_rejected(self, tmp_path, capsys, body, key):
+        payload = {"mesh": {"N_list": [8, 16, 32]}, "outputs": {"summary_json": "s.json"}}
+        for section, keys in body.items():
+            payload[section] = {**payload.get(section, {}), **keys}
+        cfg = write_config(tmp_path, payload)
+        rc = main(["study", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_single_resolution_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -349,6 +389,20 @@ class TestStudy:
 
 
 class TestOracle:
+    def test_unread_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0], "x2": [0.0, 0.0]},
+                "oracle": {"kind": "trajectory"},
+            },
+        )
+        rc = main(["oracle", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: problem.x2 is not read by the trajectory oracle"
+        )
+
     def test_trajectory_first_row(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -7,10 +7,14 @@ from minaction import (
     field_from_callable,
     field_from_config,
     linear_field,
+    linear_interpolant_path,
     maier_stein_field,
     matrix_exp_apply,
+    minimize_tmam,
     two_scale_field,
+    uniform_mesh,
 )
+from minaction.drift import _fd_jacobian_many
 
 
 def fd_jacobian(field, x, step_scale=1e-6):
@@ -150,6 +154,73 @@ class TestFieldFromCallable:
         )
         assert not field.jacobian_fd
         assert field.jacobian([2.0])[0, 0] == -12.0
+
+
+def stacked(fn, pts):
+    """The per-point stack ``field_from_callable`` used to build its batches."""
+    return np.stack([np.asarray(fn(p), dtype=float) for p in pts])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCallableBatches:
+    PTS = np.random.default_rng(7).standard_normal((48, 2))
+    PTS[::5] = -0.0
+
+    @staticmethod
+    def maier_stein_point(kind):
+        box = {"tuple": tuple, "list": list, "ndarray": np.array}[kind]
+
+        def func(x):
+            u, v = float(x[0]), float(x[1])
+            return box((u - u**3 - 10.0 * u * v**2, -(1.0 + u**2) * v))
+
+        def jac(x):
+            u, v = float(x[0]), float(x[1])
+            rows = ((1.0 - 3.0 * u**2 - 10.0 * v**2, -20.0 * u * v), (-2.0 * u * v, -(1.0 + u**2)))
+            return box([box(row) for row in rows])
+
+        return func, jac
+
+    @pytest.mark.parametrize("kind", ["tuple", "list", "ndarray"])
+    def test_batches_keep_the_stacked_bits(self, kind):
+        func, jac = self.maier_stein_point(kind)
+        fd_field = field_from_callable(2, func)
+        assert same_bits(fd_field.eval_many(self.PTS), stacked(func, self.PTS))
+        expected_fd = _fd_jacobian_many(lambda pts: stacked(func, pts), self.PTS)
+        assert same_bits(fd_field.jacobian_many(self.PTS), expected_fd)
+        exact = field_from_callable(2, func, jac=jac)
+        assert same_bits(exact.jacobian_many(self.PTS), stacked(jac, self.PTS))
+
+    @pytest.mark.parametrize(
+        "dim, func, match",
+        [
+            (2, lambda x: (1.0, 2.0, 3.0), r"dim=2.*\(5, 3\)"),
+            (3, lambda x: (1.0, 2.0), r"dim=3.*\(5, 2\)"),
+            (1, lambda x: 1.0, r"dim=1.*\(5,\)"),
+        ],
+        ids=["3_for_dim_2", "2_for_dim_3", "scalar_for_dim_1"],
+    )
+    def test_wrong_drift_shape_names_dim(self, dim, func, match):
+        field = field_from_callable(dim, func)
+        with pytest.raises(ValueError, match="func must return shape .*" + match):
+            field.eval_many(np.zeros((5, dim)))
+        with pytest.raises(ValueError, match="func must return"):
+            field.jacobian_many(np.zeros((5, dim)))
+
+    def test_wrong_jacobian_shape_names_dim(self):
+        field = field_from_callable(2, lambda x: x, jac=lambda x: np.zeros((2, 3)))
+        assert same_bits(field.eval_many(self.PTS), self.PTS)
+        with pytest.raises(ValueError, match=r"jac must return shape \(2, 2\).*dim=2.*\(5, 2, 3\)"):
+            field.jacobian_many(np.zeros((5, 2)))
+
+    def test_wrong_shape_reaches_the_solver_as_the_same_error(self):
+        field = field_from_callable(2, lambda x: (1.0, 2.0, 3.0))
+        path = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))
+        with pytest.raises(ValueError, match="dim=2"):
+            minimize_tmam(path, field)
 
 
 class TestInwardCondition:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from minaction import (
     exact_fixed_T_action,
     linear_field,
     linear_interpolant_path,
+    maier_stein_field,
     matrix_exp_apply,
     minimize_fixed_T,
     minimize_tmam,
     two_scale_field,
     uniform_mesh,
 )
+from minaction import optimize
+from minaction.optimize import _DEAD_LIMIT, _lbfgs_loop
 
 QUAD = Quadrature(2)
 SCALAR = linear_field([[-1.0]])
@@ -263,3 +267,92 @@ class TestContinuationSweep:
         gaps = [r.value - exact for r in results]
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestLineSearchAtTheIterate:
+    """A line search ends at its first trial that rounds to the iterate."""
+
+    Z0 = np.array([1.0, -3.0, 0.5])
+    # 0.5 + 2**-54 is a tie that rounds to 0.5, and 1.0 and -3.0 stay put
+    # too, so a direction of ones first reaches the iterate at the step
+    # 2**-54 (trial 54) and a direction of 2**-40 at the step 2**-14 (trial 14)
+    FIRST_AT_ITERATE = {1.0: 54, 2.0**-40: 14}
+
+    def run(self, direction, cap=None):
+        """Loop on an uphill gradient of -1: every trial off the start is worse.
+
+        The preconditioner scales by ``direction``, which sets the search
+        direction.  The t_hat is 2 at the start and 0.5 elsewhere, so a cap
+        of 1 rejects only the start itself.
+        """
+        z0 = self.Z0
+        trials = []
+
+        def evaluate(z):
+            trials.append(z.copy())
+            at_start = z.tobytes() == z0.tobytes()
+            return (1.0 if at_start else 2.0), np.full(z.size, -1.0), (2.0 if at_start else 0.5)
+
+        out = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: direction * vec, cap)
+        return out, trials
+
+    @pytest.mark.parametrize("direction", [1.0, 2.0**-40])
+    def test_steps_before_the_iterate_move_the_point(self, direction):
+        first = self.FIRST_AT_ITERATE[direction]
+        steps = 0.5 ** np.arange(first + 1)
+        moved = [not np.array_equal(self.Z0 + s * direction, self.Z0) for s in steps]
+        assert moved == [True] * first + [False]
+
+    def test_failed_search_ends_at_first_trial_at_the_iterate(self):
+        # the short direction puts Armijo's decrease below the noise floor, so
+        # the gradient-norm test runs, and it cannot accept the iterate
+        (z, value, grad, t_hat, iters, ok, cap_active, rows), trials = self.run(2.0**-40)
+        assert len(trials) == 1 + 14
+        assert all(not np.array_equal(t, self.Z0) for t in trials[1:])
+        assert np.array_equal(z, self.Z0)
+        assert (value, t_hat, iters, ok, cap_active) == (1.0, 2.0, 0, False, False)
+        assert len(rows) == 1
+
+    def test_cap_below_the_start_still_reported(self):
+        # only the iterate exceeds the cap: the skipped trials would have set the flag
+        (*_, cap_active, _rows), trials = self.run(2.0**-40, cap=1.0)
+        assert len(trials) == 1 + 14
+        assert cap_active
+        (*_, cap_active, _rows), _ = self.run(2.0**-40, cap=3.0)
+        assert not cap_active
+
+    def test_armijo_zero_step_still_counts_as_an_iteration(self):
+        # the Armijo bound value + c1*step*slope rounds to the value itself at
+        # step 2**-54, so the iterate passes it: a zero step is accepted, and
+        # the loop stops after the no-progress limit
+        (z, value, _, _, iters, ok, _, rows), trials = self.run(1.0)
+        assert iters == _DEAD_LIMIT
+        assert len(rows) == 1 + _DEAD_LIMIT
+        assert len(trials) == 1 + _DEAD_LIMIT * 54
+        assert np.array_equal(z, self.Z0) and value == 1.0 and not ok
+
+
+def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatch):
+    # gamma=1 from the straight line at N=256: a stalled solve with 3 failed
+    # line searches.  Every field below was recorded before the line search
+    # stopped at the iterate and before the gradient dropped its four-operand
+    # einsums; that code made 315 value/gradient calls.
+    calls = []
+    inner = optimize.tmam_value_grad
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(optimize, "tmam_value_grad", counted)
+    start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(256))
+    res = minimize_tmam(start, maier_stein_field(1.0))
+    assert res.value.hex() == "0x1.00014fb7ce7a8p-1"
+    assert res.t_hat.hex() == "0x1.4fa7d2eaa9d4ep+3"
+    assert res.grad_norm.hex() == "0x1.6badc7e000000p-26"
+    assert (res.iterations, res.converged, res.cap_active) == (94, False, False)
+    path_bytes = np.ascontiguousarray(res.path.values, dtype="<f8").tobytes()
+    assert hashlib.sha256(path_bytes).hexdigest() == (
+        "9cb0bd8e679899397053392a169686c05cf776c7b02d0b21f25ce0e21ff9ead2"
+    )
+    assert len(calls) < 315
