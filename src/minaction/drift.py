@@ -178,12 +178,14 @@ def field_from_callable(
 
     ``func`` maps a single point to a single vector of ``dim`` entries, and
     ``jac`` to a ``dim`` x ``dim`` matrix; batching is added here.  A batch of
-    another shape raises ``ValueError``.
+    another shape raises ``ValueError``; an empty batch gives an empty array
+    of the right shape, as for the built-in fields.
     """
 
     def batched(fn, name, shape):
         def many(pts):
-            out = np.array([fn(p) for p in pts], dtype=float)
+            rows = [fn(p) for p in pts]
+            out = np.array(rows, dtype=float) if rows else np.empty((0, *shape))
             if out.shape != (len(pts), *shape):
                 raise ValueError(
                     f"{name} must return shape {shape} per point for dim={dim}; "

@@ -21,6 +21,7 @@ instead of being evaluated again.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -262,9 +263,13 @@ def _write_log(rows, log_path: Optional[str]) -> None:
 def _drift_rate_sq(field: DriftField, start: FePath) -> float:
     """Squared Lipschitz-rate estimate for the reaction term of the preconditioner."""
     if field.lipschitz is not None:
-        return float(field.lipschitz) ** 2
-    jacs = field.jacobian_many(start.values)
-    return float(np.max(np.linalg.norm(jacs, 2, axis=(1, 2)))) ** 2
+        rate = float(field.lipschitz)
+    else:
+        rate = float(np.max(np.linalg.norm(field.jacobian_many(start.values), 2, axis=(1, 2))))
+    try:
+        return rate ** 2
+    except OverflowError:  # a rate past ~1e154; the band is then not finite
+        return math.inf
 
 
 def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimConfig):

@@ -170,6 +170,8 @@ class Polyline:
             pts = pts[:, None]
         if pts.shape[0] < 2:
             raise ValueError("polyline needs at least two points")
+        if pts.shape[1] < 1:
+            raise ValueError("state dimension must be >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polyline points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
@@ -225,38 +227,129 @@ def arc_length(path: FePath) -> float:
     return float(np.sum(np.linalg.norm(np.diff(path.values, axis=0), axis=1)))
 
 
-def discrete_frechet(a: Polyline, b: Polyline) -> float:
-    """Discrete Frechet distance between two polylines.
+_BLOCK_CELLS = 1 << 14  # lattice cells per vectorized block of the bounds
 
-    Dynamic program over the monotone coupling lattice with Euclidean
-    point-to-point costs (Eiter-Mannila recursion).  Symmetric, nonnegative,
-    and zero only when the point sequences admit a perfect coupling.
 
-    Costs O(PQ) time and O(P+Q) memory for P and Q points: the lattice is
-    swept one anti-diagonal i + j = d at a time, each a numpy step along the
-    shorter polyline, keeping only the last two diagonals.  The recursion
-    runs on squared distances with one square root at the end; the root is
-    monotone and correctly rounded, so the value is that of the full table.
+def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between points stored component-major.
+
+    ``x`` and ``y`` hold one component per row (axis 0) and broadcast against
+    each other over the remaining axes.  The squares are added one component
+    at a time, in order; for fewer than 8 components that is the order of
+    ``np.sum(diff * diff, axis=-1)``, so the bits agree with it.
     """
-    if a.dim != b.dim:
-        raise ValueError("polylines must share the state dimension")
-    # (x - y)**2 == (y - x)**2 bit for bit, so which side is swept is free
-    short, tall = sorted((a.points, b.points), key=len)
-    p, q = len(short), len(tall)
-    rev = tall[::-1]  # a diagonal's partners j = d - i, as a forward slice
+    out = x[0] - y[0]
+    out *= out
+    for xk, yk in zip(x[1:], y[1:]):
+        d = xk - yk
+        d *= d
+        out += d
+    return out
+
+
+def _nearest_bound(short: np.ndarray, tall: np.ndarray):
+    """Lower bound on the squared distance, and each tall point's nearest short row.
+
+    The bound is the largest of the two end costs and of every point's cost
+    to its nearest partner on the other polyline.  The costs are visited in
+    blocks of about ``_BLOCK_CELLS`` cells, a few rows of ``tall`` against all
+    of ``short``, so memory stays O(P + Q).
+    """
+    p, q = short.shape[1], tall.shape[1]
+    near_cost = np.full(p, np.inf)  # each short point to its nearest tall point
+    partner_cost = np.empty(q)      # each tall point to its nearest short point
+    partner = np.empty(q, dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // p)
+    for j0 in range(0, q, step):
+        block = _sq_dist(short[:, None, :], tall[:, j0:j0 + step, None])  # (rows, p)
+        nearest = block.argmin(axis=1)
+        partner[j0:j0 + step] = nearest
+        partner_cost[j0:j0 + step] = block[np.arange(nearest.size), nearest]
+        np.minimum(near_cost, block.min(axis=0), out=near_cost)
+    ends = _sq_dist(short[:, [0, -1]], tall[:, [0, -1]])
+    return max(ends.max(), near_cost.max(), partner_cost.max()), partner
+
+
+def _coupling_max(short: np.ndarray, tall: np.ndarray, partner: np.ndarray) -> float:
+    """Largest squared cost along one monotone coupling of ``short`` and ``tall``.
+
+    ``partner[j]`` is a row of ``short`` for each point j of ``tall``; it is
+    made nondecreasing in place and forced to end at the last row.  Column j
+    then covers rows first[j]..partner[j], entered from column j - 1 by a
+    diagonal step when the row rises and by a right step when it stays, and
+    column 0 starts at row 0: at most P + Q cells from (0, 0) to (P-1, Q-1).
+    """
+    np.maximum.accumulate(partner, out=partner)
+    partner[-1] = short.shape[1] - 1
+    first = np.zeros_like(partner)
+    np.minimum(partner[:-1] + 1, partner[1:], out=first[1:])
+    counts = partner - first + 1
+    cols = np.repeat(np.arange(partner.size), counts)
+    rows = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    return _sq_dist(short[:, rows], tall[:, cols]).max()
+
+
+def _frechet_sweep(short: np.ndarray, tall: np.ndarray) -> float:
+    """Squared discrete Frechet distance by the Eiter-Mannila recursion.
+
+    ``short`` (P points) and ``tall`` (Q >= P points) are component-major.
+    The coupling lattice is swept one anti-diagonal i + j = d at a time, each
+    a numpy step along ``short``, keeping only the last two diagonals.
+    """
+    p, q = short.shape[1], tall.shape[1]
+    rev = np.ascontiguousarray(tall[:, ::-1])  # a diagonal's partners j = d - i, forward
     # Diagonal buffers: cell i sits at slot i + 1, and the slots just outside
     # each diagonal's range hold +inf, so edge cells see no neighbour there.
     prev2, prev1, cur = (np.full(p + 2, np.inf) for _ in range(3))  # d-2, d-1, d
     prev2[0] = 0.0  # a free cell (-1, -1) starts every coupling at (0, 0)
     for d in range(p + q - 1):
         lo, hi = max(0, d - q + 1), min(d, p - 1)
-        diff = short[lo:hi + 1] - rev[q - 1 - d + lo:q - d + hi]
         reach = np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2])
         np.minimum(reach, prev2[lo:hi + 1], out=reach)
-        np.maximum(reach, np.sum(diff * diff, axis=1), out=cur[lo + 1:hi + 2])
+        cost = _sq_dist(short[:, lo:hi + 1], rev[:, q - 1 - d + lo:q - d + hi])
+        np.maximum(reach, cost, out=cur[lo + 1:hi + 2])
         cur[lo] = cur[hi + 2] = np.inf
         prev2, prev1, cur = prev1, cur, prev2
-    return float(np.sqrt(prev1[p]))
+    return prev1[p]
+
+
+def discrete_frechet(a: Polyline, b: Polyline) -> float:
+    """Discrete Frechet distance between two polylines.
+
+    The minimum over monotone couplings of the largest Euclidean
+    point-to-point cost (Eiter-Mannila).  Symmetric, nonnegative, and zero
+    only when the point sequences admit a perfect coupling.
+
+    Two bounds on the squared distance come first:
+
+    - lower: every coupling holds both end pairs and gives each point some
+      partner, so the distance is at least the largest of the two end costs
+      and of every point's cost to its nearest partner on the other polyline;
+    - upper: the largest cost along one explicit coupling, which pairs each
+      point of the longer polyline with its nearest point on the shorter one,
+      made nondecreasing and forced to end at the last point.
+
+    When they are equal, that is the distance.  Otherwise the exact dynamic
+    program sweeps the lattice one anti-diagonal at a time.  Both paths take
+    min and max over the same squared costs and one square root at the end
+    (monotone and correctly rounded), so the value is the same float either
+    way.  Two samplings of nearly the same curve, such as a minimizer and a
+    fine sampling of the exact trajectory, usually meet the bounds; about
+    half of all pairs of random walks do not.
+
+    Costs O(PQ) time and O(P+Q) memory for P and Q points: the bounds visit
+    the cost lattice in blocks of a fixed cell count, and the sweep keeps two
+    diagonals.  When the bounds meet, the sweep's P+Q-1 numpy steps are
+    skipped.
+    """
+    if a.dim != b.dim:
+        raise ValueError("polylines must share the state dimension")
+    # (x - y)**2 == (y - x)**2 bit for bit, so which side is which is free
+    short, tall = (np.ascontiguousarray(pts.T) for pts in sorted((a.points, b.points), key=len))
+    lower, partner = _nearest_bound(short, tall)
+    upper = _coupling_max(short, tall, partner)
+    sq = lower if lower == upper else _frechet_sweep(short, tall)
+    return float(np.sqrt(sq))
 
 
 def clustering_fraction(path: FePath, center, radius: float) -> float:

@@ -1,0 +1,73 @@
+"""``tools/bench_pairs.py``: the verdict rule, one smoke pair, and the exit code."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          timeout=600)
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        ([0.5] * 10, "gain"),
+        ([0.5] * 9 + [1.2], "gain"),               # 9 of 10 pairs won
+        ([0.5] * 8 + [1.2] * 2, "within"),         # 8 of 10 is too few
+        ([0.99] * 10, "within"),                   # every pair won, inside the spread
+        ([1.3] * 10, "over bound"),
+    ],
+    ids=["all_won", "nine_won", "eight_won", "inside_spread", "worse"],
+)
+def test_verdict_rule(change, verdict):
+    parent = [1.0, 0.95, 1.05, 1.0, 0.97, 1.03, 1.0, 0.98, 1.02, 1.0]
+    row = _load_tool().compare(parent, change, "lower", 0.25)
+    assert row["verdict"] == verdict
+    assert row["pairs"] == 10
+
+
+def test_smoke_pair_of_this_checkout_against_itself():
+    proc = run_tool("--parent", str(ROOT), "--change", str(ROOT), "--workload", "case_i",
+                    "--pairs", "1", "--smoke", "--seconds", "0")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert list(summary["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    for row in summary["metrics"].values():
+        assert row["pairs"] == 1 and 0 <= row["won"] <= 1
+        assert row["verdict"] != "gain"  # one pair claims nothing
+    for name in ("failed_frac", "action_err"):  # the same code on both sides
+        row = summary["metrics"][name]
+        assert row["parent_median"] == row["change_median"]
+
+
+def test_incorrect_run_exits_nonzero(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    ))
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'correct': False, 'attempted': 1, 'failed': 1,\n"
+        "                  'metrics': {'wall_s': {'value': 1.0, 'unit': 's'}}}))\n"
+    )
+    proc = run_tool("--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "case_i",
+                    "--pairs", "1", "--seconds", "0")
+    assert proc.returncode == 1
+    assert "incorrect" in proc.stdout

@@ -192,6 +192,16 @@ class TestSolve:
         assert result["error"] == "ActionError"
         assert "not finite" in result["message"]
 
+    def test_overflowing_drift_rate_is_solver_error(self, tmp_path):
+        payload = solve_config(mode={"kind": "fixed_t", "T": 1}, mesh={"N": 8})
+        payload["problem"]["field"] = {"type": "linear", "matrix": [[-1e160, 0], [0, -1]]}
+        cfg = write_config(tmp_path, payload)
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["error"] == "ActionError"
+        assert "not finite" in result["message"]
+
     def test_start_overflow_is_solver_error_without_warning(self, tmp_path):
         # with no preconditioner to fail first, the start gradient overflows
         payload = solve_config(mode={"kind": "fixed_t", "T": 1e308})

@@ -216,6 +216,17 @@ class TestCallableBatches:
         with pytest.raises(ValueError, match=r"jac must return shape \(2, 2\).*dim=2.*\(5, 2, 3\)"):
             field.jacobian_many(np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_batch_keeps_its_shape(self, dim):
+        # as for the built-in fields: (0, dim) values and (0, dim, dim) Jacobians
+        empty = np.zeros((0, dim))
+        fd_field = field_from_callable(dim, lambda x: -x)
+        exact = field_from_callable(dim, lambda x: -x, jac=lambda x: -np.eye(dim))
+        assert fd_field.eval_many(empty).shape == (0, dim)
+        assert fd_field.jacobian_many(empty).shape == (0, dim, dim)
+        assert exact.jacobian_many(empty).shape == (0, dim, dim)
+        assert linear_field(-np.eye(dim)).eval_many(empty).shape == (0, dim)
+
     def test_wrong_shape_reaches_the_solver_as_the_same_error(self):
         field = field_from_callable(2, lambda x: (1.0, 2.0, 3.0))
         path = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))

@@ -65,6 +65,13 @@ class TestFixedTSolver:
         with pytest.raises(ActionError, match="not finite"):
             minimize_fixed_T(start, two_scale_field(), horizon, quad=QUAD)
 
+    def test_overflowing_drift_rate_is_action_error(self):
+        # the squared Lipschitz rate 1e320 overflows a float; the band is not finite
+        field = linear_field([[-1e160, 0.0], [0.0, -1.0]])
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
+        with pytest.raises(ActionError, match="preconditioner is not finite"):
+            minimize_fixed_T(start, field, 1.0, quad=QUAD)
+
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             minimize_fixed_T(

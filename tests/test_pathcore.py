@@ -1,10 +1,12 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_frechet, random_path
+from minaction import pathcore
 from minaction import (
     FePath,
     Mesh,
@@ -20,10 +22,62 @@ from minaction import (
     read_path_csv,
     refine_path,
     resample_path,
+    trajectory_polyline,
     two_scale_field,
     uniform_mesh,
     write_path_csv,
 )
+
+
+def sweep_with_np_sum(a, b) -> float:
+    """Reference: the anti-diagonal Eiter-Mannila sweep with each cost summed
+    by ``np.sum`` over the components.  Up to 7 components the library must
+    match it bit for bit, whether its bounds certify the value or not."""
+    short, tall = sorted((np.asarray(a, float), np.asarray(b, float)), key=len)
+    p, q = len(short), len(tall)
+    rev = tall[::-1]
+    prev2, prev1, cur = (np.full(p + 2, np.inf) for _ in range(3))
+    prev2[0] = 0.0
+    for d in range(p + q - 1):
+        lo, hi = max(0, d - q + 1), min(d, p - 1)
+        diff = short[lo:hi + 1] - rev[q - 1 - d + lo:q - d + hi]
+        reach = np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2])
+        np.minimum(reach, prev2[lo:hi + 1], out=reach)
+        np.maximum(reach, np.sum(diff * diff, axis=1), out=cur[lo + 1:hi + 2])
+        cur[lo] = cur[hi + 2] = np.inf
+        prev2, prev1, cur = prev1, cur, prev2
+    return float(np.sqrt(prev1[p]))
+
+
+def exact_trajectory(points):
+    """The case_ii transition path, the two-scale flow from (1, 1) to the origin,
+    sampled at ``points`` points."""
+    matrix = two_scale_field().linear_matrix
+    return trajectory_polyline(matrix, [1.0, 1.0], math.inf, samples=points - 1)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Record every call of the anti-diagonal sweep behind discrete_frechet."""
+    calls = []
+    sweep = pathcore._frechet_sweep
+
+    def recorded(short, tall):
+        calls.append((short.shape, tall.shape))
+        return sweep(short, tall)
+
+    monkeypatch.setattr(pathcore, "_frechet_sweep", recorded)
+    return calls
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Make the anti-diagonal sweep fail, so only a certified value can return."""
+
+    def refuse(short, tall):
+        raise AssertionError("the bounds differ; the sweep ran")
+
+    monkeypatch.setattr(pathcore, "_frechet_sweep", refuse)
 
 
 class TestMesh:
@@ -259,6 +313,67 @@ class TestDiscreteFrechet:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    # Seeded pairs of three kinds: a curve sampled twice with noise on the
+    # coarse side, random walks and integer coordinates (ties among costs and
+    # partners).  Each kind has pairs on both sides of the certificate.
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", ["curve", "walk", "integer"])
+    def test_matches_np_sum_sweep(self, n, kind, sweep_calls):
+        rng = np.random.default_rng([n, len(kind)])
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        for _ in range(40):
+            p, q = (int(m) for m in rng.integers(2, 30, size=2))
+            if kind == "curve":
+                curve = lambda s: np.cos(np.outer(3.0 * s, np.arange(1, n + 1)) + phase)
+                a = curve(np.linspace(0.0, 1.0, p)) + 1e-3 * rng.standard_normal((p, n))
+                b = curve(np.linspace(0.0, 1.0, 10 * q))
+            elif kind == "walk":
+                a = np.cumsum(rng.standard_normal((p, n)), axis=0)
+                b = np.cumsum(rng.standard_normal((q, n)), axis=0)
+            else:
+                a = rng.integers(-2, 3, (p, n)).astype(float)
+                b = rng.integers(-2, 3, (q, n)).astype(float)
+            want = sweep_with_np_sum(a, b)
+            assert discrete_frechet(Polyline(a), Polyline(b)) == want
+            assert discrete_frechet(Polyline(b), Polyline(a)) == want
+        # both paths ran: some of the 80 calls were certified, some swept
+        assert 0 < len(sweep_calls) < 80
+
+    @pytest.mark.parametrize("n_elements", [16, 64, 512])
+    def test_p1_path_against_fine_sampling_is_certified(self, n_elements, no_sweep):
+        # the case_ii comparison: the N+1 nodes of a P1 path on the exact
+        # trajectory against a sampling with 10(N+1)+1 points
+        coarse = exact_trajectory(n_elements + 1)
+        fine = exact_trajectory(10 * (n_elements + 1) + 1)
+        got = discrete_frechet(coarse, fine)
+        assert got > 0.0
+        assert got == sweep_with_np_sum(coarse.points, fine.points)
+
+    def test_random_walks_reach_the_sweep(self, sweep_calls):
+        # about half of such walks certify; with this seed the bounds differ
+        rng = np.random.default_rng(0)
+        a = np.cumsum(rng.standard_normal((40, 2)), axis=0)
+        b = np.cumsum(rng.standard_normal((90, 2)), axis=0)
+        assert discrete_frechet(Polyline(a), Polyline(b)) == sweep_with_np_sum(a, b)
+        assert sweep_calls == [((2, 40), (2, 90))]
+
+    def test_certified_memory_stays_linear(self, no_sweep):
+        # 513 x 5131 is the case_ii pair at N=512; the bounds visit its 2.6M
+        # cells in blocks of a fixed size
+        a, b = exact_trajectory(513), exact_trajectory(5131)
+        assert (len(a.points), len(b.points)) == (513, 5131)
+        tracemalloc.start()
+        try:
+            discrete_frechet(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Polyline(np.zeros((3, 0)))
 
 
 class TestClustering:

@@ -1,0 +1,136 @@
+"""Alternating parent/change pairs of ``bench/run.py --trace 0`` runs, compared.
+
+Usage (from any directory):
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload case_ii --pairs 10 --seed0 1 --seconds 20
+
+Each checkout is a directory holding ``bench/run.py`` and ``src/minaction``;
+the runner there imports its own sources.  Pair k runs both checkouts with
+seed ``seed0 + k``, the parent first when k is even and the change first
+when k is odd, so drift in the host's load falls on both sides alike.
+
+For every end-to-end metric the change's ``BENCHMARK.json`` lists, it prints
+both medians, the parent's quartile spread (the distance between its first
+and third quartiles), the number of pairs the change won (ties count for
+neither side) and a verdict:
+
+* ``gain``        at least 10 pairs ran, the change won at least 9 of every 10
+                  and its median is better than the parent's by more than the
+                  parent's spread;
+* ``over bound``  the change's median is worse by more than the metric's bound;
+* ``unresolved``  neither, and the parent's spread is wider than the bound;
+* ``within``      neither, and the spread is within the bound.
+
+The rule is meant for 10 pairs or more; with fewer, the spread is a poor
+estimate and the table is a smoke check, not a verdict.
+
+Every run's result line is echoed as it finishes.  The exit code is 1 if a
+run failed or reported ``correct: false``, else 0.  Only the standard library
+is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool):
+    """One ``--trace 0`` run in ``checkout``; its result line, or None if it failed."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def _quartiles(xs):
+    """First quartile, median and third quartile of ``xs`` (inclusive method)."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(parent, change, better: str, bound: float) -> dict:
+    """Medians, the parent's spread, pairs won and the verdict for one metric."""
+    sign = 1.0 if better == "lower" else -1.0
+    pq1, pmed, pq3 = _quartiles(parent)
+    cq1, cmed, cq3 = _quartiles(change)
+    won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    spread = pq3 - pq1
+    worse = sign * (cmed - pmed) / abs(pmed) if pmed else 0.0
+    if len(parent) >= 10 and 10 * won >= 9 * len(parent) and sign * (pmed - cmed) > spread:
+        verdict = "gain"
+    elif worse > bound:
+        verdict = "over bound"
+    elif pmed and spread / abs(pmed) > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    return {"parent_median": pmed, "change_median": cmed, "parent_quartiles": [pq1, pq3],
+            "change_quartiles": [cq1, cq3], "parent_spread": spread, "won": won,
+            "pairs": len(parent), "verdict": verdict}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--smoke", action="store_true", help="tiny meshes, as in the harness test")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    listed = spec["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    values = {side: {m["name"]: [] for m in listed} for side in sides}
+    ok = True
+    for k in range(args.pairs):
+        seed = args.seed0 + k
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = _run(sides[side], args.workload, seed, args.seconds, args.smoke)
+            if result is None or result["correct"] is not True:
+                print(f"pair {k} seed {seed} {side}: failed or incorrect: {result}")
+                ok = False
+                continue
+            shown = " ".join(f"{name}={m['value']!r}" for name, m in result["metrics"].items())
+            print(f"pair {k} seed {seed} {side}: {shown}", flush=True)
+            for name, m in result["metrics"].items():
+                values[side][name].append(m["value"])
+    if not ok:
+        return 1
+
+    last = args.seed0 + args.pairs - 1
+    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}..{last}, {args.seconds:g} s runs")
+    print(f"{'metric':12s} {'unit':5s} {'parent':>12s} {'change':>12s} {'change %':>9s} "
+          f"{'spread':>11s} {'spread %':>9s} {'won':>6s}  verdict")
+    summary = {}
+    for m in listed:
+        name = m["name"]
+        row = compare(values["parent"][name], values["change"][name], m["better"], m["bound"])
+        summary[name] = row
+        pmed = row["parent_median"]
+        rel = lambda x: f"{100.0 * x / pmed:+.1f}" if pmed else "n/a"
+        print(f"{name:12s} {m['unit']:5s} {pmed:12.6g} {row['change_median']:12.6g} "
+              f"{rel(row['change_median'] - pmed):>9s} {row['parent_spread']:11.4g} "
+              f"{rel(row['parent_spread']).lstrip('+'):>9s} {row['won']:>3d}/{row['pairs']:<2d}  "
+              f"{row['verdict']}")
+    print(json.dumps({"workload": args.workload, "metrics": summary}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
