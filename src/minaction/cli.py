@@ -289,7 +289,6 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
         "el_residual": result.el_residual,
         "hamiltonian_violation": result.hamiltonian_violation,
         "iterations": result.iterations,
-        "cap_active": result.cap_active,
     }
     _dump_json(payload, result_json)
     if path_csv is not None:

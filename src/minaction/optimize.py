@@ -3,20 +3,20 @@
 Both the fixed-horizon functional and the reduced (optimal-horizon) functional
 are smooth in the (N-1)*n interior unknowns, so both are minimized by one
 shared routine: a limited-memory quasi-Newton iteration with a backtracking
-line search.  The two public solvers differ only in the value/gradient call,
-the reference horizon of the preconditioner and the optional optimal-time cap.
-Because the stationarity system is elliptic, raw nodal gradients condition
-badly as the mesh or the horizon grows; by default the inverse of a
+line search.  The two public solvers differ only in the value/gradient call
+and the reference horizon of the preconditioner.  The discrete reduced
+functional has a finite optimal horizon at every mesh, so the horizon needs
+no cap.  Because the stationarity system is elliptic, raw nodal gradients
+condition badly as the mesh or the horizon grows; the inverse of a
 stiffness-plus-scaled-mass operator on interior nodes is applied per state
 component as the initial inverse-Hessian guess (a Sobolev-type gradient),
 which keeps iteration counts roughly mesh- and horizon-independent.
 Endpoints are never touched.
 
-A line search halves the step from 1 until a trial is accepted, and ends
-unaccepted after the step 2**-66.  It also ends at the first trial that
-rounds to the current iterate bitwise: every smaller step gives the iterate
-too, so the remaining trials are decided from the values already held
-instead of being evaluated again.
+A line search halves the step from 1 until a trial is accepted.  It fails
+after the step 2**-66, or at its first trial that rounds to the current
+iterate bitwise: every smaller step gives the iterate too, and a search that
+returns the iterate has failed, so that trial is never evaluated or accepted.
 """
 
 from __future__ import annotations
@@ -69,30 +69,20 @@ class OptimConfig:
     ``tol_grad`` stops the iteration once the gradient max-norm falls below
     tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
     ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
-    scaled preconditioner); ``sobolev_precondition`` toggles the elliptic
-    preconditioner.  ``t_cap`` optionally rejects line-search trial points
-    whose optimal time exceeds the cap (reduced functional only); for
-    discrete problems the cap is provably inactive at the minimizer, and
-    ``OptimResult.cap_active`` records whether it ever fired.  ``log_path``
-    names an optional per-iteration CSV log.  The line search's Armijo
-    constant (1e-4) and backtracking factor (0.5) are fixed.
+    scaled preconditioner); ``log_path`` names an optional per-iteration CSV
+    log.  The elliptic preconditioner is always on, and the line search's
+    Armijo constant (1e-4) and backtracking factor (0.5) are fixed.
     """
 
     tol_grad: float = 1e-9
     max_iters: int = 100_000
     memory: int = 10
-    sobolev_precondition: bool = True
-    t_cap: Optional[float] = None
     log_path: Optional[str] = None
 
     def __post_init__(self):
         _finite_positive(self.tol_grad, "tol_grad")
         _int_at_least(self.max_iters, "max_iters", 1)
         _int_at_least(self.memory, "memory", 0)
-        if not isinstance(self.sobolev_precondition, bool):
-            raise ValueError("sobolev_precondition must be a boolean")
-        if self.t_cap is not None:
-            _finite_positive(self.t_cap, "t_cap")
 
 
 @dataclass(frozen=True)
@@ -107,29 +97,26 @@ class OptimResult:
     grad_norm: float
     el_residual: float
     hamiltonian_violation: float
-    cap_active: bool = False
 
 
 def _max_norm(vec: np.ndarray) -> float:
     return float(np.max(np.abs(vec))) if vec.size else 0.0
 
 
-# Consecutive no-progress iterations tolerated before declaring the iterate
-# stationary (for example at an active optimal-time cap).
+# Consecutive failed or no-progress iterations tolerated before declaring the
+# iterate stationary (tiny steps creeping at the ulp floor).
 _DEAD_LIMIT = 30
 
 
-def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[float]):
+def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
     """Core L-BFGS iteration.
 
     ``evaluate(z) -> (value, grad, t_hat)`` may raise ActionError for trial
-    points; trials that raise, or whose t_hat exceeds the cap, are rejected by
-    halving the step.  A line search ends at its first accepted trial, after
-    its last step (2**-66), or at its first trial that equals ``z`` bitwise.
-    That trial is not evaluated: it and every smaller step are the iterate,
-    and the outcome the remaining trials would reach (the cap flag, and an
-    Armijo acceptance of a zero step) is taken from the held value, gradient
-    and t_hat.  Returns the final state and bookkeeping flags.
+    points; trials that raise are rejected by halving the step.  A line
+    search ends accepted at its first accepted trial, and fails after its
+    last step (2**-66) or at its first trial that equals ``z`` bitwise, which
+    is not evaluated.  Returns ``(z, value, grad, t_hat, iterations,
+    converged, log_rows)``.
     """
     z = z0.copy()
     # the line search accepts only trial points with a finite value, so this
@@ -140,7 +127,6 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise ActionError("action or gradient is not finite at the start path")
     log_rows = [(0, value, _max_norm(grad), t_hat)]
-    cap_active = False
     iterations = 0
 
     history = deque(maxlen=cfg.memory)  # (s, y, 1/(s.y)) curvature pairs
@@ -150,7 +136,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         return _max_norm(g) <= cfg.tol_grad * max(1.0, abs(f))
 
     if z.size == 0 or converged_now(value, grad):
-        return z, value, grad, t_hat, 0, True, cap_active, log_rows
+        return z, value, grad, t_hat, 0, True, log_rows
 
     dead = 0  # consecutive iterations without meaningful progress
     for it in range(1, cfg.max_iters + 1):
@@ -184,25 +170,12 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         for step in _STEPS:
             z_try = z + step * direction
             if z_try.tobytes() == z.tobytes():
-                # The trial is the iterate, and so is every smaller step,
-                # since rounding to nearest is monotone: each remaining trial
-                # would evaluate to (value, grad, t_hat).  Decide them here.
-                # The cap rejects all of them or none, the gradient-norm test
-                # rejects all of them, and the Armijo bound is monotone in the
-                # step, so it holds for one of them iff it holds for the
-                # first or the last.
-                f_try, g_try, t_try = value, grad, t_hat
-                if cap is not None and t_hat > cap:
-                    cap_active = True
-                elif not grad_mode:
-                    accepted = any(value <= value + _ARMIJO_C1 * s * slope for s in (step, _STEPS[-1]))
+                # the trial is the iterate, and so is every smaller step,
+                # since rounding to nearest is monotone: the search has failed
                 break
             try:
                 f_try, g_try, t_try = evaluate(z_try)
             except ActionError:
-                continue
-            if cap is not None and t_try > cap:
-                cap_active = True
                 continue
             if grad_mode:
                 if float(np.linalg.norm(g_try)) < 0.999 * cur_gn2 and f_try <= value + noise_floor:
@@ -239,16 +212,16 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, cap: Optional[flo
         iterations = it
         log_rows.append((it, value, _max_norm(grad), t_hat))
         if converged_now(value, grad):
-            return z, value, grad, t_hat, iterations, True, cap_active, log_rows
+            return z, value, grad, t_hat, iterations, True, log_rows
         if progressed:
             dead = 0
         else:
-            # a stationary boundary (active optimal-time cap) or the ulp floor
+            # steps creeping at the ulp floor
             dead += 1
             if dead >= _DEAD_LIMIT:
                 break
 
-    return z, value, grad, t_hat, iterations, converged_now(value, grad), cap_active, log_rows
+    return z, value, grad, t_hat, iterations, converged_now(value, grad), log_rows
 
 
 def _write_log(rows, log_path: Optional[str]) -> None:
@@ -272,7 +245,7 @@ def _drift_rate_sq(field: DriftField, start: FePath) -> float:
         return math.inf
 
 
-def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimConfig):
+def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     """Apply closure of P^-1, P = (1/T) K + T kappa M on interior nodes per component.
 
     K is the 1-D stiffness matrix and M the mass matrix of the start path's
@@ -283,10 +256,7 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float, cfg: OptimCo
     Hessian, so iteration counts stay roughly mesh- and horizon-independent in
     both regimes.  P is SPD, factored once per solve by banded Cholesky; the
     closure maps a flat interior vector to P^-1 applied to each component.
-    With ``cfg.sobolev_precondition`` off it is the identity.
     """
-    if not cfg.sobolev_precondition:
-        return lambda vec: vec
     n = start.dim
     kappa = _drift_rate_sq(field, start)
     h = np.diff(start.mesh.nodes)
@@ -315,13 +285,12 @@ def _minimize(
     quad: Quadrature,
     value_grad,
     t_ref: float,
-    cap: Optional[float],
 ) -> OptimResult:
     """Shared solve: L-BFGS over the interior of ``start``, log, package.
 
-    ``value_grad(path) -> (value, grad, t_hat)`` is the functional;
-    ``t_ref`` is the preconditioner's horizon and ``cap`` the optional
-    optimal-time cap.  The diagnostics are evaluated at the final t_hat.
+    ``value_grad(path) -> (value, grad, t_hat)`` is the functional and
+    ``t_ref`` the preconditioner's horizon.  The diagnostics are evaluated
+    at the final t_hat.
     """
     n = start.dim
 
@@ -330,8 +299,8 @@ def _minimize(
         return f, g.ravel(), th
 
     z0 = start.values[1:-1].ravel().copy()
-    z, value, grad, t_hat, iters, ok, cap_active, rows = _lbfgs_loop(
-        evaluate, z0, cfg, _preconditioner(start, field, t_ref, cfg), cap
+    z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
+        evaluate, z0, cfg, _preconditioner(start, field, t_ref)
     )
     _write_log(rows, cfg.log_path)
     path = start.replace_interior(z.reshape(-1, n))
@@ -344,7 +313,6 @@ def _minimize(
         grad_norm=_max_norm(grad),
         el_residual=el_residual(path, field, t_hat, quad),
         hamiltonian_violation=hamiltonian_violation(path, field, t_hat, quad),
-        cap_active=cap_active,
     )
 
 
@@ -366,7 +334,7 @@ def minimize_fixed_T(
     def value_grad(p):  # t_hat stays T as given: an int T is logged as an int
         return (*fixed_t_value_grad(p, field, T, quad), T)
 
-    return _minimize(start, field, cfg or OptimConfig(), quad, value_grad, float(T), None)
+    return _minimize(start, field, cfg or OptimConfig(), quad, value_grad, float(T))
 
 
 def minimize_tmam(
@@ -385,9 +353,7 @@ def minimize_tmam(
     cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
     t_ref = optimal_time(start, field, quad)  # degenerate starts raise here
-    return _minimize(
-        start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad), t_ref, cfg.t_cap
-    )
+    return _minimize(start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad), t_ref)
 
 
 def _nested_levels(N_list) -> list[int]:
@@ -416,7 +382,8 @@ def continuation_sweep(
     starts from the previous minimizer resampled onto the finer mesh (exact on
     nested meshes), which makes the discrete minima nonincreasing along the
     sweep.  ``N_list`` must be strictly increasing with each entry dividing
-    the next.  Typed solver errors are re-raised with the failing level in the
+    the next.  ``T`` is the horizon of ``mode="fixed_t"`` and must be None in
+    tmam mode.  Typed solver errors are re-raised with the failing level in the
     message.
     """
     N_list = _nested_levels(N_list)
@@ -424,6 +391,8 @@ def continuation_sweep(
         raise ValueError("mode must be 'tmam' or 'fixed_t'")
     if mode == "fixed_t":
         _finite_positive(T, "T")
+    elif T is not None:
+        raise ValueError("T is not read in tmam mode, which optimizes the horizon")
 
     results: list[OptimResult] = []
     prev_path: Optional[FePath] = None

@@ -168,10 +168,8 @@ class TestSolve:
         [
             ("mode.T=Infinity", "mode.T"),
             ("optimizer.tol_grad=Infinity", "optimizer.tol_grad"),
-            ("optimizer.t_cap=Infinity", "optimizer.t_cap"),
             ("optimizer.memory=true", "optimizer.memory"),
             ("optimizer.max_iters=2.5", "optimizer.max_iters"),
-            ("optimizer.sobolev_precondition=1", "optimizer.sobolev_precondition"),
             ("quadrature.points_per_element=true", "quadrature.points_per_element"),
             ("mesh.N=true", "mesh.N"),
         ],
@@ -181,6 +179,20 @@ class TestSolve:
         rc = main(["solve", "--config", cfg, "--set", override, "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    # the solver has one preconditioner and no optimal-time cap; even the
+    # old defaults of those keys are rejected
+    @pytest.mark.parametrize(
+        "key,value", [("sobolev_precondition", True), ("t_cap", None)],
+        ids=["sobolev_precondition", "t_cap"],
+    )
+    def test_removed_optimizer_key_is_unknown(self, tmp_path, capsys, key, value):
+        payload = solve_config()
+        payload["optimizer"] = {key: value}
+        cfg = write_config(tmp_path, payload)
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert f"unknown config key: optimizer.{key}" in capsys.readouterr().err
 
     # the action overflows at a tiny horizon, the preconditioner at a huge one
     @pytest.mark.parametrize("horizon", [1e-200, 1e308])
@@ -203,9 +215,9 @@ class TestSolve:
         assert "not finite" in result["message"]
 
     def test_start_overflow_is_solver_error_without_warning(self, tmp_path):
-        # with no preconditioner to fail first, the start gradient overflows
-        payload = solve_config(mode={"kind": "fixed_t", "T": 1e308})
-        payload["optimizer"] = {"sobolev_precondition": False}
+        # at a tiny horizon the preconditioner stays finite and the start
+        # action overflows
+        payload = solve_config(mode={"kind": "fixed_t", "T": 1e-200})
         cfg = write_config(tmp_path, payload)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

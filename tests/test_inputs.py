@@ -35,11 +35,8 @@ X1, X2 = [1.0, 1.0], [0.0, 0.0]
 CASES = [
     ("tol_grad_inf", "tol_grad",
      lambda: minimize_tmam(START, FIELD, OptimConfig(tol_grad=math.inf), QUAD)),
-    ("t_cap_inf", "t_cap", lambda: OptimConfig(t_cap=math.inf)),
     ("max_iters_float", "max_iters", lambda: OptimConfig(max_iters=2.5)),
     ("memory_bool", "memory", lambda: OptimConfig(memory=True)),
-    ("sobolev_precondition_str", "sobolev_precondition",
-     lambda: OptimConfig(sobolev_precondition="no")),
     ("quadrature_bool", "points_per_element", lambda: Quadrature(True)),
     ("quadrature_float", "points_per_element", lambda: Quadrature(2.5)),
     ("mesh_bool", "num_elements", lambda: uniform_mesh(True)),
@@ -49,6 +46,8 @@ CASES = [
     ("trajectory_samples_float", "samples",
      lambda: trajectory_times_points([[-1.0]], [1.0], 1.0, 2.5)),
     ("inward_samples_float", "samples", lambda: check_inward_condition(FIELD, 2.5, 10.0)),
+    ("inward_radius_nan", "radius", lambda: check_inward_condition(FIELD, 8, math.nan)),
+    ("inward_radius_inf", "radius", lambda: check_inward_condition(FIELD, 8, math.inf)),
     ("action_T_inf", "T", lambda: action_fixed_T(START, FIELD, math.inf, QUAD)),
     ("grad_T_inf", "T", lambda: grad_action_fixed_T(START, FIELD, math.inf, QUAD)),
     ("hamiltonian_t_hat_inf", "t_hat",

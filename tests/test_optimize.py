@@ -155,44 +155,18 @@ class TestTmamSolver:
         with pytest.raises(DegeneratePathError):
             minimize_tmam(start, SCALAR, quad=QUAD)
 
-    def test_inactive_cap_matches_uncapped(self):
-        field = two_scale_field()
-        x1 = np.array([1.0, 1.0])
-        x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
-        start = linear_interpolant_path(x1, x2, uniform_mesh(32))
-        plain = minimize_tmam(start, field, quad=QUAD)
-        capped = minimize_tmam(start, field, OptimConfig(t_cap=50.0), QUAD)
-        assert not capped.cap_active
-        assert abs(plain.value - capped.value) <= 1e-10
-        assert plain.t_hat < 50.0
-
-    def test_binding_cap_is_reported(self):
-        # equilibrium endpoint wants a growing horizon; cap it below demand
-        field = two_scale_field()
-        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(64))
-        free = minimize_tmam(start, field, quad=QUAD)
-        cap = 0.75 * free.t_hat
-        capped = minimize_tmam(start, field, OptimConfig(t_cap=cap), QUAD)
-        assert capped.cap_active
-        assert capped.t_hat <= cap + 1e-9
-        assert capped.value >= free.value - 1e-12
-
     # memory=0 keeps no curvature pairs: the scaled preconditioner alone
     @pytest.mark.parametrize(
         "variant",
-        [
-            OptimConfig(sobolev_precondition=False),
-            OptimConfig(memory=0),
-            OptimConfig(memory=1),
-        ],
-        ids=["precond_off", "memory0", "memory1"],
+        [OptimConfig(memory=0), OptimConfig(memory=1)],
+        ids=["memory0", "memory1"],
     )
     def test_preconditioner_toggle_same_minimum(self, variant):
         field = two_scale_field()
         x1 = np.array([1.0, 1.0])
         x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
         start = linear_interpolant_path(x1, x2, uniform_mesh(24))
-        on = minimize_tmam(start, field, OptimConfig(sobolev_precondition=True), QUAD)
+        on = minimize_tmam(start, field, quad=QUAD)
         off = minimize_tmam(start, field, variant, QUAD)
         assert on.converged and off.converged
         assert abs(on.value - off.value) <= 1e-9 * max(1.0, abs(on.value))
@@ -260,6 +234,12 @@ class TestContinuationSweep:
         with pytest.raises(ValueError):
             continuation_sweep(field, [0.0], [1.0], [4, 8], quad=QUAD, mode="fixed_t")
 
+    @pytest.mark.parametrize("T", [1.0, -3])
+    def test_tmam_mode_rejects_a_horizon(self, T):
+        # tmam optimizes the horizon, so a T given there would be ignored
+        with pytest.raises(ValueError, match="^T is not read in tmam mode"):
+            continuation_sweep(SCALAR, [0.0], [1.0], [4, 8], quad=QUAD, mode="tmam", T=T)
+
     def test_degenerate_problem_names_failing_level(self):
         field = linear_field(np.zeros((1, 1)))
         with pytest.raises(DriftVanishesError, match="N=4"):
@@ -285,12 +265,11 @@ class TestLineSearchAtTheIterate:
     # 2**-54 (trial 54) and a direction of 2**-40 at the step 2**-14 (trial 14)
     FIRST_AT_ITERATE = {1.0: 54, 2.0**-40: 14}
 
-    def run(self, direction, cap=None):
+    def run(self, direction):
         """Loop on an uphill gradient of -1: every trial off the start is worse.
 
         The preconditioner scales by ``direction``, which sets the search
-        direction.  The t_hat is 2 at the start and 0.5 elsewhere, so a cap
-        of 1 rejects only the start itself.
+        direction.  The t_hat is 2 at the start and 0.5 elsewhere.
         """
         z0 = self.Z0
         trials = []
@@ -300,7 +279,7 @@ class TestLineSearchAtTheIterate:
             at_start = z.tobytes() == z0.tobytes()
             return (1.0 if at_start else 2.0), np.full(z.size, -1.0), (2.0 if at_start else 0.5)
 
-        out = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: direction * vec, cap)
+        out = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: direction * vec)
         return out, trials
 
     @pytest.mark.parametrize("direction", [1.0, 2.0**-40])
@@ -313,30 +292,42 @@ class TestLineSearchAtTheIterate:
     def test_failed_search_ends_at_first_trial_at_the_iterate(self):
         # the short direction puts Armijo's decrease below the noise floor, so
         # the gradient-norm test runs, and it cannot accept the iterate
-        (z, value, grad, t_hat, iters, ok, cap_active, rows), trials = self.run(2.0**-40)
+        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40)
         assert len(trials) == 1 + 14
         assert all(not np.array_equal(t, self.Z0) for t in trials[1:])
         assert np.array_equal(z, self.Z0)
-        assert (value, t_hat, iters, ok, cap_active) == (1.0, 2.0, 0, False, False)
+        assert (value, t_hat, iters, ok) == (1.0, 2.0, 0, False)
         assert len(rows) == 1
 
-    def test_cap_below_the_start_still_reported(self):
-        # only the iterate exceeds the cap: the skipped trials would have set the flag
-        (*_, cap_active, _rows), trials = self.run(2.0**-40, cap=1.0)
-        assert len(trials) == 1 + 14
-        assert cap_active
-        (*_, cap_active, _rows), _ = self.run(2.0**-40, cap=3.0)
-        assert not cap_active
-
-    def test_armijo_zero_step_still_counts_as_an_iteration(self):
+    def test_armijo_search_fails_at_the_iterate(self):
         # the Armijo bound value + c1*step*slope rounds to the value itself at
-        # step 2**-54, so the iterate passes it: a zero step is accepted, and
-        # the loop stops after the no-progress limit
-        (z, value, _, _, iters, ok, _, rows), trials = self.run(1.0)
-        assert iters == _DEAD_LIMIT
-        assert len(rows) == 1 + _DEAD_LIMIT
-        assert len(trials) == 1 + _DEAD_LIMIT * 54
+        # step 2**-54, so the iterate would pass it; a search that returns
+        # the iterate has failed, and with no curvature pairs to drop the
+        # loop stops there
+        (z, value, _, _, iters, ok, rows), trials = self.run(1.0)
+        assert iters == 0
+        assert len(rows) == 1
+        assert len(trials) == 1 + 54
         assert np.array_equal(z, self.Z0) and value == 1.0 and not ok
+
+
+def test_flat_value_with_moving_steps_stops_at_the_dead_limit():
+    # a constant value of 1 and gradient of ones: the Armijo bound rounds to
+    # the value from step 2**-43 on (trial 44), so every search accepts a step
+    # that moves the point but makes no progress, until the no-progress limit
+    z0 = np.array([1.0, -3.0, 0.5])
+    trials = []
+
+    def evaluate(z):
+        trials.append(z.copy())
+        return 1.0, np.ones(z.size), 1.0
+
+    z, value, _, _, iters, ok, rows = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: vec)
+    assert iters == _DEAD_LIMIT
+    assert len(rows) == 1 + _DEAD_LIMIT
+    assert len(trials) == 1 + _DEAD_LIMIT * 44
+    assert np.array_equal(z, z0 - _DEAD_LIMIT * 2.0**-43)
+    assert value == 1.0 and not ok
 
 
 def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatch):
@@ -357,7 +348,7 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     assert res.value.hex() == "0x1.00014fb7ce7a8p-1"
     assert res.t_hat.hex() == "0x1.4fa7d2eaa9d4ep+3"
     assert res.grad_norm.hex() == "0x1.6badc7e000000p-26"
-    assert (res.iterations, res.converged, res.cap_active) == (94, False, False)
+    assert (res.iterations, res.converged) == (94, False)
     path_bytes = np.ascontiguousarray(res.path.values, dtype="<f8").tobytes()
     assert hashlib.sha256(path_bytes).hexdigest() == (
         "9cb0bd8e679899397053392a169686c05cf776c7b02d0b21f25ce0e21ff9ead2"
