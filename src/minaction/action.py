@@ -312,8 +312,13 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
 
 
 def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):
+    """(value, interior gradient, T) of the fixed-T action from one assembly.
+
+    T is returned as given, in the place of ``tmam_value_grad``'s t_hat, so
+    an int horizon stays an int in the iteration log.
+    """
     asm = _assemble(path, field, quad)
-    return asm.fixed_t_value(float(T)), asm.fixed_t_grad(float(T))[1:-1]
+    return asm.fixed_t_value(float(T)), asm.fixed_t_grad(float(T))[1:-1], T
 
 
 def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):

@@ -190,8 +190,8 @@ def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
     field = _build_field(cfg, linear_for=purpose)
     x1 = _endpoint(cfg, "problem.x1", field.dim)
     x2 = _endpoint(cfg, "problem.x2", field.dim)
-    kind, T = _mode_of(cfg)
-    if kind != "fixed_t":
+    T = _mode_of(cfg)
+    if T is None:
         raise ConfigError(f"mode.kind must be fixed_t for {purpose}")
     try:
         return SpectralLinearProblem(field.linear_matrix, x1, x2, T=T)
@@ -224,16 +224,17 @@ def _dump_json(payload: dict, path: Optional[str]) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
-def _mode_of(cfg: dict):
+def _mode_of(cfg: dict) -> Optional[float]:
+    """The fixed horizon ``mode.T`` of ``kind: fixed_t``, or None for ``kind: tmam``."""
     mode = _require(cfg, "mode")
     kind = mode.get("kind")
     if kind not in ("tmam", "fixed_t"):
         raise ConfigError("mode.kind must be 'tmam' or 'fixed_t'")
     if kind == "fixed_t":
-        return kind, _finite_positive(_require(cfg, "mode.T"), "mode.T")
+        return _finite_positive(_require(cfg, "mode.T"), "mode.T")
     if "T" in mode:
         raise ConfigError("mode.T is not read in tmam mode, which optimizes the horizon")
-    return kind, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     field = _build_field(cfg)
     x1 = _endpoint(cfg, "problem.x1", field.dim)
     x2 = _endpoint(cfg, "problem.x2", field.dim)
-    kind, T = _mode_of(cfg)
+    T = _mode_of(cfg)
     num_elems = _int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1)
     outputs = cfg.get("outputs", {})
     iteration_log = _out_path(outputs, "iteration_log", out_dir)
@@ -273,7 +274,7 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     path_csv = _out_path(outputs, "path_csv", out_dir)
 
     try:
-        if kind == "tmam":
+        if T is None:
             result = minimize_tmam(start, field, opt_cfg, quad)
         else:
             result = minimize_fixed_T(start, field, T, opt_cfg, quad)
@@ -302,9 +303,7 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
 
 
 def _rate_payload(rate) -> Optional[dict]:
-    if rate is None:
-        return None
-    return {"slope": rate.slope, "intercept": rate.intercept, "r_squared": rate.r_squared}
+    return None if rate is None else dataclasses.asdict(rate)
 
 
 def _n_list(cfg: dict, minimum: int) -> list:
@@ -371,10 +370,7 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
             field = _build_field(cfg)
             x1 = _endpoint(cfg, "problem.x1", field.dim)
             x2 = _endpoint(cfg, "problem.x2", field.dim)
-            kind, T = _mode_of(cfg)
-            results = continuation_sweep(
-                field, x1, x2, n_list, opt_cfg, quad, mode=kind, T=T
-            )
+            results = continuation_sweep(field, x1, x2, n_list, opt_cfg, quad, T=_mode_of(cfg))
             records = [_record_from_result(r, action_error=r.value) for r in results]
             rates = {"action": _rate_payload(_try_fit(records, "action_error"))}
             assertions = {"monotone_minima": values_nonincreasing(records)}

@@ -181,6 +181,7 @@ def field_from_callable(
     another shape raises ``ValueError``; an empty batch gives an empty array
     of the right shape, as for the built-in fields.
     """
+    dim = _int_at_least(dim, "dim", 1)
 
     def batched(fn, name, shape):
         def many(pts):

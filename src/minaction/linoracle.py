@@ -18,8 +18,8 @@ mu*T > 700 do not overflow (the stiff, boundary-layer regime).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,14 +78,14 @@ class SpectralLinearProblem:
     """Symmetric linear transition problem with its eigendecomposition.
 
     ``matrix`` is the signed drift matrix (b(x) = matrix @ x); a stable
-    problem has negative eigenvalues.  ``T`` is the fixed horizon, optional
-    because the trajectory helpers do not need one.
+    problem has negative eigenvalues.  ``T`` is the fixed horizon, a finite
+    positive number stored as a float.
     """
 
     matrix: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    T: Optional[float] = None
+    T: float
 
     def __post_init__(self):
         a_mat, eigvals, eigvecs = _spectrum(self.matrix)
@@ -93,8 +93,7 @@ class SpectralLinearProblem:
         x2 = np.atleast_1d(np.asarray(self.x2, dtype=float))
         if x1.shape != (a_mat.shape[0],) or x2.shape != (a_mat.shape[0],):
             raise ValueError("endpoints must match the matrix dimension")
-        if self.T is not None:
-            _finite_positive(self.T, "T")
+        object.__setattr__(self, "T", _finite_positive(self.T, "T"))
         for name, arr in (("matrix", a_mat), ("x1", x1), ("x2", x2),
                           ("eigenvalues", eigvals), ("eigenvectors", eigvecs)):
             arr = np.array(arr)
@@ -105,17 +104,16 @@ class SpectralLinearProblem:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _require_T(self) -> float:
-        if self.T is None:
-            raise ValueError("this operation needs the fixed horizon T")
-        return float(self.T)
-
 
 def matrix_exp_apply(matrix, t: float, x) -> np.ndarray:
     """e^{tA} x for symmetric A, via the spectral decomposition.
 
-    Raises ``ValueError`` when the result overflows.
+    ``t`` is any finite real number other than a bool: t = 0 returns x and a
+    negative t runs the flow backwards.  Raises ``ValueError`` for another
+    ``t`` and when the result overflows.
     """
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+        raise ValueError("t must be a finite number")
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (eigvals.size,):
@@ -137,7 +135,7 @@ def _cosh_over_sinh(a: np.ndarray, b: float) -> np.ndarray:
 
 def _exact(prob: SpectralLinearProblem, s, deriv: bool) -> np.ndarray:
     """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s."""
-    T = prob._require_T()
+    T = prob.T
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     ratio, sign = (_cosh_over_sinh, -1.0) if deriv else (_sinh_ratio, 1.0)
@@ -189,7 +187,7 @@ def exact_fixed_T_action(prob: SpectralLinearProblem) -> float:
 
     with limit (y2 - y1)^2 / (2 T) when mu = 0.
     """
-    T = prob._require_T()
+    T = prob.T
     y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     total = 0.0
     for i, lam in enumerate(prob.eigenvalues):
@@ -212,8 +210,9 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     densely sampled.  With ``t_end = inf`` the horizon is extended until
     |e^{tA} x| < 1e-10 and the equilibrium 0 is appended as a final row (its
     time entry is inf).  The infinite horizon is rejected when x has a part
-    of norm >= 1e-10 on eigenvalues >= 0, which never decays; a finite
-    horizon is rejected when a sample overflows.
+    of norm >= 1e-10 on eigenvalues >= 0, which never decays, and when the
+    norm overflows before it falls below 1e-10; a finite horizon is rejected
+    when a sample overflows.
     """
     samples = _int_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
@@ -224,11 +223,12 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
         if np.linalg.norm((eigvecs.T @ x)[eigvals >= 0.0]) >= _DECAYED:
             raise ValueError("trajectory does not decay; infinite horizon invalid")
         t_hi = 1.0
-        # "not <" also keeps doubling past a NaN norm from an overflowed e^{tA}
-        while not np.linalg.norm(_flow(eigvals, eigvecs, x, [t_hi])[0]) < _DECAYED:
-            t_hi *= 2.0
-            if t_hi > 1e9:
-                raise ValueError("trajectory does not decay; infinite horizon invalid")
+        # a part below 1e-10 on an eigenvalue > 0 grows until e^{tA} x overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not (norm := np.linalg.norm(_flow(eigvals, eigvecs, x, [t_hi])[0])) < _DECAYED:
+                t_hi *= 2.0
+                if not np.isfinite(norm) or t_hi > 1e9:
+                    raise ValueError("trajectory does not decay; infinite horizon invalid")
     else:
         if not t_end > 0.0:
             raise ValueError("t_end must be positive or inf")

@@ -43,6 +43,7 @@ from .pathcore import (
     FePath,
     _finite_positive,
     _int_at_least,
+    _write_table,
     linear_interpolant_path,
     resample_path,
     uniform_mesh,
@@ -135,7 +136,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
     def converged_now(f, g):
         return _max_norm(g) <= cfg.tol_grad * max(1.0, abs(f))
 
-    if z.size == 0 or converged_now(value, grad):
+    if converged_now(value, grad):
         return z, value, grad, t_hat, 0, True, log_rows
 
     dead = 0  # consecutive iterations without meaningful progress
@@ -224,15 +225,6 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
     return z, value, grad, t_hat, iterations, converged_now(value, grad), log_rows
 
 
-def _write_log(rows, log_path: Optional[str]) -> None:
-    if log_path is None:
-        return
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,value,grad_norm,t_hat\n")
-        for it, val, gn, th in rows:
-            fh.write(f"{it},{val!r},{gn!r},{th!r}\n")
-
-
 def _drift_rate_sq(field: DriftField, start: FePath) -> float:
     """Squared Lipschitz-rate estimate for the reaction term of the preconditioner."""
     if field.lipschitz is not None:
@@ -264,7 +256,7 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     stiff_off = -1.0 / h[1:-1]
     mass_diag = (h[:-1] + h[1:]) / 3.0
     mass_off = h[1:-1] / 6.0
-    reaction = t_ref * max(kappa, 0.0)
+    reaction = t_ref * kappa
     band = np.zeros((2, h.size - 1))
     band[1] = stiff_diag / t_ref + reaction * mass_diag
     band[0, 1:] = stiff_off / t_ref + reaction * mass_off
@@ -298,11 +290,11 @@ def _minimize(
         f, g, th = value_grad(start.replace_interior(z.reshape(-1, n)))
         return f, g.ravel(), th
 
-    z0 = start.values[1:-1].ravel().copy()
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
-        evaluate, z0, cfg, _preconditioner(start, field, t_ref)
+        evaluate, start.values[1:-1].ravel(), cfg, _preconditioner(start, field, t_ref)
     )
-    _write_log(rows, cfg.log_path)
+    if cfg.log_path is not None:
+        _write_table(cfg.log_path, ("iteration", "value", "grad_norm", "t_hat"), rows)
     path = start.replace_interior(z.reshape(-1, n))
     return OptimResult(
         path=path,
@@ -328,13 +320,12 @@ def minimize_fixed_T(
     Non-convergence is reported through ``OptimResult.converged``; the best
     iterate found is always returned.
     """
-    _finite_positive(T, "T")
+    t_ref = _finite_positive(T, "T")
+    cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
-
-    def value_grad(p):  # t_hat stays T as given: an int T is logged as an int
-        return (*fixed_t_value_grad(p, field, T, quad), T)
-
-    return _minimize(start, field, cfg or OptimConfig(), quad, value_grad, float(T))
+    return _minimize(
+        start, field, cfg, quad, lambda p: fixed_t_value_grad(p, field, T, quad), t_ref
+    )
 
 
 def minimize_tmam(
@@ -373,7 +364,6 @@ def continuation_sweep(
     N_list,
     cfg: Optional[OptimConfig] = None,
     quad: Optional[Quadrature] = None,
-    mode: str = "tmam",
     T: Optional[float] = None,
 ) -> list[OptimResult]:
     """Warm-started refinement sweep over nested uniform meshes.
@@ -382,17 +372,12 @@ def continuation_sweep(
     starts from the previous minimizer resampled onto the finer mesh (exact on
     nested meshes), which makes the discrete minima nonincreasing along the
     sweep.  ``N_list`` must be strictly increasing with each entry dividing
-    the next.  ``T`` is the horizon of ``mode="fixed_t"`` and must be None in
-    tmam mode.  Typed solver errors are re-raised with the failing level in the
-    message.
+    the next.  A number ``T`` fixes the horizon of every level
+    (``minimize_fixed_T``, which checks it before the first solve); None
+    optimizes it per path (``minimize_tmam``).  Typed solver errors are
+    re-raised with the failing level in the message.
     """
     N_list = _nested_levels(N_list)
-    if mode not in ("tmam", "fixed_t"):
-        raise ValueError("mode must be 'tmam' or 'fixed_t'")
-    if mode == "fixed_t":
-        _finite_positive(T, "T")
-    elif T is not None:
-        raise ValueError("T is not read in tmam mode, which optimizes the horizon")
 
     results: list[OptimResult] = []
     prev_path: Optional[FePath] = None
@@ -403,7 +388,7 @@ def continuation_sweep(
         else:
             start = resample_path(prev_path, mesh)
         try:
-            if mode == "tmam":
+            if T is None:
                 res = minimize_tmam(start, field, cfg, quad)
             else:
                 res = minimize_fixed_T(start, field, T, cfg, quad)

@@ -369,17 +369,36 @@ def path_polyline(path: FePath) -> Polyline:
     return Polyline(path.values)
 
 
+def _cell(v) -> str:
+    """One CSV cell: empty for None, an integer as itself, any other number as a round-trip float."""
+    if v is None:
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _write_table(target, header, rows) -> None:
+    """Write a CSV of the column names ``header`` and the cells of ``rows``.
+
+    Every cell goes through ``_cell``, so floats round-trip bit-exactly and
+    integers stay integers; each line ends in a bare newline.  ``target`` is a
+    file path or an open text stream.
+    """
+    with _opened(target, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def _write_samples_csv(s, values, target) -> None:
-    """Write rows ``s, x1, ..., xn`` under that header, floats in round-trip ``repr``.
+    """Write rows ``s, x1, ..., xn`` under that header (see ``_write_table``).
 
     ``s`` need not be a mesh: trajectory times run past 1 and may end in inf.
     ``target`` is a file path or an open text stream.
     """
-    with _opened(target, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s"] + [f"x{j + 1}" for j in range(values.shape[1])])
-        for t, row in zip(s, values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    header = ["s"] + [f"x{j + 1}" for j in range(values.shape[1])]
+    _write_table(target, header, ((t, *row) for t, row in zip(s, values)))
 
 
 def write_path_csv(path: FePath, target) -> None:

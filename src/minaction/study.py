@@ -20,8 +20,9 @@ deterministic and their discrete minima are nonincreasing.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ from .linoracle import (
 from .optimize import OptimConfig, OptimResult, continuation_sweep
 from .pathcore import (
     _finite_positive,
-    _opened,
+    _write_table,
     clustering_fraction,
     discrete_frechet,
     path_polyline,
@@ -61,7 +62,10 @@ __all__ = [
     "study_csv_text",
 ]
 
-STUDY_CSV_HEADER = "N,h,action,action_error,t_hat,t_error,h1_error,frechet,ham_violation,iterations"
+STUDY_CSV_HEADER = (
+    "N", "h", "action", "action_error", "t_hat", "t_error", "h1_error", "frechet",
+    "ham_violation", "iterations",
+)
 
 # Acceptance windows for the fitted log-log slopes of the named studies.
 CASE_I_SLOPE_WINDOW = (-2.4, -1.6)
@@ -187,7 +191,7 @@ def run_case_i(N_list, cfg: Optional[OptimConfig] = None, quad: Optional[Quadrat
     field = two_scale_field()
     x1 = np.array([1.0, 1.0])
     x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
-    results = continuation_sweep(field, x1, x2, N_list, cfg, quad, mode="tmam")
+    results = continuation_sweep(field, x1, x2, N_list, cfg, quad)
     records = [
         _record_from_result(res, action_error=res.value, t_error=abs(res.t_hat - 1.0))
         for res in results
@@ -216,8 +220,8 @@ def run_case_ii_full(
     field = two_scale_field()
     x1 = np.array([1.0, 1.0])
     x2 = np.zeros(2)
-    results_tmam = continuation_sweep(field, x1, x2, N_list, cfg, quad, mode="tmam")
-    results_fixed = continuation_sweep(field, x1, x2, N_list, cfg, quad, mode="fixed_t", T=T_fixed)
+    results_tmam = continuation_sweep(field, x1, x2, N_list, cfg, quad)
+    results_fixed = continuation_sweep(field, x1, x2, N_list, cfg, quad, T=T_fixed)
     records_tmam = []
     for res in results_tmam:
         n_nodes = res.path.mesh.num_elements + 1
@@ -255,10 +259,10 @@ def run_linear_fixed_T_study(
     if len(N_list) < 2:
         raise ValueError("need at least two resolutions")
     quad = quad or Quadrature(2)
-    prob = SpectralLinearProblem(matrix, x1, x2, T=float(T))
+    prob = SpectralLinearProblem(matrix, x1, x2, T)
     exact_action = exact_fixed_T_action(prob)
     field = linear_field(prob.matrix)
-    results = continuation_sweep(field, prob.x1, prob.x2, N_list, cfg, quad, mode="fixed_t", T=float(T))
+    results = continuation_sweep(field, prob.x1, prob.x2, N_list, cfg, quad, T=prob.T)
     records = [
         _record_from_result(
             res,
@@ -332,37 +336,13 @@ def linear_fixed_t_assertions(records, rate_h1, rate_action) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def study_csv_text(records) -> str:
     """Render records in the study CSV format (deterministic bytes)."""
-    lines = [STUDY_CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.N),
-                    _cell(r.h),
-                    _cell(r.action),
-                    _cell(r.action_error),
-                    _cell(r.t_hat),
-                    _cell(r.t_error),
-                    _cell(r.h1_error),
-                    _cell(r.frechet),
-                    _cell(r.hamiltonian_violation),
-                    str(r.iterations),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    write_study_csv(records, buf)
+    return buf.getvalue()
 
 
 def write_study_csv(records, target) -> None:
-    with _opened(target, "w") as fh:
-        fh.write(study_csv_text(records))
+    """One row per ``StudyRecord``, its fields in order; None is an empty cell."""
+    _write_table(target, STUDY_CSV_HEADER, map(astuple, records))

@@ -237,6 +237,28 @@ class TestSolve:
         assert rc == EXIT_CONFIG
         assert "problem.start_csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "N,x1,x2,message",
+        [
+            (8, [1.0, 1.0], [0.0, 0.0], "problem.start_csv mesh does not match mesh.N"),
+            (24, [1.0], [0.0], "problem.start_csv dimension does not match the field"),
+            (24, [1.0, 1.0], [0.0, 0.5],
+             "problem.start_csv endpoints do not match problem.x1/x2"),
+        ],
+        ids=["mesh", "dimension", "endpoints"],
+    )
+    def test_mismatched_start_csv_names_key(self, tmp_path, capsys, N, x1, x2, message):
+        minaction.write_path_csv(
+            minaction.linear_interpolant_path(x1, x2, minaction.uniform_mesh(N)),
+            str(tmp_path / "start.csv"),
+        )
+        payload = solve_config()
+        payload["problem"]["start_csv"] = str(tmp_path / "start.csv")
+        cfg = write_config(tmp_path, payload)
+        rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestStudy:
     def test_case_i_passes_assertions(self, tmp_path):
@@ -408,6 +430,25 @@ class TestStudy:
         assert rc == EXIT_OK
         summary = json.loads((tmp_path / "custom.json").read_text())
         assert summary["assertions"]["monotone_minima"] is True
+
+    def test_degenerate_custom_study_is_solver_error(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "study": {"name": "custom"},
+                "problem": {"field": {"type": "two_scale"}, "x1": [0.5, 0.5], "x2": [0.5, 0.5]},
+                "mode": {"kind": "tmam"},
+                "mesh": {"N_list": [4, 8]},
+                "outputs": {"study_csv": "custom.csv", "summary_json": "custom.json"},
+            },
+        )
+        rc = main(["study", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        summary = json.loads((tmp_path / "custom.json").read_text())
+        assert summary["error"] == "DegeneratePath"
+        assert summary["message"].startswith("sweep failed at N=4: ")
+        assert summary["study"] == "custom"
+        assert not (tmp_path / "custom.csv").exists()
 
 
 class TestOracle:
@@ -612,3 +653,26 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error: cannot read config file")
+
+
+@pytest.mark.parametrize(
+    "text,overrides,message",
+    [
+        (None, [], "cannot read config file"),
+        ("{", [], "config is not valid JSON"),
+        ("[1]", [], "config root must be a JSON object"),
+        (json.dumps(solve_config()), ["mesh.N"], "--set expects key=value"),
+        (json.dumps(solve_config()), ["mesh.N.x=1"], "--set cannot descend into non-object key"),
+    ],
+    ids=["missing_file", "invalid_json", "non_object_root", "set_without_equals",
+         "set_into_non_object"],
+)
+def test_unloadable_config_is_config_error(tmp_path, capsys, text, overrides, message):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    argv = ["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")

@@ -12,10 +12,12 @@ from minaction import (
     clustering_fraction,
     continuation_sweep,
     el_residual,
+    field_from_callable,
     grad_action_fixed_T,
     hamiltonian_violation,
     linear_field,
     linear_interpolant_path,
+    matrix_exp_apply,
     minimize_fixed_T,
     minimize_tmam,
     run_case_ii_full,
@@ -57,11 +59,15 @@ CASES = [
      lambda: SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=math.inf)),
     ("minimize_T_inf", "T", lambda: minimize_fixed_T(START, FIELD, math.inf, quad=QUAD)),
     ("sweep_T_inf", "T",
-     lambda: continuation_sweep(SCALAR, [0.0], [1.0], [4, 8], mode="fixed_t", T=math.inf)),
+     lambda: continuation_sweep(SCALAR, [0.0], [1.0], [4, 8], T=math.inf)),
     ("case_ii_T_fixed_inf", "T_fixed",
      lambda: run_case_ii_full([8, 16, 32], math.inf, quad=QUAD)),
     ("clustering_radius_nan", "radius",
      lambda: clustering_fraction(START, [0.0, 0.0], math.nan)),
+    ("matrix_exp_t_nan", "t", lambda: matrix_exp_apply([[-1.0]], math.nan, [1.0])),
+    ("matrix_exp_t_bool", "t", lambda: matrix_exp_apply([[-1.0]], True, [1.0])),
+    ("callable_dim_zero", "dim", lambda: field_from_callable(0, lambda x: x)),
+    ("callable_dim_float", "dim", lambda: field_from_callable(2.5, lambda x: x)),
 ]
 
 

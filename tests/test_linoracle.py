@@ -40,6 +40,9 @@ class TestMatrixExp:
         both = matrix_exp_apply(TWO_SCALE, 1.1, x)
         np.testing.assert_allclose(one, both, atol=1e-10)
 
+    def test_negative_time_runs_backwards(self):
+        np.testing.assert_allclose(matrix_exp_apply([[-1.0]], -1.0, [1.0]), [math.e], rtol=1e-15)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             matrix_exp_apply([[0.0, 1.0], [0.0, 0.0]], 1.0, [1.0, 0.0])
@@ -54,11 +57,17 @@ class TestSpectralProblem:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SpectralLinearProblem(TWO_SCALE, [1.0], [0.0, 0.0])
+            SpectralLinearProblem(TWO_SCALE, [1.0], [0.0, 0.0], T=1.0)
         with pytest.raises(ValueError):
-            SpectralLinearProblem([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0], [0.0, 0.0])
+            SpectralLinearProblem([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0], [0.0, 0.0], T=1.0)
         with pytest.raises(ValueError):
             SpectralLinearProblem(TWO_SCALE, [1.0, 1.0], [0.0, 0.0], T=-1.0)
+
+
+    def test_T_is_required_and_stored_as_a_float(self):
+        with pytest.raises(TypeError):
+            SpectralLinearProblem(TWO_SCALE, [1.0, 1.0], [0.0, 0.0])
+        assert type(SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=2).T) is float
 
 
 class TestExactMinimizer:
@@ -102,11 +111,6 @@ class TestExactMinimizer:
             2.0 * step
         )
         np.testing.assert_allclose(exact_fixed_T_minimizer_deriv(prob, s), fd, atol=1e-5)
-
-    def test_missing_T_rejected(self):
-        prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            exact_fixed_T_minimizer(prob, 0.5)
 
 
 class TestExactAction:
@@ -211,8 +215,14 @@ class TestInvalidInputs:
 
     @pytest.mark.parametrize(
         "matrix,x",
-        [([[1.0]], [1.0]), ([[0.0]], [1.0]), ([[-1.0, 0.0], [0.0, 2.0]], [1.0, 1e-9])],
-        ids=["unstable", "neutral", "small_unstable_part"],
+        [
+            ([[1.0]], [1.0]),
+            ([[0.0]], [1.0]),
+            ([[-1.0, 0.0], [0.0, 2.0]], [1.0, 1e-9]),
+            # below the 1e-10 test on the growing mode: the search overflows
+            ([[1.0, 0.0], [0.0, -1.0]], [1e-11, 1.0]),
+        ],
+        ids=["unstable", "neutral", "small_unstable_part", "tiny_unstable_part"],
     )
     def test_nondecaying_infinite_horizon_rejected(self, matrix, x):
         with pytest.raises(ValueError, match="does not decay"):

@@ -101,6 +101,19 @@ class TestFixedTSolver:
         assert res.iterations <= 2
         assert np.isfinite(res.value)
 
+    @pytest.mark.parametrize(
+        "T,cell",
+        [(np.float64(2.0), "2.0"), (2, "2"), (np.int64(2), "2")],
+        ids=["float64", "int", "int64"],
+    )
+    def test_iteration_log_writes_the_horizon_as_a_number(self, tmp_path, T, cell):
+        log = tmp_path / "iters.csv"
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
+        minimize_fixed_T(start, two_scale_field(), T, OptimConfig(log_path=str(log)), QUAD)
+        rows = list(csv.reader(log.open()))
+        assert len(rows) >= 2
+        assert {r[3] for r in rows[1:]} == {cell}
+
 
 class TestTmamSolver:
     def test_two_scale_finite_horizon_benchmark(self):
@@ -202,7 +215,7 @@ class TestContinuationSweep:
         field = two_scale_field()
         x1 = np.array([1.0, 1.0])
         x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
-        results = continuation_sweep(field, x1, x2, [8, 16, 32], quad=QUAD, mode="tmam")
+        results = continuation_sweep(field, x1, x2, [8, 16, 32], quad=QUAD)
         values = [r.value for r in results]
         assert values[1] <= values[0] + 1e-10
         assert values[2] <= values[1] + 1e-10
@@ -211,14 +224,19 @@ class TestContinuationSweep:
         field = two_scale_field()
         x1 = np.array([1.0, 1.0])
         x2 = matrix_exp_apply(field.linear_matrix, 1.0, x1)
-        sweep = continuation_sweep(field, x1, x2, [16], quad=QUAD, mode="tmam")
-        direct = minimize_tmam(linear_interpolant_path(x1, x2, uniform_mesh(16)), field, quad=QUAD)
-        assert sweep[0].value == direct.value
+        start = linear_interpolant_path(x1, x2, uniform_mesh(16))
+        for T, direct in (
+            (None, minimize_tmam(start, field, quad=QUAD)),
+            (2.0, minimize_fixed_T(start, field, 2.0, quad=QUAD)),
+        ):
+            sweep = continuation_sweep(field, x1, x2, [16], quad=QUAD, T=T)
+            assert sweep[0].value == direct.value
+            assert sweep[0].t_hat == direct.t_hat
 
     def test_zero_field_fixed_mode_straight_lines(self):
         field = linear_field(np.zeros((2, 2)))
         results = continuation_sweep(
-            field, [0.0, 0.0], [1.0, 1.0], [4, 8, 16], quad=QUAD, mode="fixed_t", T=1.0
+            field, [0.0, 0.0], [1.0, 1.0], [4, 8, 16], quad=QUAD, T=1.0
         )
         values = [r.value for r in results]
         assert max(values) - min(values) <= 1e-12
@@ -230,26 +248,18 @@ class TestContinuationSweep:
         field = SCALAR
         for bad in ([], [8, 4], [8, 12], [8, 8], [0, 4], [-2, 4]):
             with pytest.raises(ValueError):
-                continuation_sweep(field, [0.0], [1.0], bad, quad=QUAD, mode="tmam")
-        with pytest.raises(ValueError):
-            continuation_sweep(field, [0.0], [1.0], [4, 8], quad=QUAD, mode="fixed_t")
-
-    @pytest.mark.parametrize("T", [1.0, -3])
-    def test_tmam_mode_rejects_a_horizon(self, T):
-        # tmam optimizes the horizon, so a T given there would be ignored
-        with pytest.raises(ValueError, match="^T is not read in tmam mode"):
-            continuation_sweep(SCALAR, [0.0], [1.0], [4, 8], quad=QUAD, mode="tmam", T=T)
+                continuation_sweep(field, [0.0], [1.0], bad, quad=QUAD)
 
     def test_degenerate_problem_names_failing_level(self):
         field = linear_field(np.zeros((1, 1)))
         with pytest.raises(DriftVanishesError, match="N=4"):
-            continuation_sweep(field, [0.0], [1.0], [4, 8], quad=QUAD, mode="tmam")
+            continuation_sweep(field, [0.0], [1.0], [4, 8], quad=QUAD)
 
     def test_fixed_T_study_oracle_gap_shrinks(self):
         prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
         exact = exact_fixed_T_action(prob)
         results = continuation_sweep(
-            SCALAR, [0.0], [1.0], [8, 16, 32], quad=QUAD, mode="fixed_t", T=1.0
+            SCALAR, [0.0], [1.0], [8, 16, 32], quad=QUAD, T=1.0
         )
         gaps = [r.value - exact for r in results]
         assert all(g > 0 for g in gaps)
@@ -309,6 +319,25 @@ class TestLineSearchAtTheIterate:
         assert len(rows) == 1
         assert len(trials) == 1 + 54
         assert np.array_equal(z, self.Z0) and value == 1.0 and not ok
+
+
+def test_trial_that_raises_is_rejected_by_halving():
+    # f = z**2 / 2 from z = 1 along -1: the full step reaches z = 0, where the
+    # action is undefined, so the search halves to z = 0.5 and accepts it
+    trials = []
+
+    def evaluate(z):
+        trials.append(float(z[0]))
+        if z[0] < 0.25:
+            raise ActionError("undefined here")
+        return 0.5 * float(z[0]) ** 2, z.copy(), 1.0
+
+    z, value, _, _, iters, _, rows = _lbfgs_loop(
+        evaluate, np.array([1.0]), OptimConfig(max_iters=1), lambda vec: vec
+    )
+    assert trials == [1.0, 0.0, 0.5]
+    assert iters == 1 and z[0] == 0.5 and value == 0.125
+    assert [r[1] for r in rows] == [0.5, 0.125]
 
 
 def test_flat_value_with_moving_steps_stops_at_the_dead_limit():
