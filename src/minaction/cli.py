@@ -34,6 +34,7 @@ from .pathcore import (
     FePath,
     _finite_positive,
     _int_at_least,
+    _is_real,
     _opened,
     _write_samples_csv,
     linear_interpolant_path,
@@ -163,11 +164,11 @@ def _require(cfg: dict, key: str):
 
 
 def _endpoint(cfg: dict, key: str, dim: int) -> np.ndarray:
-    try:
-        vec = np.asarray(_require(cfg, key), dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{key} must be a list of numbers") from err
-    if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+    raw = _require(cfg, key)
+    if not isinstance(raw, list) or not all(map(_is_real, raw)):
+        raise ConfigError(f"{key} must be a list of numbers")
+    vec = np.array(raw, dtype=float)
+    if not np.all(np.isfinite(vec)):
         raise ConfigError(f"{key} must be a finite vector")
     if vec.size != dim:
         raise ConfigError(f"{key} must have {dim} entries to match the field dimension")
@@ -213,10 +214,13 @@ def _out_path(outputs: dict, key: str, out_dir: str) -> Optional[str]:
         return None
     if not isinstance(path, str) or not path:
         raise ConfigError(f"outputs.{key} must be a file path")
-    if not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
+    return path if os.path.isabs(path) else os.path.join(out_dir, path)
+
+
+def _make_dirs(*paths: Optional[str]) -> None:
+    """Create the directories of the given output paths, once every config check has passed."""
+    for path in filter(None, paths):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
 
 def _dump_json(payload: dict, path: Optional[str]) -> None:
@@ -252,6 +256,8 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     num_elems = _int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1)
     outputs = cfg.get("outputs", {})
     iteration_log = _out_path(outputs, "iteration_log", out_dir)
+    result_json = _out_path(outputs, "result_json", out_dir)
+    path_csv = _out_path(outputs, "path_csv", out_dir)
     opt_cfg = _from_section(OptimConfig, cfg, "optimizer", log_path=iteration_log)
     quad = _from_section(Quadrature, cfg, "quadrature")
 
@@ -269,9 +275,7 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
             raise ConfigError("problem.start_csv endpoints do not match problem.x1/x2")
     else:
         start = linear_interpolant_path(x1, x2, uniform_mesh(num_elems))
-
-    result_json = _out_path(outputs, "result_json", out_dir)
-    path_csv = _out_path(outputs, "path_csv", out_dir)
+    _make_dirs(iteration_log, result_json, path_csv)
 
     try:
         if T is None:
@@ -328,6 +332,20 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     quad = _from_section(Quadrature, cfg, "quadrature")
     study_csv = _out_path(outputs, "study_csv", out_dir)
     summary_json = _out_path(outputs, "summary_json", out_dir)
+    # the study's own checks, all before the first output directory is made
+    n_list = _n_list(cfg, 3 if name in ("case_i", "case_ii") else 2)
+    if name == "case_ii":
+        t_fixed = _finite_positive(cfg.get("study", {}).get("T_fixed", 100.0), "study.T_fixed")
+    elif given_problem:
+        prob = _linear_problem(cfg, "the linear_fixed_t study")
+    elif name == "linear_fixed_t":
+        prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
+    elif name == "custom":
+        field = _build_field(cfg)
+        x1 = _endpoint(cfg, "problem.x1", field.dim)
+        x2 = _endpoint(cfg, "problem.x2", field.dim)
+        T = _mode_of(cfg)
+    _make_dirs(study_csv, summary_json)
 
     rates: dict = {}
     assertions: dict = {}
@@ -335,13 +353,10 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
 
     try:
         if name == "case_i":
-            n_list = _n_list(cfg, 3)
             records, rate_a, rate_t = run_case_i(n_list, opt_cfg, quad)
             rates = {"action": _rate_payload(rate_a), "T": _rate_payload(rate_t)}
             assertions = case_i_assertions(records, rate_a, rate_t)
         elif name == "case_ii":
-            n_list = _n_list(cfg, 3)
-            t_fixed = _finite_positive(cfg.get("study", {}).get("T_fixed", 100.0), "study.T_fixed")
             data = run_case_ii_full(n_list, t_fixed, opt_cfg, quad)
             records = data.records_tmam
             rates = {"action_tmam": _rate_payload(data.rate_tmam)}
@@ -355,22 +370,13 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
                 write_study_csv(data.records_fixed, fixed_csv)
                 extra["study_csv_fixed"] = fixed_csv
         elif name == "linear_fixed_t":
-            n_list = _n_list(cfg, 2)
-            if given_problem:
-                prob = _linear_problem(cfg, "the linear_fixed_t study")
-            else:
-                prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
             records, rate_h1, rate_a = run_linear_fixed_T_study(
                 prob.matrix, prob.x1, prob.x2, prob.T, n_list, opt_cfg, quad
             )
             rates = {"h1": _rate_payload(rate_h1), "action": _rate_payload(rate_a)}
             assertions = linear_fixed_t_assertions(records, rate_h1, rate_a)
         else:  # custom
-            n_list = _n_list(cfg, 2)
-            field = _build_field(cfg)
-            x1 = _endpoint(cfg, "problem.x1", field.dim)
-            x2 = _endpoint(cfg, "problem.x2", field.dim)
-            results = continuation_sweep(field, x1, x2, n_list, opt_cfg, quad, T=_mode_of(cfg))
+            results = continuation_sweep(field, x1, x2, n_list, opt_cfg, quad, T=T)
             records = [_record_from_result(r, action_error=r.value) for r in results]
             rates = {"action": _rate_payload(_try_fit(records, "action_error"))}
             assertions = {"monotone_minima": values_nonincreasing(records)}
@@ -421,6 +427,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         except ValueError as err:
             raise ConfigError(f"problem.field: {err}") from err
         target = _out_path(outputs, "trajectory_csv", out_dir)
+        _make_dirs(target)
         _write_samples_csv(times, points, sys.stdout if target is None else target)
         return EXIT_OK
 
@@ -428,6 +435,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     mesh = uniform_mesh(_int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1))
     path = FePath(mesh, exact_fixed_T_minimizer(prob, mesh.nodes))
     target = _out_path(outputs, "minimizer_csv", out_dir)
+    _make_dirs(target)
     write_path_csv(path, sys.stdout if target is None else target)
     return EXIT_OK
 

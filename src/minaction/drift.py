@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pathcore import _finite_positive, _int_at_least
+from .pathcore import _finite_positive, _int_at_least, _is_real
 
 __all__ = [
     "DriftField",
@@ -249,7 +249,12 @@ def field_from_config(spec: dict) -> DriftField:
         extra = set(spec) - {"type", "matrix"}
         if extra:
             raise ValueError(f"unknown field config key: {sorted(extra)[0]}")
-        return linear_field(spec["matrix"])
+        matrix = spec["matrix"]
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(map(_is_real, row)) for row in matrix
+        ):
+            raise ValueError("linear field matrix must be a list of rows of numbers")
+        return linear_field(matrix)
     if kind == "two_scale":
         if set(spec) - {"type"}:
             raise ValueError("two_scale field config takes no extra keys")
@@ -259,7 +264,7 @@ def field_from_config(spec: dict) -> DriftField:
         if extra:
             raise ValueError(f"unknown field config key: {sorted(extra)[0]}")
         gamma = spec.get("gamma", 10.0)
-        if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
+        if not _is_real(gamma):
             raise ValueError("maier_stein gamma must be a number")
         return maier_stein_field(gamma)
     raise ValueError(f"unknown field type: {kind!r}")

@@ -18,12 +18,11 @@ mu*T > 700 do not overflow (the stiff, boundary-layer regime).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pathcore import Polyline, _finite_positive, _int_at_least
+from .pathcore import Polyline, _finite_positive, _int_at_least, _is_real
 
 __all__ = [
     "SpectralLinearProblem",
@@ -112,7 +111,7 @@ def matrix_exp_apply(matrix, t: float, x) -> np.ndarray:
     negative t runs the flow backwards.  Raises ``ValueError`` for another
     ``t`` and when the result overflows.
     """
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+    if not _is_real(t) or not math.isfinite(t):
         raise ValueError("t must be a finite number")
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))

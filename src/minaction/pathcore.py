@@ -41,9 +41,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, as every numeric input must be."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite_positive(value, name: str) -> float:
     """``value`` as a float; it must be a real number, not a bool, with 0 < value < inf."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+    if not _is_real(value) or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a finite positive number")
     return float(value)
 

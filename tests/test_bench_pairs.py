@@ -57,6 +57,21 @@ def test_smoke_pair_of_this_checkout_against_itself():
         assert row["parent_median"] == row["change_median"]
 
 
+def test_different_harnesses_exit_before_any_run(tmp_path):
+    sides = []
+    for side, extra in (("parent", ""), ("change", "# changed\n")):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (checkout / "bench" / "run.py").write_text("open('ran', 'w').close()\n" + extra)
+        sides.append(checkout)
+    proc = run_tool("--parent", str(sides[0]), "--change", str(sides[1]), "--workload", "case_i",
+                    "--pairs", "1", "--seconds", "0")
+    assert proc.returncode == 1
+    assert "bench/run.py" in proc.stderr
+    assert not any((side / "ran").exists() for side in sides)
+
+
 def test_incorrect_run_exits_nonzero(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(

@@ -626,6 +626,41 @@ class TestOracle:
             },
             "problem.field",
         ),
+        (
+            "solve",
+            solve_config(
+                problem={"field": {"type": "two_scale"}, "x1": ["1", True], "x2": [0.0, 0.0]},
+                mode={"kind": "fixed_t", "T": 2.0},
+            ),
+            "config error: problem.x1 must be a list of numbers",
+        ),
+        (
+            "solve",
+            solve_config(
+                problem={"field": {"type": "linear", "matrix": [[True, 0], [0, "-2"]]},
+                         "x1": [1.0, 0.0], "x2": [0.0, 0.0]},
+                mode={"kind": "fixed_t", "T": 2.0},
+            ),
+            "config error: problem.field: linear field matrix must be a list of rows of numbers",
+        ),
+        (
+            "study",
+            {
+                "study": {"name": "custom"},
+                "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0], "x2": [False, 0.0]},
+                "mode": {"kind": "tmam"},
+                "mesh": {"N_list": [8, 16]},
+            },
+            "config error: problem.x2 must be a list of numbers",
+        ),
+        (
+            "oracle",
+            {
+                "problem": {"field": {"type": "two_scale"}, "x1": ["1.0", "1.0"]},
+                "oracle": {"kind": "trajectory", "t_end": 1.0, "samples": 4},
+            },
+            "config error: problem.x1 must be a list of numbers",
+        ),
     ],
     ids=[
         "maier_stein_nonfinite_gamma",
@@ -635,6 +670,10 @@ class TestOracle:
         "oracle_finite_overflow",
         "custom_unnested_n_list",
         "linear_fixed_t_nonsymmetric",
+        "solve_string_and_bool_endpoint",
+        "solve_string_and_bool_matrix",
+        "custom_bool_endpoint",
+        "oracle_string_endpoint",
     ],
 )
 def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key):
@@ -642,6 +681,25 @@ def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key
     rc = main([command, "--config", cfg, "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_rejected_configs_create_no_directories(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    study = write_config(tmp_path, {
+        "study": {"name": "case_i"},
+        "mesh": {"N_list": [8, 12, 16]},
+        "outputs": {"study_csv": "deep/a/s.csv", "summary_json": "deep/b/s.json"},
+    }, name="study.json")
+    problem = solve_config()["problem"] | {"start_csv": str(tmp_path / "missing.csv")}
+    solve = write_config(tmp_path, solve_config(
+        problem=problem, outputs={"result_json": "r.json", "iteration_log": "logs/iters.csv"},
+    ), name="solve.json")
+    assert main(["study", "--config", study, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert main(["solve", "--config", solve, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mesh.N_list" in err and "problem.start_csv" in err
+    assert list(out.iterdir()) == []
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

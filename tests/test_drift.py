@@ -292,6 +292,8 @@ class TestFieldConfig:
             {"type": "maier_stein", "gamma": float("inf")},
             {"type": "maier_stein", "gamma": float("nan")},
             {"type": "maier_stein", "gamma": True},
+            {"type": "linear", "matrix": [[True, 0.0], [0.0, -2.0]]},
+            {"type": "linear", "matrix": [[-1.0, 0.0], [0.0, "-2"]]},
         ],
     )
     def test_invalid_specs_rejected(self, spec):

@@ -25,9 +25,11 @@ neither side) and a verdict:
 The rule is meant for 10 pairs or more; with fewer, the spread is a poor
 estimate and the table is a smoke check, not a verdict.
 
-Every run's result line is echoed as it finishes.  The exit code is 1 if a
-run failed or reported ``correct: false``, else 0.  Only the standard library
-is used.
+Both sides must run the same harness: if the checkouts' ``BENCHMARK.json`` or
+``bench/*.py`` differ, the tool names the first differing file and exits 1
+before any run.  Every run's result line is echoed as it finishes.  The exit
+code is 1 if a run failed or reported ``correct: false``, else 0.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool):
         sys.stderr.write(proc.stderr)
         return None
     return json.loads(lines[-1])
+
+
+def _harness_difference(parent: Path, change: Path):
+    """The first of ``BENCHMARK.json`` and ``bench/*.py`` whose bytes differ between the checkouts."""
+    scripts = sorted({p.name for side in (parent, change) for p in (side / "bench").glob("*.py")})
+    for rel in ["BENCHMARK.json", *(f"bench/{name}" for name in scripts)]:
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return rel
+    return None
 
 
 def _quartiles(xs):
@@ -92,6 +104,11 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true", help="tiny meshes, as in the harness test")
     args = parser.parse_args(argv)
 
+    differing = _harness_difference(args.parent, args.change)
+    if differing is not None:
+        print(f"the checkouts differ in {differing}; both sides must run the same benchmark",
+              file=sys.stderr)
+        return 1
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     listed = spec["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
