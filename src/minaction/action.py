@@ -132,9 +132,9 @@ class _Assembly:
         self.w = quad.w
         self.n = values.shape[1]
         self.field = field
-        shape_l = (1.0 - quad.xi)[None, :, None]
-        shape_r = quad.xi[None, :, None]
-        self.x_quad = values[:-1, None, :] * shape_l + values[1:, None, :] * shape_r  # (N, q, n)
+        self.x_quad = np.empty((self.h.size, quad.xi.size, self.n))  # (N, q, n)
+        for k, xi in enumerate(quad.xi):
+            self.x_quad[:, k] = values[:-1] * (1.0 - xi) + values[1:] * xi
         flat = self.x_quad.reshape(-1, self.n)
         self.b_quad = field.eval_many(flat).reshape(self.x_quad.shape)
 

@@ -32,6 +32,7 @@ from .linoracle import (
 from .optimize import OptimConfig, _nested_levels, continuation_sweep, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
+    _finite_float,
     _finite_positive,
     _int_at_least,
     _is_real,
@@ -167,9 +168,9 @@ def _endpoint(cfg: dict, key: str, dim: int) -> np.ndarray:
     raw = _require(cfg, key)
     if not isinstance(raw, list) or not all(map(_is_real, raw)):
         raise ConfigError(f"{key} must be a list of numbers")
-    vec = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(vec)):
+    if any(_finite_float(v) is None for v in raw):
         raise ConfigError(f"{key} must be a finite vector")
+    vec = np.array(raw, dtype=float)
     if vec.size != dim:
         raise ConfigError(f"{key} must have {dim} entries to match the field dimension")
     return vec

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pathcore import _finite_positive, _int_at_least, _is_real
+from .pathcore import _finite_float, _finite_positive, _int_at_least, _is_real
 
 __all__ = [
     "DriftField",
@@ -254,6 +254,8 @@ def field_from_config(spec: dict) -> DriftField:
             isinstance(row, list) and all(map(_is_real, row)) for row in matrix
         ):
             raise ValueError("linear field matrix must be a list of rows of numbers")
+        if any(_finite_float(x) is None for row in matrix for x in row):
+            raise ValueError("drift matrix must be finite")
         return linear_field(matrix)
     if kind == "two_scale":
         if set(spec) - {"type"}:
@@ -266,5 +268,7 @@ def field_from_config(spec: dict) -> DriftField:
         gamma = spec.get("gamma", 10.0)
         if not _is_real(gamma):
             raise ValueError("maier_stein gamma must be a number")
+        if _finite_float(gamma) is None:
+            raise ValueError("gamma must be finite")
         return maier_stein_field(gamma)
     raise ValueError(f"unknown field type: {kind!r}")

@@ -17,6 +17,12 @@ A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
 iterate bitwise: every smaller step gives the iterate too, and a search that
 returns the iterate has failed, so that trial is never evaluated or accepted.
+Near the minimizer the search accepts by gradient-norm descent instead of
+Armijo's test: a trial must shrink the gradient's 2-norm below 0.999 of the
+current one.  Such a search also fails at its first rejected trial whose
+gradient differs from the current one by at most 0.001 of its norm: by the
+triangle inequality that trial keeps 0.999 of the norm, and a smaller step
+moves the gradient less still, so no later trial could pass.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ __all__ = [
 # 1, 1/2, 1/4, ... down to 2**-66, the last power of two above 1e-20.
 _ARMIJO_C1 = 1e-4
 _STEPS = tuple(0.5**k for k in range(67))
+
+# A gradient-norm trial is accepted only if it shrinks the gradient's 2-norm
+# below this fraction of the current one; any step that does counts as progress.
+_GRAD_SHRINK = 0.999
 
 
 @dataclass(frozen=True)
@@ -116,8 +126,10 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
     points; trials that raise are rejected by halving the step.  A line
     search ends accepted at its first accepted trial, and fails after its
     last step (2**-66) or at its first trial that equals ``z`` bitwise, which
-    is not evaluated.  Returns ``(z, value, grad, t_hat, iterations,
-    converged, log_rows)``.
+    is not evaluated.  A gradient-norm search also fails at its first
+    rejected trial whose gradient moved by at most 1 - _GRAD_SHRINK times the
+    current gradient's 2-norm, since no smaller step could then pass.
+    Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``.
     """
     z = z0.copy()
     # the line search accepts only trial points with a finite value, so this
@@ -179,8 +191,12 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
             except ActionError:
                 continue
             if grad_mode:
-                if float(np.linalg.norm(g_try)) < 0.999 * cur_gn2 and f_try <= value + noise_floor:
+                if float(np.linalg.norm(g_try)) < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
                     accepted = True
+                    break
+                if float(np.linalg.norm(g_try - grad)) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
+                    # |g_try| >= 0.999 |g| here, and a smaller step moves the
+                    # gradient less still: the search has failed
                     break
             elif f_try <= value + _ARMIJO_C1 * step * slope:
                 accepted = True
@@ -198,7 +214,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
         decrease = value - f_try
         progressed = (
             decrease > 8e-16 * abs(value)
-            or float(np.linalg.norm(g_try)) < 0.999 * cur_gn2
+            or float(np.linalg.norm(g_try)) < _GRAD_SHRINK * cur_gn2
         )
 
         s_vec = z_try - z

@@ -15,6 +15,7 @@ import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,11 +47,27 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite_float(value) -> Optional[float]:
+    """``value`` as a float if it is a real number, not a bool, whose float is finite; else None.
+
+    An int beyond the float range, such as a 400-digit JSON integer, has no
+    float and gives None, as inf and NaN do.
+    """
+    if not _is_real(value):
+        return None
+    try:
+        out = float(value)
+    except OverflowError:
+        return None
+    return out if math.isfinite(out) else None
+
+
 def _finite_positive(value, name: str) -> float:
     """``value`` as a float; it must be a real number, not a bool, with 0 < value < inf."""
-    if not _is_real(value) or not 0.0 < value < math.inf:
+    out = _finite_float(value)
+    if out is None or not out > 0.0:
         raise ValueError(f"{name} must be a finite positive number")
-    return float(value)
+    return out
 
 
 def _int_at_least(value, name: str, low: int) -> int:

@@ -683,6 +683,39 @@ def test_bad_endpoint_or_field_names_key(tmp_path, capsys, command, payload, key
     assert key in capsys.readouterr().err
 
 
+# a JSON integer of 401 digits: a number, but past the float range
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "updates,message",
+    [
+        ({"mode": {"kind": "fixed_t", "T": BEYOND_FLOAT}}, "mode.T must be a finite positive number"),
+        (
+            {"problem": {"field": {"type": "two_scale"}, "x1": [BEYOND_FLOAT, 1.0],
+                         "x2": [0.0, 0.0]}},
+            "problem.x1 must be a finite vector",
+        ),
+        (
+            {"problem": {"field": {"type": "linear", "matrix": [[-BEYOND_FLOAT, 0], [0, -2]]},
+                         "x1": [1.0, 1.0], "x2": [0.0, 0.0]}},
+            "problem.field: drift matrix must be finite",
+        ),
+        (
+            {"problem": {"field": {"type": "maier_stein", "gamma": BEYOND_FLOAT},
+                         "x1": [-1.0, 0.0], "x2": [0.0, 0.0]}},
+            "problem.field: gamma must be finite",
+        ),
+        ({"optimizer": {"tol_grad": BEYOND_FLOAT}}, "optimizer.tol_grad must be a finite positive number"),
+    ],
+    ids=["mode_T", "endpoint_entry", "matrix_entry", "maier_stein_gamma", "optimizer_tol_grad"],
+)
+def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, updates, message):
+    cfg = write_config(tmp_path, solve_config(**updates))
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_rejected_configs_create_no_directories(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -267,7 +267,11 @@ class TestContinuationSweep:
 
 
 class TestLineSearchAtTheIterate:
-    """A line search ends at its first trial that rounds to the iterate."""
+    """A line search ends at its first trial that rounds to the iterate.
+
+    A gradient-norm search ends sooner, at its first rejected trial whose
+    gradient has stopped moving.
+    """
 
     Z0 = np.array([1.0, -3.0, 0.5])
     # 0.5 + 2**-54 is a tie that rounds to 0.5, and 1.0 and -3.0 stay put
@@ -275,19 +279,21 @@ class TestLineSearchAtTheIterate:
     # 2**-54 (trial 54) and a direction of 2**-40 at the step 2**-14 (trial 14)
     FIRST_AT_ITERATE = {1.0: 54, 2.0**-40: 14}
 
-    def run(self, direction):
+    def run(self, direction, off_grad=-1.0):
         """Loop on an uphill gradient of -1: every trial off the start is worse.
 
         The preconditioner scales by ``direction``, which sets the search
-        direction.  The t_hat is 2 at the start and 0.5 elsewhere.
+        direction.  Off the start the value is 2, the t_hat 0.5 (2 at the
+        start) and every gradient entry ``off_grad``.
         """
         z0 = self.Z0
         trials = []
 
         def evaluate(z):
             trials.append(z.copy())
-            at_start = z.tobytes() == z0.tobytes()
-            return (1.0 if at_start else 2.0), np.full(z.size, -1.0), (2.0 if at_start else 0.5)
+            if z.tobytes() == z0.tobytes():
+                return 1.0, np.full(z.size, -1.0), 2.0
+            return 2.0, np.full(z.size, off_grad), 0.5
 
         out = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: direction * vec)
         return out, trials
@@ -301,12 +307,26 @@ class TestLineSearchAtTheIterate:
 
     def test_failed_search_ends_at_first_trial_at_the_iterate(self):
         # the short direction puts Armijo's decrease below the noise floor, so
-        # the gradient-norm test runs, and it cannot accept the iterate
-        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40)
+        # the gradient-norm test runs, and it cannot accept the iterate; the
+        # gradient of -2 off the start moves by more than 0.1% at every trial,
+        # so the search goes on until its trial rounds to the iterate
+        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40, off_grad=-2.0)
         assert len(trials) == 1 + 14
         assert all(not np.array_equal(t, self.Z0) for t in trials[1:])
         assert np.array_equal(z, self.Z0)
         assert (value, t_hat, iters, ok) == (1.0, 2.0, 0, False)
+        assert len(rows) == 1
+
+    def test_gradient_search_fails_once_the_gradient_stops_moving(self):
+        # the gradient of -1 off the start equals the current one, so the first
+        # rejected trial already keeps 0.999 of its norm, as would every
+        # smaller step: the search fails after one trial
+        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40)
+        assert len(trials) == 1 + 1
+        assert np.array_equal(trials[1], self.Z0 + 2.0**-40)
+        assert np.array_equal(z, self.Z0)
+        assert (value, t_hat, iters, ok) == (1.0, 2.0, 0, False)
+        assert np.array_equal(grad, np.full(3, -1.0))
         assert len(rows) == 1
 
     def test_armijo_search_fails_at_the_iterate(self):
@@ -363,7 +383,8 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # gamma=1 from the straight line at N=256: a stalled solve with 3 failed
     # line searches.  Every field below was recorded before the line search
     # stopped at the iterate and before the gradient dropped its four-operand
-    # einsums; that code made 315 value/gradient calls.
+    # einsums; that code made 315 value/gradient calls, and 234 before a
+    # gradient-norm search failed once its gradient stopped moving.
     calls = []
     inner = optimize.tmam_value_grad
 
@@ -383,3 +404,4 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
         "9cb0bd8e679899397053392a169686c05cf776c7b02d0b21f25ce0e21ff9ead2"
     )
     assert len(calls) < 315
+    assert len(calls) == 148
