@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField
-from .pathcore import FePath, _finite_positive, _int_at_least
+from .pathcore import FePath, Mesh, _finite_positive, _int_at_least
 
 __all__ = [
     "Quadrature",
@@ -119,15 +119,47 @@ class ActionReport:
 # ---------------------------------------------------------------------------
 
 
+class _Geometry:
+    """Mesh-only quadrature data of one (mesh, rule) pair: element widths and hat weights.
+
+    ``left_cols[k]`` and ``right_cols[k]`` are the (N, 1) columns
+    h_e w_k (1 - xi_k) and h_e w_k xi_k.  Every array is read-only: one
+    instance serves every assembly on its mesh (see ``_geometry``).
+    """
+
+    __slots__ = ("h", "h_col", "left_cols", "right_cols")
+
+    def __init__(self, widths: np.ndarray, quad: Quadrature):
+        self.h = widths                              # (N,)
+        self.h_col = widths[:, None]                 # (N, 1)
+        hw = self.h_col * quad.w                     # (N, q)
+        left_w, right_w = hw * (1.0 - quad.xi), hw * quad.xi
+        left_w.flags.writeable = right_w.flags.writeable = False
+        self.left_cols = tuple(left_w[:, k, None] for k in range(quad.xi.size))
+        self.right_cols = tuple(right_w[:, k, None] for k in range(quad.xi.size))
+
+
+def _geometry(mesh: Mesh, quad: Quadrature) -> _Geometry:
+    """The mesh's geometry for ``quad``, built on first use and kept with the mesh.
+
+    The key is the rule itself: equal rules have equal nodes and weights.
+    """
+    geo = mesh._per_rule.get(quad)
+    if geo is None:
+        geo = mesh._per_rule[quad] = _Geometry(mesh.widths, quad)
+    return geo
+
+
 class _Assembly:
     """Per-element quadrature data for one (path, field, rule) triple."""
 
-    __slots__ = ("h", "delta", "deriv", "x_quad", "b_quad", "xi", "w", "n", "field")
+    __slots__ = ("geo", "h", "delta", "deriv", "x_quad", "b_quad", "xi", "w", "n", "field")
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, field: DriftField, quad: Quadrature):
-        self.h = np.diff(nodes)                      # (N,)
-        self.delta = np.diff(values, axis=0)         # (N, n)
-        self.deriv = self.delta / self.h[:, None]    # (N, n), constant per element
+    def __init__(self, mesh: Mesh, values: np.ndarray, field: DriftField, quad: Quadrature):
+        self.geo = _geometry(mesh, quad)
+        self.h = self.geo.h                          # (N,)
+        self.delta = values[1:] - values[:-1]        # (N, n)
+        self.deriv = self.delta / self.geo.h_col     # (N, n), constant per element
         self.xi = quad.xi
         self.w = quad.w
         self.n = values.shape[1]
@@ -172,13 +204,11 @@ class _Assembly:
         jac = self.jac_quad()
         jtr = np.einsum("eqji,eqj->eqi", jac, resid)
         wr = np.einsum("q,eqi->ei", self.w, resid)
-        hw = self.h[:, None] * self.w                  # (N, q)
-        left_w, right_w = hw * (1.0 - self.xi), hw * self.xi
         left = np.zeros((self.h.size, self.n))
         right = np.zeros((self.h.size, self.n))
-        for k in range(self.xi.size):
-            left += left_w[:, k, None] * jtr[:, k]
-            right += right_w[:, k, None] * jtr[:, k]
+        for k, (left_w, right_w) in enumerate(zip(self.geo.left_cols, self.geo.right_cols)):
+            left += left_w * jtr[:, k]
+            right += right_w * jtr[:, k]
         grad = np.zeros((num_nodes, self.n))
         grad[:-1] += -wr - t_scale * left
         grad[1:] += wr - t_scale * right
@@ -188,7 +218,7 @@ class _Assembly:
 def _assemble(path: FePath, field: DriftField, quad: Quadrature) -> _Assembly:
     if field.dim != path.dim:
         raise ValueError("path and drift field dimensions differ")
-    return _Assembly(path.mesh.nodes, path.values, field, quad)
+    return _Assembly(path.mesh, path.values, field, quad)
 
 
 def _seminorms(asm: _Assembly):

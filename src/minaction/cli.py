@@ -29,7 +29,7 @@ from .linoracle import (
     exact_fixed_T_minimizer,
     trajectory_times_points,
 )
-from .optimize import OptimConfig, _nested_levels, continuation_sweep, minimize_fixed_T, minimize_tmam
+from .optimize import OptimConfig, _nested_meshes, continuation_sweep, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
     _finite_float,
@@ -37,10 +37,10 @@ from .pathcore import (
     _int_at_least,
     _is_real,
     _opened,
+    _uniform_mesh,
     _write_samples_csv,
     linear_interpolant_path,
     read_path_csv,
-    uniform_mesh,
     write_path_csv,
 )
 from .study import (
@@ -275,7 +275,7 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
         if not (np.allclose(start.left, x1, atol=1e-12) and np.allclose(start.right, x2, atol=1e-12)):
             raise ConfigError("problem.start_csv endpoints do not match problem.x1/x2")
     else:
-        start = linear_interpolant_path(x1, x2, uniform_mesh(num_elems))
+        start = linear_interpolant_path(x1, x2, _uniform_mesh(num_elems, "mesh.N"))
     _make_dirs(iteration_log, result_json, path_csv)
 
     try:
@@ -316,7 +316,7 @@ def _n_list(cfg: dict, minimum: int) -> list:
     if not isinstance(n_list, list) or len(n_list) < minimum:
         raise ConfigError(f"mesh.N_list must be a list of at least {minimum} resolutions")
     try:
-        return _nested_levels(n_list)
+        return [mesh.num_elements for mesh in _nested_meshes(n_list)]
     except ValueError as err:
         raise ConfigError(f"mesh.N_list: {err}") from err
 
@@ -433,7 +433,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         return EXIT_OK
 
     prob = _linear_problem(cfg, "the exact minimizer oracle")
-    mesh = uniform_mesh(_int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1))
+    mesh = _uniform_mesh(_require(cfg, "mesh.N"), "mesh.N")
     path = FePath(mesh, exact_fixed_T_minimizer(prob, mesh.nodes))
     target = _out_path(outputs, "minimizer_csv", out_dir)
     _make_dirs(target)

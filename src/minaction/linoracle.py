@@ -59,8 +59,11 @@ def _flow(eigvals, eigvecs, x, times) -> np.ndarray:
     """Rows e^{tA} x for t in ``times``; a t = 0 row is x itself."""
     times = np.asarray(times, dtype=float)
     scaled = np.exp(times[:, None] * eigvals) * (eigvecs.T @ x)
-    # one product per row: a single stacked (m, n) @ (n, n) product moves last bits
-    return np.array([x if t == 0.0 else eigvecs @ row for t, row in zip(times, scaled)])
+    # a stack of m matrix-vector products has the bits of ``eigvecs @ row`` for
+    # each row; the (m, n) @ (n, n) product ``scaled @ eigvecs.T`` moves last bits
+    pts = np.matmul(eigvecs[None], scaled[:, :, None])[:, :, 0]
+    pts[times == 0.0] = x
+    return pts
 
 
 def _finite_flow(eigvals, eigvecs, x, times) -> np.ndarray:

@@ -47,12 +47,13 @@ from .action import (
 from .drift import DriftField
 from .pathcore import (
     FePath,
+    Mesh,
     _finite_positive,
     _int_at_least,
+    _uniform_mesh,
     _write_table,
     linear_interpolant_path,
     resample_path,
-    uniform_mesh,
 )
 
 __all__ = [
@@ -112,6 +113,11 @@ class OptimResult:
 
 def _max_norm(vec: np.ndarray) -> float:
     return float(np.max(np.abs(vec))) if vec.size else 0.0
+
+
+def _norm2(vec: np.ndarray) -> float:
+    """2-norm of a 1-D float vector by numpy's own ``norm`` formula, with its bits and warnings."""
+    return math.sqrt(vec.dot(vec))
 
 
 # Consecutive failed or no-progress iterations tolerated before declaring the
@@ -177,7 +183,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
         # real signal.  Switch the acceptance test to gradient-norm descent.
         noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
         grad_mode = _ARMIJO_C1 * (-slope) < noise_floor
-        cur_gn2 = float(np.linalg.norm(grad))
+        cur_gn2 = _norm2(grad)
 
         accepted = False
         for step in _STEPS:
@@ -191,10 +197,11 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
             except ActionError:
                 continue
             if grad_mode:
-                if float(np.linalg.norm(g_try)) < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
+                try_gn2 = _norm2(g_try)
+                if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
                     accepted = True
                     break
-                if float(np.linalg.norm(g_try - grad)) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
+                if _norm2(g_try - grad) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
                     # |g_try| >= 0.999 |g| here, and a smaller step moves the
                     # gradient less still: the search has failed
                     break
@@ -214,13 +221,13 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
         decrease = value - f_try
         progressed = (
             decrease > 8e-16 * abs(value)
-            or float(np.linalg.norm(g_try)) < _GRAD_SHRINK * cur_gn2
+            or (try_gn2 if grad_mode else _norm2(g_try)) < _GRAD_SHRINK * cur_gn2
         )
 
         s_vec = z_try - z
         y_vec = g_try - grad
         sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+        if sy > 1e-12 * _norm2(s_vec) * _norm2(y_vec):
             py = precond_apply(y_vec)
             gamma = sy / float(y_vec @ py)
             history.append((s_vec, y_vec, 1.0 / sy))
@@ -267,7 +274,7 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     """
     n = start.dim
     kappa = _drift_rate_sq(field, start)
-    h = np.diff(start.mesh.nodes)
+    h = start.mesh.widths
     stiff_diag = 1.0 / h[:-1] + 1.0 / h[1:]
     stiff_off = -1.0 / h[1:-1]
     mass_diag = (h[:-1] + h[1:]) / 3.0
@@ -363,14 +370,18 @@ def minimize_tmam(
     return _minimize(start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad), t_ref)
 
 
-def _nested_levels(N_list) -> list[int]:
-    """``N_list`` as ints: nonempty, positive, strictly increasing, each entry dividing the next."""
+def _nested_meshes(N_list) -> list[Mesh]:
+    """Uniform meshes of ``N_list``: nonempty, positive, strictly increasing, each entry dividing the next.
+
+    Every mesh is built here, so an entry too large for a node array is
+    rejected, by name, before any level is solved.
+    """
     N_list = [_int_at_least(N, "N_list entry", 1) for N in N_list]
     if not N_list:
         raise ValueError("N_list must be nonempty")
     if any(b <= a or b % a != 0 for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing with nested entries")
-    return N_list
+    return [_uniform_mesh(N, "N_list entry") for N in N_list]
 
 
 def continuation_sweep(
@@ -393,12 +404,9 @@ def continuation_sweep(
     optimizes it per path (``minimize_tmam``).  Typed solver errors are
     re-raised with the failing level in the message.
     """
-    N_list = _nested_levels(N_list)
-
     results: list[OptimResult] = []
     prev_path: Optional[FePath] = None
-    for N in N_list:
-        mesh = uniform_mesh(N)
+    for mesh in _nested_meshes(N_list):
         if prev_path is None:
             start = linear_interpolant_path(x1, x2, mesh)
         else:
@@ -409,7 +417,7 @@ def continuation_sweep(
             else:
                 res = minimize_fixed_T(start, field, T, cfg, quad)
         except ActionError as err:
-            raise type(err)(f"sweep failed at N={N}: {err}") from err
+            raise type(err)(f"sweep failed at N={mesh.num_elements}: {err}") from err
         results.append(res)
         prev_path = res.path
     return results

@@ -97,7 +97,8 @@ class Mesh:
 
     Nodes must start at exactly 0.0, end at exactly 1.0, and be strictly
     increasing.  Nonuniform meshes are allowed; only the uniform constructor
-    is used by the built-in studies.
+    is used by the built-in studies.  ``widths`` holds the element sizes
+    ``np.diff(nodes)``, read-only like the nodes.
     """
 
     nodes: np.ndarray
@@ -108,9 +109,14 @@ class Mesh:
             raise ValueError("mesh needs at least two nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("mesh must span [0, 1] exactly")
-        if not np.all(np.diff(nodes) > 0.0):
+        widths = np.diff(nodes)
+        if not np.all(widths > 0.0):
             raise ValueError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", _readonly(nodes))
+        object.__setattr__(self, "widths", _readonly(widths))
+        # per-rule quadrature geometry, filled on first use by ``action``;
+        # it depends on the nodes alone, which never change
+        object.__setattr__(self, "_per_rule", {})
 
     @property
     def num_elements(self) -> int:
@@ -119,13 +125,22 @@ class Mesh:
     @property
     def h(self) -> float:
         """Largest element size."""
-        return float(np.max(np.diff(self.nodes)))
+        return float(np.max(self.widths))
+
+
+def _uniform_mesh(num_elements, name: str) -> Mesh:
+    """``uniform_mesh`` whose argument errors name ``name``, the caller's key for N."""
+    num_elements = _int_at_least(num_elements, name, 1)
+    try:
+        nodes = np.linspace(0.0, 1.0, num_elements + 1)
+    except ValueError as err:  # N + 1 nodes past numpy's array size limit
+        raise ValueError(f"{name} is too large for a node array: {err}") from err
+    return Mesh(nodes)
 
 
 def uniform_mesh(num_elements: int) -> Mesh:
     """Equispaced mesh with the given number of elements (h = 1/N)."""
-    _int_at_least(num_elements, "num_elements", 1)
-    return Mesh(np.linspace(0.0, 1.0, num_elements + 1))
+    return _uniform_mesh(num_elements, "num_elements")
 
 
 @dataclass(frozen=True)

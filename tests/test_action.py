@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
 )
 from minaction import (
     DegeneratePathError,
+    Mesh,
     DriftField,
     DriftVanishesError,
     FePath,
@@ -34,7 +36,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
-from minaction.action import _assemble
+from minaction.action import _assemble, _geometry, fixed_t_value_grad, tmam_value_grad
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -423,3 +425,88 @@ class TestGradientBits:
             ref = einsum_fixed_t_grad(asm, t_scale)
             assert np.array_equal(grad, ref)
             assert np.array_equal(np.signbit(grad), np.signbit(ref))
+
+
+def fresh_value_grad(path, field, quad, T=None):
+    """Reference: (value, interior gradient, horizon) with every mesh quantity computed afresh.
+
+    T = None gives the reduced functional at t_hat, a number the fixed-T one.
+    The value einsums keep h and w as separate operands, as the library
+    does: with one h*w operand einsum sums in another order, which moves
+    the last bit of some values at n = 1.
+    """
+    h, w, xi = np.diff(path.mesh.nodes), quad.w, quad.xi
+    delta = np.diff(path.values, axis=0)
+    deriv = delta / h[:, None]
+    n = path.dim
+    x_quad = np.empty((h.size, xi.size, n))
+    for k, x in enumerate(xi):
+        x_quad[:, k] = path.values[:-1] * (1.0 - x) + path.values[1:] * x
+    b_quad = field.eval_many(x_quad.reshape(-1, n)).reshape(x_quad.shape)
+    if T is None:
+        alpha = math.sqrt(float(np.sum(delta * deriv)))
+        beta = math.sqrt(float(np.einsum("e,q,eqi,eqi->", h, w, b_quad, b_quad)))
+        t_scale = alpha / beta
+        value = alpha * beta - float(np.einsum("ei,q,eqi->", delta, w, b_quad))
+    else:
+        t_scale = float(T)
+        resid = deriv[:, None, :] / t_scale - b_quad
+        value = 0.5 * t_scale * float(np.einsum("e,q,eqi,eqi->", h, w, resid, resid))
+    resid = deriv[:, None, :] / t_scale - b_quad
+    jac = field.jacobian_many(x_quad.reshape(-1, n)).reshape(x_quad.shape + (n,))
+    jtr = np.einsum("eqji,eqj->eqi", jac, resid)
+    wr = np.einsum("q,eqi->ei", w, resid)
+    grad = np.zeros((h.size + 1, n))
+    grad[:-1] += -wr - t_scale * np.einsum("e,q,q,eqi->ei", h, w, 1.0 - xi, jtr)
+    grad[1:] += wr - t_scale * np.einsum("e,q,q,eqi->ei", h, w, xi, jtr)
+    return value, grad[1:-1], t_scale
+
+
+def assert_same_bits(got, ref):
+    assert got[0].hex() == ref[0].hex()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert float(got[2]).hex() == float(ref[2]).hex()
+
+
+GEOMETRY_FIELDS = {
+    1: linear_field([[-1.3]]),
+    2: maier_stein_field(10.0),
+    3: linear_field([[-1.0, 0.4, 0.0], [-0.2, -2.0, 0.7], [0.1, 0.0, -0.5]]),
+}
+
+
+class TestMeshGeometry:
+    """Value and gradient from the per-mesh geometry keep the bits of a fresh computation."""
+
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_value_and_gradient_match_fresh_computation(self, q, n, nonuniform):
+        rng = np.random.default_rng(10 * q + n + 100 * nonuniform)
+        field, quad = GEOMETRY_FIELDS[n], Quadrature(q)
+        for _ in range(10):
+            path = random_path(rng, n, scale=0.7, nonuniform=nonuniform)
+            assert_same_bits(tmam_value_grad(path, field, quad),
+                             fresh_value_grad(path, field, quad))
+            assert_same_bits(fixed_t_value_grad(path, field, 1.7, quad),
+                             fresh_value_grad(path, field, quad, 1.7))
+
+    def test_alternating_meshes_and_rules_never_share_weights(self):
+        # two meshes with the same N and different nodes, two rules, in
+        # alternation: each call must see its own mesh's widths and its own rule
+        rng = np.random.default_rng(5)
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 7)), [1.0]])
+        meshes = [uniform_mesh(8), Mesh(nodes)]
+        values = rng.standard_normal((9, 2))
+        paths = [FePath(mesh, values) for mesh in meshes]
+        field = GEOMETRY_FIELDS[2]
+        for _ in range(3):
+            for path in paths:
+                for q in (2, 3):
+                    assert_same_bits(tmam_value_grad(path, field, Quadrature(q)),
+                                     fresh_value_grad(path, field, Quadrature(q)))
+        # equal rules share one entry, kept on each mesh
+        for mesh in meshes:
+            assert sorted(quad.points_per_element for quad in mesh._per_rule) == [2, 3]
+            assert _geometry(mesh, Quadrature(3)) is _geometry(mesh, Quadrature(3))
+        assert _geometry(meshes[0], Quadrature(3)) is not _geometry(meshes[1], Quadrature(3))

@@ -42,19 +42,41 @@ def test_verdict_rule(change, verdict):
     assert row["pairs"] == 10
 
 
-def test_smoke_pair_of_this_checkout_against_itself():
+def test_smoke_pair_of_this_checkout_against_itself(tmp_path):
+    record_path = tmp_path / "BENCH.json"
     proc = run_tool("--parent", str(ROOT), "--change", str(ROOT), "--workload", "case_i",
-                    "--pairs", "1", "--smoke", "--seconds", "0")
+                    "--workload", "case_ii", "--pairs", "1", "--smoke", "--seconds", "0",
+                    "--claim", "case_ii:wall_s", "--record", str(record_path))
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    assert [line["workload"] for line in lines] == ["case_i", "case_ii"]
+    assert record["results"] == lines
+    assert record["claimed"] == {"workload": "case_ii", "metric": "wall_s"}
+    assert record["command"] == (
+        "python3 tools/bench_pairs.py --parent PARENT --change CHANGE --workload case_i "
+        "--workload case_ii --pairs 1 --seed0 1 --seconds 0 --smoke"
+    )
+    assert record["parent"] == record["change"]
+    assert "Python" in record["host"]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    assert list(summary["metrics"]) == [m["name"] for m in spec["end_to_end"]]
-    for row in summary["metrics"].values():
-        assert row["pairs"] == 1 and 0 <= row["won"] <= 1
-        assert row["verdict"] != "gain"  # one pair claims nothing
-    for name in ("failed_frac", "action_err"):  # the same code on both sides
-        row = summary["metrics"][name]
-        assert row["parent_median"] == row["change_median"]
+    for summary in lines:
+        assert list(summary["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+        for row in summary["metrics"].values():
+            assert row["pairs"] == 1 and 0 <= row["won"] <= 1
+            assert row["verdict"] != "gain"  # one pair claims nothing
+        for name in ("failed_frac", "action_err"):  # the same code on both sides
+            row = summary["metrics"][name]
+            assert row["parent_median"] == row["change_median"]
+
+
+def test_claim_must_name_a_compared_workload_and_metric(tmp_path):
+    proc = run_tool("--parent", str(ROOT), "--change", str(ROOT), "--workload", "case_i",
+                    "--pairs", "1", "--smoke", "--seconds", "0", "--claim", "case_ii:wall_s",
+                    "--record", str(tmp_path / "BENCH.json"))
+    assert proc.returncode == 2
+    assert "--claim case_ii:wall_s" in proc.stderr
+    assert not (tmp_path / "BENCH.json").exists()
 
 
 def test_different_harnesses_exit_before_any_run(tmp_path):
@@ -83,6 +105,7 @@ def test_incorrect_run_exits_nonzero(tmp_path):
         "                  'metrics': {'wall_s': {'value': 1.0, 'unit': 's'}}}))\n"
     )
     proc = run_tool("--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "case_i",
-                    "--pairs", "1", "--seconds", "0")
+                    "--pairs", "1", "--seconds", "0", "--record", str(tmp_path / "BENCH.json"))
     assert proc.returncode == 1
     assert "incorrect" in proc.stdout
+    assert not (tmp_path / "BENCH.json").exists()

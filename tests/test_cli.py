@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -714,6 +715,53 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, updates, m
     cfg = write_config(tmp_path, solve_config(**updates))
     assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_mesh_size_past_numpys_array_limit_names_the_key(tmp_path, capsys, monkeypatch):
+    # N + 1 nodes past numpy's array size limit; only 10**400 is tried, a size
+    # numpy rejects before it allocates anything
+    solves = []
+    monkeypatch.setattr(minaction.optimize, "minimize_tmam", lambda *args: solves.append(args))
+    out = tmp_path / "out"
+    study = write_config(tmp_path, {
+        "study": {"name": "case_i"},
+        "mesh": {"N_list": [8, 16, BEYOND_FLOAT]},
+        "outputs": {"study_csv": "s/s.csv", "summary_json": "s/s.json"},
+    }, name="study.json")
+    solve = write_config(tmp_path, solve_config(mesh={"N": BEYOND_FLOAT}), name="solve.json")
+    oracle = write_config(tmp_path, {
+        "oracle": {"kind": "exact_minimizer"},
+        "problem": {"field": {"type": "linear", "matrix": [[-1.0]]}, "x1": [0.0], "x2": [1.0]},
+        "mode": {"kind": "fixed_t", "T": 1.0},
+        "mesh": {"N": BEYOND_FLOAT},
+    }, name="oracle.json")
+    for command, config, key in (("study", study, "mesh.N_list: N_list entry"),
+                                 ("solve", solve, "mesh.N"), ("oracle", oracle, "mesh.N")):
+        assert main([command, "--config", config, "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} is too large for a node array: "), err
+    assert solves == []
+    assert not out.exists()
+
+
+def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
+    # the oracle (10x flow samples, Frechet distance) and solver bits of the
+    # infinite-horizon study; the relative out dir keeps summary.json's
+    # study_csv_fixed entry the same in every run
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {
+        "study": {"name": "case_ii"},
+        "mesh": {"N_list": [16, 32, 64]},
+        "outputs": {"study_csv": "study.csv", "summary_json": "summary.json"},
+    })
+    assert main(["study", "--config", cfg, "--out-dir", "out"]) == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "study.csv": "0bdd15fadf69066d16be5fdc75f88c798f9c93f565170635df64dccb73f0bb73",
+        "study_fixed.csv": "ec2c03d6b31e1250c0a318239418e7c9a50180cc22de4398c8e49f985809b6f2",
+        "summary.json": "9aec048ddd2d2e311557c20fb8c58125c1f26618b6d78c40d8a105dba24e028c",
+    }
 
 
 def test_rejected_configs_create_no_directories(tmp_path, capsys):

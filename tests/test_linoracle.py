@@ -13,7 +13,7 @@ from minaction import (
     trajectory_polyline,
     two_scale_field,
 )
-from minaction.linoracle import trajectory_times_points
+from minaction.linoracle import _finite_flow, _flow, _spectrum, trajectory_times_points
 
 TWO_SCALE = two_scale_field().linear_matrix
 
@@ -253,6 +253,37 @@ class TestInvalidInputs:
         assert times[-1] == math.inf
         assert np.linalg.norm(pts[-2]) < 1e-10
         assert np.array_equal(pts[-1], [0.0, 0.0])
+
+
+class TestStackedFlow:
+    """``_flow`` keeps the bits of one ``eigvecs @ row`` product per row."""
+
+    @staticmethod
+    def per_row(eigvals, eigvecs, x, times):
+        scaled = np.exp(times[:, None] * eigvals) * (eigvecs.T @ x)
+        return np.array([x if t == 0.0 else eigvecs @ row for t, row in zip(times, scaled)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_per_row_products(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        _, eigvals, eigvecs = _spectrum(-(a @ a.T) - 0.1 * np.eye(n))
+        x = rng.standard_normal(n)
+        # t = 0 first, in the middle and last: each of those rows is x itself
+        times = np.concatenate([[0.0], np.geomspace(1e-4, 40.0, 600), [0.0, 3.0, 0.0]])
+        pts = _flow(eigvals, eigvecs, x, times)
+        assert pts.shape == (times.size, n)
+        assert pts.tobytes() == self.per_row(eigvals, eigvecs, x, times).tobytes()
+        for row in pts[times == 0.0]:
+            assert row.tobytes() == x.tobytes()
+
+    def test_one_overflowing_component_is_still_rejected(self):
+        # the growing mode overflows while the decaying ones stay finite
+        matrix = np.diag([-1.0, 2.0, -3.0])
+        with pytest.raises(ValueError, match=r"e\^\{tA\} x overflows"):
+            _finite_flow(*_spectrum(matrix)[1:], np.ones(3), np.array([0.0, 1.0, 400.0]))
+        with pytest.raises(ValueError, match=r"e\^\{tA\} x overflows"):
+            matrix_exp_apply(matrix, 400.0, [1.0, 1.0, 1.0])
 
 
 class TestTinyRateAccuracy:

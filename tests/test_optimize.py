@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from minaction import (
     uniform_mesh,
 )
 from minaction import optimize
-from minaction.optimize import _DEAD_LIMIT, _lbfgs_loop
+from minaction.optimize import _DEAD_LIMIT, _lbfgs_loop, _norm2
 
 QUAD = Quadrature(2)
 SCALAR = linear_field([[-1.0]])
@@ -405,3 +406,28 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     )
     assert len(calls) < 315
     assert len(calls) == 148
+
+
+def test_norm2_has_the_bits_of_numpy_norm():
+    rng = np.random.default_rng(11)
+    for size in (0, 1, 2, 3, 7, 64, 1023, 4096):
+        for scale in (1e-160, 1e-3, 1.0, 1e140):
+            vec = scale * rng.standard_normal(size)
+            assert _norm2(vec).hex() == float(np.linalg.norm(vec)).hex()
+
+
+def test_norm2_overflows_to_inf_with_numpy_norms_warning():
+    vec = np.array([1e200, -3.0, 1e180])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        ref = np.linalg.norm(vec)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        got = _norm2(vec)
+    assert got == ref == math.inf
+
+
+def test_sweep_rejects_a_level_too_large_for_an_array_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(optimize, "minimize_tmam", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match=r"^N_list entry is too large for a node array: "):
+        continuation_sweep(SCALAR, [0.0], [1.0], [8, 16, 10**400], quad=QUAD)
+    assert solves == []

@@ -3,7 +3,8 @@
 Usage (from any directory):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload case_ii --pairs 10 --seed0 1 --seconds 20
+        --workload case_i --workload case_ii --pairs 10 --seed0 1 --seconds 20 \\
+        --claim case_ii:wall_s --record BENCH_13.json
 
 Each checkout is a directory holding ``bench/run.py`` and ``src/minaction``;
 the runner there imports its own sources.  Pair k runs both checkouts with
@@ -27,18 +28,27 @@ estimate and the table is a smoke check, not a verdict.
 
 Both sides must run the same harness: if the checkouts' ``BENCHMARK.json`` or
 ``bench/*.py`` differ, the tool names the first differing file and exits 1
-before any run.  Every run's result line is echoed as it finishes.  The exit
-code is 1 if a run failed or reported ``correct: false``, else 0.  Only the
-standard library is used.
+before any run.  The workloads run one after another, each with all its
+pairs; every run's result line is echoed as it finishes, and each workload
+ends with its table and a JSON line of its rows.  ``--record`` writes one JSON
+file with every workload's rows, both checkouts' ``git describe`` (None
+outside a git work tree), the command with the checkouts shown as PARENT and
+CHANGE, the host, and the ``--claim``, if one was given.  The exit code is 1,
+and no record is written, if a run failed or reported ``correct: false``;
+else 0.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import shlex
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 
@@ -93,45 +103,49 @@ def compare(parent, change, better: str, bound: float) -> dict:
             "pairs": len(parent), "verdict": verdict}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="change checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--smoke", action="store_true", help="tiny meshes, as in the harness test")
-    args = parser.parse_args(argv)
+def _revision(checkout: Path):
+    """``git describe --always --dirty`` of ``checkout``, or None outside a git work tree."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
-    differing = _harness_difference(args.parent, args.change)
-    if differing is not None:
-        print(f"the checkouts differ in {differing}; both sides must run the same benchmark",
-              file=sys.stderr)
-        return 1
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    listed = spec["end_to_end"]
-    sides = {"parent": args.parent, "change": args.change}
-    values = {side: {m["name"]: [] for m in listed} for side in sides}
+
+def _host() -> str:
+    """The host line of a record: system, CPU count and the numeric stack's versions."""
+    stack = []
+    for package in ("numpy", "scipy"):
+        try:
+            stack.append(f"{package} {metadata.version(package)}")
+        except metadata.PackageNotFoundError:
+            stack.append(f"no {package}")
+    return (f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
+            f"Python {platform.python_version()}, " + ", ".join(stack))
+
+
+def _pairs(sides: dict, workload: str, args, names) -> dict | None:
+    """Every metric's values per side over the pairs of one workload; None if a run failed."""
+    values = {side: {name: [] for name in names} for side in sides}
     ok = True
     for k in range(args.pairs):
         seed = args.seed0 + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            result = _run(sides[side], args.workload, seed, args.seconds, args.smoke)
+            result = _run(sides[side], workload, seed, args.seconds, args.smoke)
             if result is None or result["correct"] is not True:
-                print(f"pair {k} seed {seed} {side}: failed or incorrect: {result}")
+                print(f"{workload} pair {k} seed {seed} {side}: failed or incorrect: {result}")
                 ok = False
                 continue
             shown = " ".join(f"{name}={m['value']!r}" for name, m in result["metrics"].items())
-            print(f"pair {k} seed {seed} {side}: {shown}", flush=True)
+            print(f"{workload} pair {k} seed {seed} {side}: {shown}", flush=True)
             for name, m in result["metrics"].items():
                 values[side][name].append(m["value"])
-    if not ok:
-        return 1
+    return values if ok else None
 
+
+def _table(workload: str, args, listed, values) -> dict:
+    """Print one workload's table and its JSON line; return its metric rows."""
     last = args.seed0 + args.pairs - 1
-    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}..{last}, {args.seconds:g} s runs")
+    print(f"\n{workload}: {args.pairs} pairs, seeds {args.seed0}..{last}, {args.seconds:g} s runs")
     print(f"{'metric':12s} {'unit':5s} {'parent':>12s} {'change':>12s} {'change %':>9s} "
           f"{'spread':>11s} {'spread %':>9s} {'won':>6s}  verdict")
     summary = {}
@@ -145,7 +159,67 @@ def main(argv=None) -> int:
               f"{rel(row['change_median'] - pmed):>9s} {row['parent_spread']:11.4g} "
               f"{rel(row['parent_spread']).lstrip('+'):>9s} {row['won']:>3d}/{row['pairs']:<2d}  "
               f"{row['verdict']}")
-    print(json.dumps({"workload": args.workload, "metrics": summary}))
+    print(json.dumps({"workload": workload, "metrics": summary}), flush=True)
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to compare (repeatable, run in the order given)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--smoke", action="store_true", help="tiny meshes, as in the harness test")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="the gain the change claims, noted in the record")
+    parser.add_argument("--record", type=Path, help="write the JSON record of every workload here")
+    args = parser.parse_args(argv)
+
+    differing = _harness_difference(args.parent, args.change)
+    if differing is not None:
+        print(f"the checkouts differ in {differing}; both sides must run the same benchmark",
+              file=sys.stderr)
+        return 1
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    listed = spec["end_to_end"]
+    names = [m["name"] for m in listed]
+    claimed = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workload or metric not in names:
+            parser.error(f"--claim {args.claim}: not a compared workload and listed metric")
+        claimed = {"workload": workload, "metric": metric}
+
+    sides = {"parent": args.parent, "change": args.change}
+    results = []
+    ok = True
+    for workload in args.workload:
+        values = _pairs(sides, workload, args, names)
+        if values is None:
+            ok = False
+            continue
+        results.append({"workload": workload, "metrics": _table(workload, args, listed, values)})
+    if not ok:
+        return 1
+
+    if args.record is not None:
+        command = ["python3", "tools/bench_pairs.py", "--parent", "PARENT", "--change", "CHANGE"]
+        for workload in args.workload:
+            command += ["--workload", workload]
+        command += ["--pairs", str(args.pairs), "--seed0", str(args.seed0),
+                    "--seconds", f"{args.seconds:g}"] + (["--smoke"] if args.smoke else [])
+        record = {
+            "parent": _revision(args.parent),
+            "change": _revision(args.change),
+            "command": shlex.join(command),
+            "host": _host(),
+            "claimed": claimed,
+            "results": results,
+        }
+        args.record.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
