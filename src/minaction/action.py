@@ -221,8 +221,12 @@ def _assemble(path: FePath, field: DriftField, quad: Quadrature) -> _Assembly:
     return _Assembly(path.mesh, path.values, field, quad)
 
 
-def _seminorms(asm: _Assembly):
-    """(|p'|, |b(p)|) with degeneracy guards."""
+def _horizon(asm: _Assembly):
+    """(t_hat, |p'|, |b(p)|) with degeneracy guards and t_hat = |p'| / |b(p)|.
+
+    A ratio that is not finite and positive, as when |b(p)|^2 overflows to
+    inf and t_hat underflows to 0, raises a typed error.
+    """
     alpha = math.sqrt(asm.deriv_norm_sq())
     beta = math.sqrt(asm.drift_norm_sq())
     if alpha <= EPS_DEGENERATE:
@@ -231,7 +235,10 @@ def _seminorms(asm: _Assembly):
         raise DriftVanishesError(
             "drift vanishes along the path; the optimal time is unbounded"
         )
-    return alpha, beta
+    t_hat = alpha / beta
+    if not 0.0 < t_hat < math.inf:
+        raise ActionError(f"optimal horizon |p'|/|b(p)| = {t_hat!r} is not finite and positive")
+    return t_hat, alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +255,10 @@ def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
     """Unique stationary horizon T_opt = |p'|_L2 / |b(p)|_L2 for the path shape.
 
     Raises :class:`DegeneratePathError` or :class:`DriftVanishesError` when
-    either seminorm falls below the degeneracy guard.
+    either seminorm falls below the degeneracy guard, and
+    :class:`ActionError` when the ratio is not finite and positive.
     """
-    alpha, beta = _seminorms(_assemble(path, field, quad))
-    return alpha / beta
+    return _horizon(_assemble(path, field, quad))[0]
 
 
 def _reduced(asm: _Assembly):
@@ -260,8 +267,7 @@ def _reduced(asm: _Assembly):
     The value uses the rewrite form |p'| |b(p)| - <p', b(p)>; the gradient is
     the fixed-T residual gradient at t_hat (envelope identity, module docstring).
     """
-    alpha, beta = _seminorms(asm)
-    t_hat = alpha / beta
+    t_hat, alpha, beta = _horizon(asm)
     return alpha * beta - asm.cross_term(), asm.fixed_t_grad(t_hat)[1:-1], t_hat, alpha
 
 
@@ -321,6 +327,17 @@ def _el_residual_from_grad(grad_interior: np.ndarray, t_scale: float, h1_seminor
     return float(np.linalg.norm(grad_interior) / scale)
 
 
+def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> float:
+    """``el_residual`` of ``path`` from its interior fixed-T gradient at ``t_scale``.
+
+    Only the path's H1 seminorm is computed here, from its nodes with the
+    bits of ``_Assembly.deriv_norm_sq``; no drift is evaluated.
+    """
+    delta = path.values[1:] - path.values[:-1]
+    h1 = math.sqrt(float(np.sum(delta * (delta / path.mesh.widths[:, None]))))
+    return _el_residual_from_grad(grad_interior, t_scale, h1)
+
+
 def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrature) -> float:
     """Discrete dual-norm Euler-Lagrange residual diagnostic.
 
@@ -332,10 +349,7 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
     stationarity diagnostic, not an error bound.
     """
     t_scale = _finite_positive(t_or_that, "T")
-    asm = _assemble(path, field, quad)
-    grad = asm.fixed_t_grad(t_scale)[1:-1]
-    h1 = math.sqrt(asm.deriv_norm_sq())
-    return _el_residual_from_grad(grad, t_scale, h1)
+    return _el_residual_at(path, _assemble(path, field, quad).fixed_t_grad(t_scale)[1:-1], t_scale)
 
 
 # fused value+gradient entry points for the optimizer (single assembly pass)

@@ -33,11 +33,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from .action import (
+# A solve takes its horizon and Euler-Lagrange residual from the loop's own
+# evaluations, so el_residual and optimal_time are not called here; they stay
+# names of this module, where bench/layertrace.py wraps every call site
+from .action import (  # noqa: F401
     ActionError,
     Quadrature,
+    _el_residual_at,
     el_residual,
     fixed_t_value_grad,
     hamiltonian_violation,
@@ -72,6 +76,9 @@ _STEPS = tuple(0.5**k for k in range(67))
 # A gradient-norm trial is accepted only if it shrinks the gradient's 2-norm
 # below this fraction of the current one; any step that does counts as progress.
 _GRAD_SHRINK = 0.999
+
+# Roundoff noise of a value v is taken as _NOISE * max(1, |v|).
+_NOISE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class OptimResult:
 
 
 def _max_norm(vec: np.ndarray) -> float:
-    return float(np.max(np.abs(vec))) if vec.size else 0.0
+    return float(np.abs(vec).max()) if vec.size else 0.0
 
 
 def _norm2(vec: np.ndarray) -> float:
@@ -125,70 +132,85 @@ def _norm2(vec: np.ndarray) -> float:
 _DEAD_LIMIT = 30
 
 
-def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
+def _evaluate_start(evaluate, z0):
+    """``evaluate(z0)``, which must have a finite value and gradient.
+
+    The line search accepts only trial points with a finite value, so this
+    one check keeps an overflowed start from passing the stopping test; the
+    overflow it catches is reported as the typed error, not as a warning.
+    A degenerate start raises its own typed error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad, t_hat = evaluate(z0)
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        raise ActionError("action or gradient is not finite at the start path")
+    return value, grad, t_hat
+
+
+def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     """Core L-BFGS iteration.
 
     ``evaluate(z) -> (value, grad, t_hat)`` may raise ActionError for trial
-    points; trials that raise are rejected by halving the step.  A line
-    search ends accepted at its first accepted trial, and fails after its
-    last step (2**-66) or at its first trial that equals ``z`` bitwise, which
-    is not evaluated.  A gradient-norm search also fails at its first
-    rejected trial whose gradient moved by at most 1 - _GRAD_SHRINK times the
-    current gradient's 2-norm, since no smaller step could then pass.
-    Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``.
+    points; trials that raise are rejected by halving the step.  ``start``
+    is ``_evaluate_start(evaluate, z0)`` if the caller has it already, else
+    None, and the loop evaluates the start itself.  A line search ends
+    accepted at its first accepted trial, and fails after its last step
+    (2**-66) or at its first trial that equals ``z`` bitwise, which is not
+    evaluated.  A gradient-norm search also fails at its first rejected
+    trial whose gradient moved by at most 1 - _GRAD_SHRINK times the current
+    gradient's 2-norm, since no smaller step could then pass.
+    Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
+    the last row holds the max-norm of the returned gradient.
     """
     z = z0.copy()
-    # the line search accepts only trial points with a finite value, so this
-    # one check keeps an overflowed start from passing the stopping test; the
-    # overflow it catches is reported as the typed error, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad, t_hat = evaluate(z)  # degenerate start propagates
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        raise ActionError("action or gradient is not finite at the start path")
-    log_rows = [(0, value, _max_norm(grad), t_hat)]
+    value, grad, t_hat = _evaluate_start(evaluate, z) if start is None else start
+    grad_max = _max_norm(grad)
+    log_rows = [(0, value, grad_max, t_hat)]
     iterations = 0
 
     history = deque(maxlen=cfg.memory)  # (s, y, 1/(s.y)) curvature pairs
     gamma = 1.0
 
-    def converged_now(f, g):
-        return _max_norm(g) <= cfg.tol_grad * max(1.0, abs(f))
+    def converged_now():
+        return grad_max <= cfg.tol_grad * max(1.0, abs(value))
 
-    if converged_now(value, grad):
+    if converged_now():
         return z, value, grad, t_hat, 0, True, log_rows
 
     dead = 0  # consecutive iterations without meaningful progress
     for it in range(1, cfg.max_iters + 1):
-        # two-loop recursion with H0 = gamma * P^-1
+        # two-loop recursion with H0 = gamma * P^-1; v.dot(w) is the BLAS
+        # product of float(v @ w) without the conversion
         q = grad.copy()
         alphas = []
         for s, y, rho in reversed(history):
-            a = rho * float(s @ q)
+            a = rho * s.dot(q)
             alphas.append(a)
             q -= a * y
         r = gamma * precond_apply(q)
         for (s, y, rho), a in zip(history, reversed(alphas)):
-            b = rho * float(y @ r)
+            b = rho * y.dot(r)
             r += (a - b) * s
         direction = -r
-        slope = float(grad @ direction)
+        slope = grad.dot(direction)
         if not slope < 0.0:
             # P is SPD, so the preconditioned gradient is a descent direction
             direction = -precond_apply(grad)
-            slope = float(grad @ direction)
+            slope = grad.dot(direction)
 
         # Near the minimizer the largest decrease the Armijo test could see,
         # c1 * |slope|, drops below the roundoff noise of the value; comparing
         # values there is meaningless while the analytic gradient still holds
         # real signal.  Switch the acceptance test to gradient-norm descent.
-        noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
+        noise_floor = _NOISE * max(1.0, abs(value))
         grad_mode = _ARMIJO_C1 * (-slope) < noise_floor
         cur_gn2 = _norm2(grad)
 
         accepted = False
+        z_bytes = z.tobytes()
         for step in _STEPS:
             z_try = z + step * direction
-            if z_try.tobytes() == z.tobytes():
+            if z_try.tobytes() == z_bytes:
                 # the trial is the iterate, and so is every smaller step,
                 # since rounding to nearest is monotone: the search has failed
                 break
@@ -226,16 +248,17 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
 
         s_vec = z_try - z
         y_vec = g_try - grad
-        sy = float(s_vec @ y_vec)
+        sy = s_vec.dot(y_vec)
         if sy > 1e-12 * _norm2(s_vec) * _norm2(y_vec):
             py = precond_apply(y_vec)
-            gamma = sy / float(y_vec @ py)
+            gamma = sy / y_vec.dot(py)
             history.append((s_vec, y_vec, 1.0 / sy))
 
         z, value, grad, t_hat = z_try, f_try, g_try, t_try
+        grad_max = _max_norm(grad)
         iterations = it
-        log_rows.append((it, value, _max_norm(grad), t_hat))
-        if converged_now(value, grad):
+        log_rows.append((it, value, grad_max, t_hat))
+        if converged_now():
             return z, value, grad, t_hat, iterations, True, log_rows
         if progressed:
             dead = 0
@@ -245,7 +268,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply):
             if dead >= _DEAD_LIMIT:
                 break
 
-    return z, value, grad, t_hat, iterations, converged_now(value, grad), log_rows
+    return z, value, grad, t_hat, iterations, converged_now(), log_rows
 
 
 def _drift_rate_sq(field: DriftField, start: FePath) -> float:
@@ -258,6 +281,27 @@ def _drift_rate_sq(field: DriftField, start: FePath) -> float:
         return rate ** 2
     except OverflowError:  # a rate past ~1e154; the band is then not finite
         return math.inf
+
+
+# LAPACK's banded Cholesky solve for float64, the routine behind scipy's
+# cho_solve_banded
+_PBTRS = get_lapack_funcs(("pbtrs",), (np.empty(0),))[0]
+
+
+def cho_solve_banded(cb_and_lower, b):
+    """``scipy.linalg.cho_solve_banded`` for a factor that was checked finite when made.
+
+    Same call form and bits, straight through LAPACK ``pbtrs``; only the
+    right-hand side is checked, with scipy's ``ValueError`` if it is not
+    finite.  ``b`` is a nonempty float64 array.
+    """
+    cb, lower = cb_and_lower
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _PBTRS(cb, b, lower=lower)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+    return x
 
 
 def _preconditioner(start: FePath, field: DriftField, t_ref: float):
@@ -286,6 +330,8 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     if not np.all(np.isfinite(band)):
         raise ActionError("preconditioner is not finite at this horizon")
     factor = cholesky_banded(band, lower=False)
+    if not np.isfinite(factor).all():
+        raise ActionError("preconditioner is not finite at this horizon")
 
     def apply(vec):
         return cho_solve_banded((factor, False), vec.reshape(-1, n)).ravel()
@@ -299,13 +345,17 @@ def _minimize(
     cfg: OptimConfig,
     quad: Quadrature,
     value_grad,
-    t_ref: float,
+    t_ref: Optional[float] = None,
 ) -> OptimResult:
     """Shared solve: L-BFGS over the interior of ``start``, log, package.
 
     ``value_grad(path) -> (value, grad, t_hat)`` is the functional and
-    ``t_ref`` the preconditioner's horizon.  The diagnostics are evaluated
-    at the final t_hat.
+    ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
+    is evaluated first and its t_hat is the horizon; else the preconditioner
+    is built first.  Either way the start is evaluated once.  The
+    diagnostics are evaluated at the final t_hat: the Euler-Lagrange
+    residual from the loop's last gradient, which is the fixed-T gradient
+    there, and the Hamiltonian violation from one drift evaluation.
     """
     n = start.dim
 
@@ -313,20 +363,25 @@ def _minimize(
         f, g, th = value_grad(start.replace_interior(z.reshape(-1, n)))
         return f, g.ravel(), th
 
-    z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
-        evaluate, start.values[1:-1].ravel(), cfg, _preconditioner(start, field, t_ref)
-    )
+    z0 = start.values[1:-1].ravel()
+    first = None
+    if t_ref is None:
+        first = _evaluate_start(evaluate, z0)
+        t_ref = first[2]
+    precond = _preconditioner(start, field, t_ref)
+    z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(evaluate, z0, cfg, precond, first)
     if cfg.log_path is not None:
         _write_table(cfg.log_path, ("iteration", "value", "grad_norm", "t_hat"), rows)
     path = start.replace_interior(z.reshape(-1, n))
+    t_hat = float(t_hat)
     return OptimResult(
         path=path,
         value=float(value),
-        t_hat=float(t_hat),
+        t_hat=t_hat,
         iterations=iters,
         converged=ok,
-        grad_norm=_max_norm(grad),
-        el_residual=el_residual(path, field, t_hat, quad),
+        grad_norm=rows[-1][2],
+        el_residual=_el_residual_at(path, grad, t_hat),
         hamiltonian_violation=hamiltonian_violation(path, field, t_hat, quad),
     )
 
@@ -359,15 +414,15 @@ def minimize_tmam(
 ) -> OptimResult:
     """Minimize the reduced (optimal-horizon) discrete action.
 
-    The optimal time is recomputed at every evaluation.  A degenerate start
-    (constant path, or drift vanishing along the whole path) raises the
-    corresponding typed error; every converged result carries a finite
-    positive optimal time.
+    The optimal time is recomputed at every evaluation; the start's is the
+    preconditioner's horizon.  A degenerate start (constant path, or drift
+    vanishing along the whole path) raises the corresponding typed error, as
+    does a start whose optimal time is not finite and positive; every
+    converged result carries a finite positive optimal time.
     """
     cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
-    t_ref = optimal_time(start, field, quad)  # degenerate starts raise here
-    return _minimize(start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad), t_ref)
+    return _minimize(start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad))
 
 
 def _nested_meshes(N_list) -> list[Mesh]:

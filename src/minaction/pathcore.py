@@ -179,12 +179,24 @@ class FePath:
         return self.values[-1]
 
     def replace_interior(self, interior: np.ndarray) -> "FePath":
-        """New path with the same mesh/endpoints and the given interior rows."""
+        """New path with the same mesh/endpoints and the given interior rows.
+
+        The rows are copied once, into a new read-only array; the endpoints
+        were checked when this path was made, so only the interior is
+        checked here and the constructor's copy and check are skipped.
+        """
         interior = np.asarray(interior, dtype=float).reshape(-1, self.dim)
         if interior.shape[0] != self.mesh.nodes.size - 2:
             raise ValueError("interior rows must match interior node count")
-        vals = np.vstack([self.values[:1], interior, self.values[-1:]])
-        return FePath(self.mesh, vals)
+        if not np.isfinite(interior).all():
+            raise ValueError("path values must be finite")
+        vals = self.values.copy()
+        vals[1:-1] = interior
+        vals.flags.writeable = False
+        path = object.__new__(FePath)
+        object.__setattr__(path, "mesh", self.mesh)
+        object.__setattr__(path, "values", vals)
+        return path
 
     def __call__(self, s):
         """Evaluate the piecewise-linear interpolant at scalar or array s."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     random_path,
 )
 from minaction import (
+    ActionError,
     DegeneratePathError,
     Mesh,
     DriftField,
@@ -121,6 +123,18 @@ class TestOptimalTime:
     def test_error_codes(self):
         assert DriftVanishesError.code == "DriftVanishes"
         assert DegeneratePathError.code == "DegeneratePath"
+
+    def test_underflowing_horizon_is_action_error_without_warning(self):
+        # |b(p)|^2 overflows to inf, so |p'|/|b(p)| underflows to 0
+        path = linear_interpolant_path([3.0, 3.0], [0.0, 0.0], uniform_mesh(16))
+        field = linear_field([[-1e154, 0.0], [0.0, -1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ActionError, match="optimal horizon .* is not finite and positive"):
+                optimal_time(path, field, Quadrature())
+            with pytest.raises(ActionError, match="optimal horizon"):
+                tmam_value_grad(path, field, Quadrature())
+        assert [str(w.message) for w in caught] == []
 
 
 class TestReducedAction:

@@ -229,6 +229,25 @@ class TestSolve:
         assert result["error"] == "ActionError"
         assert "not finite" in result["message"]
 
+    def test_underflowing_start_horizon_is_solver_error_without_warning(self, tmp_path):
+        # |b(p)|^2 overflows at the start, so its optimal horizon underflows to 0
+        payload = solve_config(mesh={"N": 16})
+        payload["problem"] = {
+            "field": {"type": "linear", "matrix": [[-1e154, 0], [0, -1]]},
+            "x1": [3.0, 3.0],
+            "x2": [0.0, 0.0],
+        }
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert [str(w.message) for w in caught] == []
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["error"] == "ActionError"
+        assert "optimal horizon" in result["message"]
+        assert "is not finite and positive" in result["message"]
+
     def test_empty_start_csv_names_key(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")
         payload = solve_config()

@@ -1,20 +1,26 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from minaction import (
     ActionError,
     DegeneratePathError,
     DriftVanishesError,
+    Mesh,
     OptimConfig,
     Quadrature,
     SpectralLinearProblem,
     action_fixed_T,
     continuation_sweep,
+    el_residual,
     exact_fixed_T_action,
+    field_from_callable,
+    hamiltonian_violation,
     linear_field,
     linear_interpolant_path,
     maier_stein_field,
@@ -168,6 +174,17 @@ class TestTmamSolver:
         start = linear_interpolant_path([1.0], [1.0], uniform_mesh(8))
         with pytest.raises(DegeneratePathError):
             minimize_tmam(start, SCALAR, quad=QUAD)
+
+    def test_underflowing_start_horizon_is_action_error_without_warning(self):
+        # |b(p)|^2 overflows at the start, so its optimal horizon underflows to
+        # 0; no 1/0 may reach the start's gradient or the preconditioner
+        start = linear_interpolant_path([3.0, 3.0], [0.0, 0.0], uniform_mesh(16))
+        field = linear_field([[-1e154, 0.0], [0.0, -1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ActionError, match="optimal horizon .* is not finite and positive"):
+                minimize_tmam(start, field)
+        assert [str(w.message) for w in caught] == []
 
     # memory=0 keeps no curvature pairs: the scaled preconditioner alone
     @pytest.mark.parametrize(
@@ -431,3 +448,113 @@ def test_sweep_rejects_a_level_too_large_for_an_array_before_any_solve(monkeypat
     with pytest.raises(ValueError, match=r"^N_list entry is too large for a node array: "):
         continuation_sweep(SCALAR, [0.0], [1.0], [8, 16, 10**400], quad=QUAD)
     assert solves == []
+
+
+def _callable_maier_stein(x):
+    u, v = x
+    return np.array([u - u**3 - 10.0 * u * v**2, -(1.0 + u**2) * v])
+
+
+DIAGNOSTIC_PROBLEMS = {
+    "two_scale": (two_scale_field(), [1.0, 1.0], [0.0, 0.0]),
+    "maier_stein": (maier_stein_field(10.0), [-1.0, 0.0], [0.0, 0.0]),
+    "callable": (field_from_callable(2, _callable_maier_stein), [-1.0, 0.0], [0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("mode", ["tmam", "fixed_t"])
+@pytest.mark.parametrize("name", sorted(DIAGNOSTIC_PROBLEMS))
+def test_diagnostics_have_the_bits_of_the_public_functions(name, mode):
+    # the solver takes the Euler-Lagrange residual from its last gradient;
+    # both diagnostics must equal the public functions on the returned path
+    field, x1, x2 = DIAGNOSTIC_PROBLEMS[name]
+    start = linear_interpolant_path(x1, x2, uniform_mesh(16))
+    if mode == "tmam":
+        res = minimize_tmam(start, field, OptimConfig(max_iters=40))
+    else:
+        res = minimize_fixed_T(start, field, 3.0, OptimConfig(max_iters=40))
+    quad = Quadrature()
+    assert res.iterations > 0
+    assert res.el_residual.hex() == el_residual(res.path, field, res.t_hat, quad).hex()
+    assert res.hamiltonian_violation.hex() == (
+        hamiltonian_violation(res.path, field, res.t_hat, quad).hex()
+    )
+
+
+def test_tmam_solve_evaluates_its_start_once_and_no_optimal_time(monkeypatch):
+    calls, horizons = [], []
+    inner = optimize.tmam_value_grad
+
+    def counted(path, *args):
+        calls.append(path.values.copy())
+        return inner(path, *args)
+
+    monkeypatch.setattr(optimize, "tmam_value_grad", counted)
+    monkeypatch.setattr(optimize, "optimal_time", lambda *args: horizons.append(args))
+    field = two_scale_field()
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(32))
+    res = minimize_tmam(start, field, quad=QUAD)
+    assert res.converged and res.iterations > 0
+    assert horizons == []
+    at_start = [np.array_equal(values, start.values) for values in calls]
+    assert at_start[0] and sum(at_start) == 1
+
+
+def _band_factor(mesh: Mesh, t_ref: float, kappa: float) -> np.ndarray:
+    """The upper banded Cholesky factor of the preconditioner built by ``optimize._preconditioner``."""
+    factors = []
+
+    def recording(band, lower):
+        factors.append(scipy.linalg.cholesky_banded(band, lower=lower))
+        return factors[-1]
+
+    field = linear_field([[-math.sqrt(kappa)]])  # its Lipschitz rate squared is kappa
+    start = linear_interpolant_path([0.0], [1.0], mesh)
+    original = optimize.cholesky_banded
+    optimize.cholesky_banded = recording
+    try:
+        optimize._preconditioner(start, field, t_ref)
+    finally:
+        optimize.cholesky_banded = original
+    return factors[0]
+
+
+def test_banded_solve_has_the_bits_of_scipy():
+    rng = np.random.default_rng(14)
+    for N in range(2, 1026):
+        interior = np.sort(rng.random(N - 1))
+        meshes = [uniform_mesh(N)]
+        if np.min(np.diff(np.concatenate([[0.0], interior, [1.0]]))) > 0.0:
+            meshes.append(Mesh(np.concatenate([[0.0], interior, [1.0]])))
+        for mesh in meshes:
+            factor = _band_factor(mesh, t_ref=float(rng.uniform(0.1, 20.0)), kappa=4.0)
+            for n in (1, 2, 3):
+                b = rng.standard_normal((N - 1, n)) * 10.0 ** rng.integers(-8, 9)
+                got = optimize.cho_solve_banded((factor, False), b)
+                ref = scipy.linalg.cho_solve_banded((factor, False), b)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (N, n)
+
+
+def test_preconditioner_apply_has_the_bits_of_scipy():
+    rng = np.random.default_rng(3)
+    mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
+    factor = _band_factor(mesh, t_ref=2.5, kappa=100.0)
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], mesh)
+    apply = optimize._preconditioner(start, two_scale_field(), 2.5)  # Lipschitz rate 10
+    vec = rng.standard_normal(2 * 40)
+    ref = scipy.linalg.cho_solve_banded((factor, False), vec.reshape(-1, 2)).ravel()
+    assert apply(vec).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_banded_solve_of_a_nonfinite_vector_is_scipys_value_error(bad):
+    factor = _band_factor(uniform_mesh(8), t_ref=1.0, kappa=1.0)
+    b = np.ones((7, 2))
+    b[3, 1] = bad
+    with pytest.raises(ValueError) as ref:
+        scipy.linalg.cho_solve_banded((factor, False), b)
+    with pytest.raises(ValueError) as got:
+        optimize.cho_solve_banded((factor, False), b)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"

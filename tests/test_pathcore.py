@@ -129,6 +129,37 @@ class TestFePath:
         assert np.array_equal(new.right, path.right)
         assert np.all(new.values[1:-1] == 9.0)
 
+    def test_replace_interior_copies_into_a_new_read_only_array(self):
+        # a signed zero and a subnormal endpoint must come through bit for bit
+        path = linear_interpolant_path([-0.0, 5e-324], [1.0, -2.5], uniform_mesh(6))
+        interior = np.arange(10.0).reshape(5, 2)
+        new = path.replace_interior(interior)
+        assert new.mesh is path.mesh
+        assert new.values.tobytes()[:16] == path.values.tobytes()[:16]
+        assert new.values.tobytes()[-16:] == path.values.tobytes()[-16:]
+        assert np.array_equal(new.values[1:-1], interior)
+        assert not new.values.flags.writeable
+        assert not np.shares_memory(new.values, interior)
+        assert not np.shares_memory(new.values, path.values)
+        interior[0, 0] = 99.0
+        assert new.values[1, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            new.values[1, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replace_interior_rejects_nonfinite_rows(self, bad):
+        path = linear_interpolant_path([0.0, 0.0], [1.0, 1.0], uniform_mesh(4))
+        interior = np.zeros((3, 2))
+        interior[2, 1] = bad
+        with pytest.raises(ValueError, match="path values must be finite"):
+            path.replace_interior(interior)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_replace_interior_rejects_a_wrong_row_count(self, rows):
+        path = linear_interpolant_path([0.0, 0.0], [1.0, 1.0], uniform_mesh(4))
+        with pytest.raises(ValueError, match="interior rows must match"):
+            path.replace_interior(np.zeros((rows, 2)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             FePath(uniform_mesh(2), np.array([[0.0], [np.nan], [1.0]]))

@@ -17,7 +17,11 @@ them up, and each workload runs one pass (``--smoke``: the harness test's tiny
 meshes).  Every solve prints the workload, its index in it, then each
 ``OptimResult`` field in order as ``name=value``: floats with ``float.hex``,
 the path as ``path_sha256=`` of its little-endian float64 nodal values, the
-rest with ``repr``.  A solve that raises prints ``error=<code>``.
+rest with ``repr``.  A solve that raises prints ``error=<code>``.  Either
+line ends with ``value_grad_calls=<n>``, the number of calls the solve made
+to ``optimize.tmam_value_grad`` and ``optimize.fixed_t_value_grad``, which
+are counted where the solvers look them up; so equal lines also mean equal
+evaluation counts.
 
 CLI runs (full size, also under ``--smoke``).  Each run writes its config into
 a fresh temporary working directory and calls ``minaction.cli.main`` with
@@ -131,15 +135,23 @@ def _digest(result) -> str:
     return " ".join(fields)
 
 
-def _recording(fn, lines: list, workload: str, action_error):
+def _recording(fn, lines: list, workload: str, action_error, evals: list):
     def wrapper(*args, **kwargs):
+        evals[0] = 0
         try:
             res = fn(*args, **kwargs)
         except action_error as err:
-            lines.append(f"{workload} {len(lines)} error={err.code}")
+            lines.append(f"{workload} {len(lines)} error={err.code} value_grad_calls={evals[0]}")
             raise
-        lines.append(f"{workload} {len(lines)} {_digest(res)}")
+        lines.append(f"{workload} {len(lines)} {_digest(res)} value_grad_calls={evals[0]}")
         return res
+    return wrapper
+
+
+def _counting(fn, evals: list):
+    def wrapper(*args, **kwargs):
+        evals[0] += 1
+        return fn(*args, **kwargs)
     return wrapper
 
 
@@ -147,12 +159,19 @@ def solve_lines(workloads, name: str, smoke: bool) -> list[str]:
     """One line per solve of one pass of workload ``name``."""
     optimize = workloads.optimize
     lines: list[str] = []
-    originals = {fn: getattr(optimize, fn) for fn in ("minimize_tmam", "minimize_fixed_T")}
+    evals = [0]  # value/gradient calls of the current solve
+    solvers = ("minimize_tmam", "minimize_fixed_T")
+    names = solvers + ("tmam_value_grad", "fixed_t_value_grad")
+    originals = {fn: getattr(optimize, fn) for fn in names}
     with tempfile.TemporaryDirectory(prefix="digest-") as work_root:
         load = workloads.build(name, smoke, work_root)
         try:
             for fn, original in originals.items():
-                setattr(optimize, fn, _recording(original, lines, name, workloads.ActionError))
+                if fn in solvers:
+                    wrapped = _recording(original, lines, name, workloads.ActionError, evals)
+                else:
+                    wrapped = _counting(original, evals)
+                setattr(optimize, fn, wrapped)
             load.run()
         finally:
             for fn, original in originals.items():
