@@ -130,16 +130,23 @@ def maier_stein_field(gamma: float = 10.0) -> DriftField:
     """Maier-Stein non-gradient benchmark on R^2.
 
     b1 = u - u^3 - gamma*u*v^2, b2 = -(1 + u^2)*v.  Equilibria at (0, 0) and
-    (+-1, 0); the field is not a gradient for gamma != 1.
+    (+-1, 0); the field is not a gradient for gamma != 1.  ``gamma`` must be
+    a finite real number, not a bool or a string.
+
+    The cube is the product ``u * u * u``: numpy's ``u**3`` is a general
+    ``pow`` that is many times slower on negative bases, and neither is
+    correctly rounded (they differ by at most 1 ulp).
     """
-    gamma = float(gamma)
-    if not np.isfinite(gamma):
+    if not _is_real(gamma):
+        raise ValueError("maier_stein gamma must be a number")
+    gamma = _finite_float(gamma)
+    if gamma is None:
         raise ValueError("gamma must be finite")
 
     def eval_many(pts):
         u, v = pts[:, 0], pts[:, 1]
         out = np.empty_like(pts)
-        out[:, 0] = u - u**3 - gamma * u * v**2
+        out[:, 0] = u - u * u * u - gamma * u * v**2
         out[:, 1] = -(1.0 + u**2) * v
         return out
 
@@ -265,10 +272,5 @@ def field_from_config(spec: dict) -> DriftField:
         extra = set(spec) - {"type", "gamma"}
         if extra:
             raise ValueError(f"unknown field config key: {sorted(extra)[0]}")
-        gamma = spec.get("gamma", 10.0)
-        if not _is_real(gamma):
-            raise ValueError("maier_stein gamma must be a number")
-        if _finite_float(gamma) is None:
-            raise ValueError("gamma must be finite")
-        return maier_stein_field(gamma)
+        return maier_stein_field(spec.get("gamma", 10.0))
     raise ValueError(f"unknown field type: {kind!r}")

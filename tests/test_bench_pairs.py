@@ -95,6 +95,7 @@ def test_different_harnesses_exit_before_any_run(tmp_path):
 
 
 def test_incorrect_run_exits_nonzero(tmp_path):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)  # --record needs a work tree
     (tmp_path / "bench").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
@@ -109,3 +110,23 @@ def test_incorrect_run_exits_nonzero(tmp_path):
     assert proc.returncode == 1
     assert "incorrect" in proc.stdout
     assert not (tmp_path / "BENCH.json").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["no_work_tree", "inside_another_work_tree"])
+def test_record_refuses_a_checkout_that_is_not_its_own_work_tree(tmp_path, nested):
+    # A copy of the checkout without .git, as `git archive` unpacks it; inside
+    # another work tree, `git -C` would describe the enclosing repository.
+    if nested:
+        subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    copy = tmp_path / "copy"
+    (copy / "bench").mkdir(parents=True)
+    (copy / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (copy / "bench" / "run.py").write_text("open('ran', 'w').close()\n")
+    record = tmp_path / "BENCH.json"
+    proc = run_tool("--parent", str(copy), "--change", str(copy), "--workload", "case_i",
+                    "--pairs", "1", "--seconds", "0", "--record", str(record))
+    assert proc.returncode == 1
+    assert f"{copy} is not the top of its own git work tree" in proc.stderr
+    assert proc.stdout == ""
+    assert not record.exists()
+    assert not (copy / "ran").exists()

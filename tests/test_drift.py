@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,64 @@ class TestMaierStein:
         # asymmetric Jacobian away from the axes
         jac = maier_stein_field().jacobian([0.5, 0.5])
         assert abs(jac[0, 1] - jac[1, 0]) > 1.0
+
+    @staticmethod
+    def sample_points():
+        return np.random.default_rng(15).uniform(-2.0, 2.0, size=(4000, 2))
+
+    @pytest.mark.parametrize("gamma", [1.0, 10.0])
+    def test_eval_many_has_the_bits_of_the_product_cube(self, gamma):
+        pts = self.sample_points()
+        u, v = pts[:, 0], pts[:, 1]
+        want = np.column_stack([u - u * u * u - gamma * u * v**2, -(1.0 + u**2) * v])
+        got = maier_stein_field(gamma).eval_many(pts)
+        assert got.tobytes() == want.tobytes()
+        # numpy's pow gives other bits at some negative and some positive
+        # bases, so a drift that went back to u**3 fails the check above.
+        moved = (u - u**3 - gamma * u * v**2) != want[:, 0]
+        assert np.any(moved & (u < 0.0)) and np.any(moved & (u > 0.0))
+
+    def test_product_cube_is_within_two_roundings_of_the_exact_cube(self):
+        # Two correctly rounded products: |fl(fl(u*u)*u) - u^3| <= (2e + e^2)|u^3|
+        # with e = 2^-53, one machine epsilon of |u^3| up to e^2.  In ulps of
+        # the result this can exceed 1 (about 1.26 at most on [-2, 2]).
+        bound = Fraction(2) ** -52 + Fraction(2) ** -106
+        u = self.sample_points()[:1000].ravel()
+        for x, cube in zip(u.tolist(), (u * u * u).tolist()):
+            exact = Fraction(x) ** 3
+            assert abs(Fraction(cube) - exact) <= bound * abs(exact)
+
+    @pytest.mark.parametrize("gamma", [1.0, 10.0])
+    def test_jacobian_many_keeps_its_bits(self, gamma):
+        pts = self.sample_points()
+        u, v = pts[:, 0], pts[:, 1]
+        want = np.empty((len(pts), 2, 2))
+        want[:, 0, 0] = 1.0 - 3.0 * u**2 - gamma * v**2
+        want[:, 0, 1] = -2.0 * gamma * u * v
+        want[:, 1, 0] = -2.0 * u * v
+        want[:, 1, 1] = -(1.0 + u**2)
+        assert maier_stein_field(gamma).jacobian_many(pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (True, "maier_stein gamma must be a number"),
+            ("10", "maier_stein gamma must be a number"),
+            (10**400, "gamma must be finite"),
+            (float("inf"), "gamma must be finite"),
+            (float("nan"), "gamma must be finite"),
+        ],
+        ids=["bool", "string", "huge_int", "inf", "nan"],
+    )
+    def test_invalid_gamma_rejected(self, gamma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            maier_stein_field(gamma)
+
+    def test_integer_gamma_is_its_float(self):
+        pts = self.sample_points()
+        want = maier_stein_field(10.0).eval_many(pts).tobytes()
+        assert maier_stein_field(10).eval_many(pts).tobytes() == want
+        assert maier_stein_field(np.int64(10)).eval_many(pts).tobytes() == want
 
 
 class TestJacobianConsistency:

@@ -31,11 +31,14 @@ Both sides must run the same harness: if the checkouts' ``BENCHMARK.json`` or
 before any run.  The workloads run one after another, each with all its
 pairs; every run's result line is echoed as it finishes, and each workload
 ends with its table and a JSON line of its rows.  ``--record`` writes one JSON
-file with every workload's rows, both checkouts' ``git describe`` (None
-outside a git work tree), the command with the checkouts shown as PARENT and
-CHANGE, the host, and the ``--claim``, if one was given.  The exit code is 1,
-and no record is written, if a run failed or reported ``correct: false``;
-else 0.  Only the standard library is used.
+file with every workload's rows, both checkouts' ``git describe``, the command
+with the checkouts shown as PARENT and CHANGE, the host, and the ``--claim``,
+if one was given.  So that the record names both commits, ``--record`` needs
+each checkout to be the top of its own git work tree (a ``git worktree add``
+or ``git clone``, not an unpacked ``git archive``); else the tool names the
+checkout and exits 1 before any run.  The exit code is 1, and no record is
+written, if a run failed or reported ``correct: false``; else 0.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -103,8 +106,15 @@ def compare(parent, change, better: str, bound: float) -> dict:
             "pairs": len(parent), "verdict": verdict}
 
 
+def _is_toplevel(checkout: Path) -> bool:
+    """Whether ``checkout`` is the top of its own git work tree, not a directory inside another."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel"],
+                          capture_output=True, text=True)
+    return proc.returncode == 0 and Path(proc.stdout.strip()).resolve() == checkout.resolve()
+
+
 def _revision(checkout: Path):
-    """``git describe --always --dirty`` of ``checkout``, or None outside a git work tree."""
+    """``git describe --always --dirty`` of ``checkout``, or None if it has no commit."""
     proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -178,6 +188,12 @@ def main(argv=None) -> int:
     parser.add_argument("--record", type=Path, help="write the JSON record of every workload here")
     args = parser.parse_args(argv)
 
+    if args.record is not None:
+        for checkout in (args.parent, args.change):
+            if not _is_toplevel(checkout):
+                print(f"{checkout} is not the top of its own git work tree, so --record could "
+                      "not name its commit; use git worktree add or git clone", file=sys.stderr)
+                return 1
     differing = _harness_difference(args.parent, args.change)
     if differing is not None:
         print(f"the checkouts differ in {differing}; both sides must run the same benchmark",
