@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,9 +43,28 @@ def test_verdict_rule(change, verdict):
     assert row["pairs"] == 10
 
 
+def _committed_copy(dest: Path) -> Path:
+    """This checkout's harness and sources committed to a new git work tree at ``dest``.
+
+    ``--record`` needs the top of a git work tree, and the suite may run from
+    an unpacked archive that is none.
+    """
+    skip = shutil.ignore_patterns("__pycache__", "results", ".work")
+    for rel in ("bench", "src/minaction"):
+        shutil.copytree(ROOT / rel, dest / rel, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+    git = ["git", "-C", str(dest), "-c", "user.name=bench", "-c", "user.email=bench@invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(dest)], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "copy"], check=True)
+    return dest
+
+
 def test_smoke_pair_of_this_checkout_against_itself(tmp_path):
+    checkout = _committed_copy(tmp_path / "checkout")
     record_path = tmp_path / "BENCH.json"
-    proc = run_tool("--parent", str(ROOT), "--change", str(ROOT), "--workload", "case_i",
+    proc = run_tool("--parent", str(checkout), "--change", str(checkout), "--workload", "case_i",
                     "--workload", "case_ii", "--pairs", "1", "--smoke", "--seconds", "0",
                     "--claim", "case_ii:wall_s", "--record", str(record_path))
     assert proc.returncode == 0, proc.stderr
@@ -57,7 +77,7 @@ def test_smoke_pair_of_this_checkout_against_itself(tmp_path):
         "python3 tools/bench_pairs.py --parent PARENT --change CHANGE --workload case_i "
         "--workload case_ii --pairs 1 --seed0 1 --seconds 0 --smoke"
     )
-    assert record["parent"] == record["change"]
+    assert record["parent"] == record["change"] and len(record["parent"]) >= 7
     assert "Python" in record["host"]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for summary in lines:

@@ -406,7 +406,8 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # drift's cube became u*u*u in place of u**3, which moves last bits of the
     # drift; with u**3 the solve gave value 0x1.00014fb7ce7a8p-1, t_hat
     # 0x1.4fa7d2eaa9d4ep+3, grad_norm 0x1.6badc7e000000p-26, 94 iterations,
-    # 148 calls and path sha256 9cb0bd8e...21ff9ead2.
+    # 148 calls and path sha256
+    # 9cb0bd8e679899397053392a169686c05cf776c7b02d0b21f25ce0e21ff9ead2.
     calls = []
     inner = optimize.tmam_value_grad
 

@@ -188,12 +188,6 @@ def main(argv=None) -> int:
     parser.add_argument("--record", type=Path, help="write the JSON record of every workload here")
     args = parser.parse_args(argv)
 
-    if args.record is not None:
-        for checkout in (args.parent, args.change):
-            if not _is_toplevel(checkout):
-                print(f"{checkout} is not the top of its own git work tree, so --record could "
-                      "not name its commit; use git worktree add or git clone", file=sys.stderr)
-                return 1
     differing = _harness_difference(args.parent, args.change)
     if differing is not None:
         print(f"the checkouts differ in {differing}; both sides must run the same benchmark",
@@ -208,6 +202,12 @@ def main(argv=None) -> int:
         if workload not in args.workload or metric not in names:
             parser.error(f"--claim {args.claim}: not a compared workload and listed metric")
         claimed = {"workload": workload, "metric": metric}
+    if args.record is not None:
+        for checkout in (args.parent, args.change):
+            if not _is_toplevel(checkout):
+                print(f"{checkout} is not the top of its own git work tree, so --record could "
+                      "not name its commit; use git worktree add or git clone", file=sys.stderr)
+                return 1
 
     sides = {"parent": args.parent, "change": args.change}
     results = []
