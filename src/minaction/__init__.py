@@ -7,17 +7,14 @@ in which the horizon is replaced by its per-path optimum.
 
 from .action import (
     ActionError,
-    ActionReport,
     DegeneratePathError,
     DriftVanishesError,
     Quadrature,
-    action_fixed_T,
-    action_optimal,
     el_residual,
-    grad_action_fixed_T,
-    grad_action_optimal,
+    fixed_t_value_grad,
     hamiltonian_violation,
     optimal_time,
+    tmam_value_grad,
 )
 from .drift import (
     DriftField,
@@ -48,13 +45,11 @@ from .pathcore import (
     FePath,
     Mesh,
     Polyline,
-    arc_length,
     clustering_fraction,
     discrete_frechet,
     linear_interpolant_path,
     path_polyline,
     read_path_csv,
-    refine_path,
     resample_path,
     uniform_mesh,
     write_path_csv,
@@ -74,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionError",
-    "ActionReport",
     "DegeneratePathError",
     "DriftVanishesError",
     "DriftField",
@@ -88,9 +82,6 @@ __all__ = [
     "RateFit",
     "SpectralLinearProblem",
     "StudyRecord",
-    "action_fixed_T",
-    "action_optimal",
-    "arc_length",
     "check_inward_condition",
     "clustering_fraction",
     "continuation_sweep",
@@ -102,8 +93,7 @@ __all__ = [
     "field_from_callable",
     "field_from_config",
     "fit_rate",
-    "grad_action_fixed_T",
-    "grad_action_optimal",
+    "fixed_t_value_grad",
     "h1_seminorm_error",
     "hamiltonian_violation",
     "linear_field",
@@ -115,11 +105,11 @@ __all__ = [
     "optimal_time",
     "path_polyline",
     "read_path_csv",
-    "refine_path",
     "resample_path",
     "run_case_i",
     "run_case_ii_full",
     "run_linear_fixed_T_study",
+    "tmam_value_grad",
     "trajectory_polyline",
     "two_scale_field",
     "uniform_mesh",

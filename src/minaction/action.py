@@ -27,7 +27,10 @@ both functionals.
 Everything here evaluates these quantities and their exact gradients with
 respect to the interior nodal values of a piecewise-linear path, using
 Gauss-Legendre quadrature per element (exact for linear drift when the rule
-has >= 2 points per element).
+has >= 2 points per element).  Each functional has one public call, which
+returns its value and gradient from one assembly: ``fixed_t_value_grad`` for
+S(T, .) and ``tmam_value_grad`` for S_opt.  The other public functions are
+post-solve diagnostics.
 """
 
 from __future__ import annotations
@@ -38,20 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField
-from .pathcore import FePath, Mesh, _finite_positive, _int_at_least
+from .pathcore import FePath, Mesh, _count_at_least, _finite_positive
 
 __all__ = [
     "Quadrature",
-    "ActionReport",
     "ActionError",
     "DegeneratePathError",
     "DriftVanishesError",
     "EPS_DEGENERATE",
-    "action_fixed_T",
+    "fixed_t_value_grad",
+    "tmam_value_grad",
     "optimal_time",
-    "action_optimal",
-    "grad_action_fixed_T",
-    "grad_action_optimal",
     "hamiltonian_violation",
     "el_residual",
 ]
@@ -93,7 +93,7 @@ class Quadrature:
 
     def __post_init__(self):
         x, w = np.polynomial.legendre.leggauss(
-            _int_at_least(self.points_per_element, "points_per_element", 1)
+            _count_at_least(self.points_per_element, "points_per_element", 1)
         )
         xi = 0.5 * (x + 1.0)
         wts = 0.5 * w
@@ -101,17 +101,6 @@ class Quadrature:
         wts.flags.writeable = False
         object.__setattr__(self, "xi", xi)      # nodes in (0, 1)
         object.__setattr__(self, "w", wts)      # weights summing to 1
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    """Value, optimal time, gradient, and stationarity diagnostics in one record."""
-
-    value: float
-    t_hat: float
-    grad: np.ndarray
-    hamiltonian_violation: float
-    el_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +235,30 @@ def _horizon(asm: _Assembly):
 # ---------------------------------------------------------------------------
 
 
-def action_fixed_T(path: FePath, field: DriftField, T: float, quad: Quadrature) -> float:
-    """Action of the path at the fixed horizon T (scaled-time quadrature form)."""
-    return _assemble(path, field, quad).fixed_t_value(_finite_positive(T, "T"))
+def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):
+    """(value, interior gradient, T) of the fixed-T action from one assembly.
+
+    The gradient is exact for the discretized action, with respect to the
+    interior nodal values.  T is returned as given, in the place of
+    ``tmam_value_grad``'s t_hat, so an int horizon stays an int in the
+    iteration log.
+    """
+    t_scale = _finite_positive(T, "T")
+    asm = _assemble(path, field, quad)
+    return asm.fixed_t_value(t_scale), asm.fixed_t_grad(t_scale)[1:-1], T
+
+
+def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
+    """(value, interior gradient, t_hat) of the reduced action from one assembly.
+
+    The value uses the rewrite form |p'| |b(p)| - <p', b(p)>, which equals the
+    fixed-T value at t_hat up to roundoff.  The gradient is the fixed-T
+    gradient at t_hat, which by the envelope identity (module docstring) is
+    the exact reduced gradient.
+    """
+    asm = _assemble(path, field, quad)
+    t_hat, alpha, beta = _horizon(asm)
+    return alpha * beta - asm.cross_term(), asm.fixed_t_grad(t_hat)[1:-1], t_hat
 
 
 def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
@@ -261,70 +271,17 @@ def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
     return _horizon(_assemble(path, field, quad))[0]
 
 
-def _reduced(asm: _Assembly):
-    """(value, interior gradient, t_hat, |p'|) of the reduced functional.
-
-    The value uses the rewrite form |p'| |b(p)| - <p', b(p)>; the gradient is
-    the fixed-T residual gradient at t_hat (envelope identity, module docstring).
-    """
-    t_hat, alpha, beta = _horizon(asm)
-    return alpha * beta - asm.cross_term(), asm.fixed_t_grad(t_hat)[1:-1], t_hat, alpha
-
-
-def action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> ActionReport:
-    """Reduced action at the optimal horizon, with gradient and diagnostics.
-
-    The value comes from the inner-product rewrite
-    |p'| |b(p)| - <p', b(p)> and equals ``action_fixed_T`` evaluated at
-    ``t_hat`` up to roundoff.  The gradient is the fixed-horizon gradient at
-    ``t_hat``, which by the envelope identity is the exact reduced gradient,
-    so it also feeds the Euler-Lagrange residual directly.
-    """
-    asm = _assemble(path, field, quad)
-    value, grad, t_hat, alpha = _reduced(asm)
-    return ActionReport(
-        value=value,
-        t_hat=t_hat,
-        grad=grad,
-        hamiltonian_violation=_violation_from_assembly(asm, t_hat),
-        el_residual=_el_residual_from_grad(grad, t_hat, alpha),
-    )
-
-
-def grad_action_fixed_T(path: FePath, field: DriftField, T: float, quad: Quadrature) -> np.ndarray:
-    """Exact gradient of the discretized fixed-T action w.r.t. interior nodes."""
-    return _assemble(path, field, quad).fixed_t_grad(_finite_positive(T, "T"))[1:-1]
-
-
-def grad_action_optimal(path: FePath, field: DriftField, quad: Quadrature) -> np.ndarray:
-    """Exact gradient of the reduced action w.r.t. interior nodes.
-
-    It is ``grad_action_fixed_T`` evaluated at ``optimal_time(path)``: the T
-    derivative of the fixed-T action vanishes at the optimal horizon, so the
-    dependence of the horizon on the path contributes nothing (envelope
-    identity, exact for the discrete functional).
-    """
-    return _reduced(_assemble(path, field, quad))[1]
-
-
-def _violation_from_assembly(asm: _Assembly, t_scale: float) -> float:
-    speed = np.linalg.norm(asm.deriv, axis=1)[:, None] / t_scale   # (N, 1)
-    drift_mag = np.linalg.norm(asm.b_quad, axis=2)                 # (N, q)
-    return float(np.max(np.abs(speed - drift_mag)))
-
-
 def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Quadrature) -> float:
     """Max over quadrature points of | |p'(s)|/T - |b(p(s))| |.
 
     Zero along any exact minimizer of the time-optimized problem (the
     zero-Hamiltonian constraint); positive otherwise.
     """
-    return _violation_from_assembly(_assemble(path, field, quad), _finite_positive(t_hat, "t_hat"))
-
-
-def _el_residual_from_grad(grad_interior: np.ndarray, t_scale: float, h1_seminorm: float) -> float:
-    scale = t_scale * max(h1_seminorm, EPS_DEGENERATE)
-    return float(np.linalg.norm(grad_interior) / scale)
+    t_scale = _finite_positive(t_hat, "t_hat")
+    asm = _assemble(path, field, quad)
+    speed = np.linalg.norm(asm.deriv, axis=1)[:, None] / t_scale   # (N, 1)
+    drift_mag = np.linalg.norm(asm.b_quad, axis=2)                 # (N, q)
+    return float(np.max(np.abs(speed - drift_mag)))
 
 
 def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> float:
@@ -335,7 +292,7 @@ def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> 
     """
     delta = path.values[1:] - path.values[:-1]
     h1 = math.sqrt(float(np.sum(delta * (delta / path.mesh.widths[:, None]))))
-    return _el_residual_from_grad(grad_interior, t_scale, h1)
+    return float(np.linalg.norm(grad_interior) / (t_scale * max(h1, EPS_DEGENERATE)))
 
 
 def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrature) -> float:
@@ -350,25 +307,3 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
     """
     t_scale = _finite_positive(t_or_that, "T")
     return _el_residual_at(path, _assemble(path, field, quad).fixed_t_grad(t_scale)[1:-1], t_scale)
-
-
-# fused value+gradient entry points for the optimizer (single assembly pass)
-
-
-def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):
-    """(value, interior gradient, T) of the fixed-T action from one assembly.
-
-    T is returned as given, in the place of ``tmam_value_grad``'s t_hat, so
-    an int horizon stays an int in the iteration log.
-    """
-    asm = _assemble(path, field, quad)
-    return asm.fixed_t_value(float(T)), asm.fixed_t_grad(float(T))[1:-1], T
-
-
-def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
-    """(value, interior gradient, t_hat) of the reduced action from one assembly.
-
-    The gradient is the fixed-T gradient at t_hat (envelope identity).
-    """
-    value, grad, t_hat, _ = _reduced(_assemble(path, field, quad))
-    return value, grad, t_hat

@@ -32,6 +32,7 @@ from .linoracle import (
 from .optimize import OptimConfig, _nested_meshes, continuation_sweep, minimize_fixed_T, minimize_tmam
 from .pathcore import (
     FePath,
+    _count_at_least,
     _finite_float,
     _finite_positive,
     _int_at_least,
@@ -422,7 +423,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
             t_end = math.inf
         else:
             t_end = _finite_positive(raw_t_end, "oracle.t_end")
-        samples = _int_at_least(oracle.get("samples", 200), "oracle.samples", 2)
+        samples = _count_at_least(oracle.get("samples", 200), "oracle.samples", 2)
         try:
             times, points = trajectory_times_points(field.linear_matrix, x1, t_end, samples)
         except ValueError as err:

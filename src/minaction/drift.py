@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pathcore import _finite_float, _finite_positive, _int_at_least, _is_real
+from .pathcore import _count_at_least, _finite_float, _finite_positive, _int_at_least, _is_real
 
 __all__ = [
     "DriftField",
@@ -222,7 +222,7 @@ def check_inward_condition(field: DriftField, samples: int, radius: float) -> In
     """
     if field.beta is None or field.r2 is None:
         raise ValueError("field is missing beta/r2 metadata for the inward check")
-    samples = _int_at_least(samples, "samples", 1)
+    samples = _count_at_least(samples, "samples", 1)
     radius = _finite_positive(radius, "radius")
     if radius < field.r2:
         raise ValueError("radius must be >= the field's r2")

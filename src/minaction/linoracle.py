@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathcore import Polyline, _finite_positive, _int_at_least, _is_real
+from .pathcore import Polyline, _count_at_least, _finite_positive, _is_real
 
 __all__ = [
     "SpectralLinearProblem",
@@ -136,9 +136,11 @@ def _cosh_over_sinh(a: np.ndarray, b: float) -> np.ndarray:
 
 
 def _exact(prob: SpectralLinearProblem, s, deriv: bool) -> np.ndarray:
-    """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s."""
+    """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s in [0, 1]."""
     T = prob.T
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((s_arr >= 0.0) & (s_arr <= 1.0)):
+        raise ValueError("scaled time s must be finite and in [0, 1]")
     y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     ratio, sign = (_cosh_over_sinh, -1.0) if deriv else (_sinh_ratio, 1.0)
     coords = np.empty((s_arr.size, prob.dim))
@@ -216,7 +218,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     norm overflows before it falls below 1e-10; a finite horizon is rejected
     when a sample overflows.
     """
-    samples = _int_at_least(samples, "samples", 2)
+    samples = _count_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 

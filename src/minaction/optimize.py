@@ -52,6 +52,7 @@ from .drift import DriftField
 from .pathcore import (
     FePath,
     Mesh,
+    _count_at_least,
     _finite_positive,
     _int_at_least,
     _uniform_mesh,
@@ -101,7 +102,7 @@ class OptimConfig:
     def __post_init__(self):
         _finite_positive(self.tol_grad, "tol_grad")
         _int_at_least(self.max_iters, "max_iters", 1)
-        _int_at_least(self.memory, "memory", 0)
+        _count_at_least(self.memory, "memory", 0)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A transition path is represented as a vector-valued, continuous, piecewise-linear
 function of the scaled time s = t/T on [0, 1], pinned to its two endpoints.  This
 module owns the mesh/path containers plus the purely geometric operations on them
-(interpolation, refinement, arc length, discrete Frechet distance, node-clustering
-diagnostics) and the path CSV format.
+(interpolation, resampling onto another mesh, discrete Frechet distance,
+node-clustering diagnostics) and the path CSV format.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ __all__ = [
     "Polyline",
     "uniform_mesh",
     "linear_interpolant_path",
-    "refine_path",
     "resample_path",
-    "arc_length",
     "discrete_frechet",
     "clustering_fraction",
     "path_polyline",
@@ -75,6 +73,14 @@ def _int_at_least(value, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}")
     return int(value)
+
+
+def _count_at_least(value, name: str, low: int) -> int:
+    """``_int_at_least`` for a count that sizes an array or a buffer: also at most intp's maximum."""
+    count = _int_at_least(value, name, low)
+    if count > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be an integer from {low} to {np.iinfo(np.intp).max}")
+    return count
 
 
 @contextmanager
@@ -133,7 +139,7 @@ def _uniform_mesh(num_elements, name: str) -> Mesh:
     num_elements = _int_at_least(num_elements, name, 1)
     try:
         nodes = np.linspace(0.0, 1.0, num_elements + 1)
-    except ValueError as err:  # N + 1 nodes past numpy's array size limit
+    except (ValueError, IndexError, MemoryError) as err:  # N + 1 nodes numpy cannot hold
         raise ValueError(f"{name} is too large for a node array: {err}") from err
     return Mesh(nodes)
 
@@ -245,35 +251,12 @@ def linear_interpolant_path(x1, x2, mesh: Mesh) -> FePath:
     return FePath(mesh, values)
 
 
-def refine_path(path: FePath) -> FePath:
-    """Bisect every element; nodal values of the same function on the finer mesh.
-
-    The represented piecewise-linear function is unchanged (nested linear
-    finite element spaces), so any action evaluation is preserved up to
-    quadrature exactness.
-    """
-    nodes = path.mesh.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    new_nodes = np.empty(2 * nodes.size - 1)
-    new_nodes[0::2] = nodes
-    new_nodes[1::2] = mids
-    new_values = np.empty((new_nodes.size, path.dim))
-    new_values[0::2] = path.values
-    new_values[1::2] = 0.5 * (path.values[:-1] + path.values[1:])
-    return FePath(Mesh(new_nodes), new_values)
-
-
 def resample_path(path: FePath, mesh: Mesh) -> FePath:
     """Sample the path's interpolant on another mesh (exact on nested meshes)."""
     values = path(mesh.nodes)
     values[0] = path.values[0]
     values[-1] = path.values[-1]
     return FePath(mesh, values)
-
-
-def arc_length(path: FePath) -> float:
-    """Total Euclidean length of the polygonal path; >= |x2 - x1|."""
-    return float(np.sum(np.linalg.norm(np.diff(path.values, axis=0), axis=1)))
 
 
 _BLOCK_CELLS = 1 << 14  # lattice cells per vectorized block of the bounds
@@ -409,6 +392,8 @@ def clustering_fraction(path: FePath, center, radius: float) -> float:
     """
     _finite_positive(radius, "radius")
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (path.dim,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be a finite vector of {path.dim} components")
     dist = np.linalg.norm(path.values - center[None, :], axis=1)
     return float(np.count_nonzero(dist <= radius) / path.values.shape[0])
 

@@ -20,7 +20,6 @@ deterministic and their discrete minima are nonincreasing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -59,7 +58,6 @@ __all__ = [
     "linear_fixed_t_assertions",
     "values_nonincreasing",
     "write_study_csv",
-    "study_csv_text",
 ]
 
 STUDY_CSV_HEADER = (
@@ -334,13 +332,6 @@ def linear_fixed_t_assertions(records, rate_h1, rate_action) -> dict:
 # ---------------------------------------------------------------------------
 # study CSV
 # ---------------------------------------------------------------------------
-
-
-def study_csv_text(records) -> str:
-    """Render records in the study CSV format (deterministic bytes)."""
-    buf = io.StringIO()
-    write_study_csv(records, buf)
-    return buf.getvalue()
 
 
 def write_study_csv(records, target) -> None:

@@ -6,17 +6,21 @@ and squaring, and gradients come from central differences of the value
 functions.
 """
 
+import io
+
 import numpy as np
 
 from minaction import (
     FePath,
     Mesh,
     Quadrature,
-    action_fixed_T,
-    action_optimal,
+    fixed_t_value_grad,
     linear_field,
     maier_stein_field,
+    resample_path,
+    tmam_value_grad,
     two_scale_field,
+    write_study_csv,
 )
 
 
@@ -73,6 +77,19 @@ def random_mesh(rng, n_lo=4, n_hi=20, nonuniform=False) -> Mesh:
     return Mesh(nodes)
 
 
+def bisected_mesh(mesh) -> Mesh:
+    """``mesh`` with every element split at its midpoint."""
+    nodes = np.empty(2 * mesh.nodes.size - 1)
+    nodes[0::2] = mesh.nodes
+    nodes[1::2] = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    return Mesh(nodes)
+
+
+def refined(path) -> FePath:
+    """The same piecewise-linear function on the bisected mesh."""
+    return resample_path(path, bisected_mesh(path.mesh))
+
+
 def random_path(rng, dim, scale=1.0, nonuniform=False) -> FePath:
     mesh = random_mesh(rng, nonuniform=nonuniform)
     values = scale * rng.standard_normal((mesh.num_elements + 1, dim))
@@ -96,11 +113,18 @@ def fd_gradient(value_fn, path, step=1e-6) -> np.ndarray:
 
 
 def fd_grad_fixed_T(path, field, T, quad, step=1e-6) -> np.ndarray:
-    return fd_gradient(lambda p: action_fixed_T(p, field, T, quad), path, step)
+    return fd_gradient(lambda p: fixed_t_value_grad(p, field, T, quad)[0], path, step)
 
 
 def fd_grad_optimal(path, field, quad, step=1e-6) -> np.ndarray:
-    return fd_gradient(lambda p: action_optimal(p, field, quad).value, path, step)
+    return fd_gradient(lambda p: tmam_value_grad(p, field, quad)[0], path, step)
+
+
+def csv_text(records) -> str:
+    """The study CSV of ``records`` as a string."""
+    buf = io.StringIO()
+    write_study_csv(records, buf)
+    return buf.getvalue()
 
 
 def builtin_fields():

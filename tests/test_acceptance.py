@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     builtin_fields,
+    csv_text,
     fd_grad_fixed_T,
     fd_grad_optimal,
     random_path,
@@ -21,18 +22,16 @@ from minaction import (
     DriftVanishesError,
     OptimConfig,
     Quadrature,
-    action_fixed_T,
-    action_optimal,
     clustering_fraction,
-    grad_action_fixed_T,
-    grad_action_optimal,
+    fixed_t_value_grad,
     linear_field,
     linear_interpolant_path,
     minimize_tmam,
     optimal_time,
+    tmam_value_grad,
     uniform_mesh,
 )
-from minaction.study import run_case_i, run_case_ii_full, run_linear_fixed_T_study, study_csv_text
+from minaction.study import run_case_i, run_case_ii_full, run_linear_fixed_T_study
 
 QUAD = Quadrature(2)
 CASE_I_LEVELS = [8, 16, 32, 64, 128]
@@ -109,15 +108,15 @@ def test_criterion_04_scaling_optimality_suite():
         field = fields[k % len(fields)]
         path = random_path(rng, field.dim, nonuniform=bool(k % 3 == 0))
         t_hat = optimal_time(path, field, QUAD)
-        s_hat = action_fixed_T(path, field, t_hat, QUAD)
+        s_hat = fixed_t_value_grad(path, field, t_hat, QUAD)[0]
         T = float(np.exp(rng.uniform(-2.0, 3.0)))
-        assert s_hat <= action_fixed_T(path, field, T, QUAD) + 1e-12
+        assert s_hat <= fixed_t_value_grad(path, field, T, QUAD)[0] + 1e-12
         delta = 1e-5 * t_hat
         deriv = (
-            action_fixed_T(path, field, t_hat + delta, QUAD)
-            - action_fixed_T(path, field, t_hat - delta, QUAD)
+            fixed_t_value_grad(path, field, t_hat + delta, QUAD)[0]
+            - fixed_t_value_grad(path, field, t_hat - delta, QUAD)[0]
         ) / (2.0 * delta)
-        value = action_optimal(path, field, QUAD).value
+        value = tmam_value_grad(path, field, QUAD)[0]
         assert abs(deriv) <= 1e-8 * value
     print("[acceptance] criterion 4 (optimal-time scaling, 200 triples): PASS")
 
@@ -128,10 +127,10 @@ def test_criterion_05_rewrite_identity_suite():
     for k in range(200):
         field = fields[k % len(fields)]
         path = random_path(rng, field.dim, scale=float(rng.uniform(0.3, 2.0)))
-        report = action_optimal(path, field, QUAD)
-        direct = action_fixed_T(path, field, report.t_hat, QUAD)
-        assert abs(report.value - direct) <= 1e-12 * abs(report.value)
-        assert report.value >= -1e-12
+        value, _, t_hat = tmam_value_grad(path, field, QUAD)
+        direct = fixed_t_value_grad(path, field, t_hat, QUAD)[0]
+        assert abs(value - direct) <= 1e-12 * abs(value)
+        assert value >= -1e-12
     print("[acceptance] criterion 5 (rewrite identity, 200 paths): PASS")
 
 
@@ -142,21 +141,21 @@ def test_criterion_06_gradient_correctness():
         for _ in range(50):
             path = random_path(rng, field.dim, scale=0.8)
             T = float(np.exp(rng.uniform(-1.0, 1.5)))
-            g_fix = grad_action_fixed_T(path, field, T, QUAD)
+            g_fix = fixed_t_value_grad(path, field, T, QUAD)[1]
             fd_fix = fd_grad_fixed_T(path, field, T, QUAD)
             assert np.max(np.abs(g_fix - fd_fix)) <= 1e-5 * max(1.0, np.max(np.abs(g_fix)))
-            g_opt = grad_action_optimal(path, field, QUAD)
+            g_opt = tmam_value_grad(path, field, QUAD)[1]
             fd_opt = fd_grad_optimal(path, field, QUAD)
             assert np.max(np.abs(g_opt - fd_opt)) <= 1e-5 * max(1.0, np.max(np.abs(g_opt)))
             t_hat = optimal_time(path, field, QUAD)
-            g_env = grad_action_fixed_T(path, field, t_hat, QUAD)
+            g_env = fixed_t_value_grad(path, field, t_hat, QUAD)[1]
             assert np.max(np.abs(g_opt - g_env)) <= 1e-10 * max(1.0, np.max(np.abs(g_env)))
     # the zero field admits only the fixed-horizon functional
     rng = np.random.default_rng(77)
     zero2 = linear_field(np.zeros((2, 2)))
     for _ in range(50):
         path = random_path(rng, 2)
-        g_fix = grad_action_fixed_T(path, zero2, 1.0, QUAD)
+        g_fix = fixed_t_value_grad(path, zero2, 1.0, QUAD)[1]
         fd_fix = fd_grad_fixed_T(path, zero2, 1.0, QUAD)
         assert np.max(np.abs(g_fix - fd_fix)) <= 1e-5 * max(1.0, np.max(np.abs(g_fix)))
     print("[acceptance] criterion 6 (gradients vs finite differences + envelope): PASS")
@@ -215,8 +214,8 @@ def test_criterion_10_clustering_diagnostic(case_ii_run):
 
 
 def test_criterion_11_determinism_and_nesting(case_i_run, case_ii_run, linear_run):
-    first = study_csv_text(run_case_i([8, 16, 32], OptimConfig(), QUAD)[0])
-    second = study_csv_text(run_case_i([8, 16, 32], OptimConfig(), QUAD)[0])
+    first = csv_text(run_case_i([8, 16, 32], OptimConfig(), QUAD)[0])
+    second = csv_text(run_case_i([8, 16, 32], OptimConfig(), QUAD)[0])
     assert first == second
     for records in (
         case_i_run[0],

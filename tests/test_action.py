@@ -11,6 +11,7 @@ from helpers import (
     fd_grad_optimal,
     random_mesh,
     random_path,
+    refined,
 )
 from minaction import (
     ActionError,
@@ -21,24 +22,21 @@ from minaction import (
     FePath,
     Quadrature,
     SpectralLinearProblem,
-    action_fixed_T,
-    action_optimal,
     el_residual,
     exact_fixed_T_minimizer,
     field_from_callable,
-    grad_action_fixed_T,
-    grad_action_optimal,
+    fixed_t_value_grad,
     hamiltonian_violation,
     linear_field,
     linear_interpolant_path,
     maier_stein_field,
     minimize_fixed_T,
     optimal_time,
-    refine_path,
+    tmam_value_grad,
     two_scale_field,
     uniform_mesh,
 )
-from minaction.action import _assemble, _geometry, fixed_t_value_grad, tmam_value_grad
+from minaction.action import _assemble, _geometry
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -78,30 +76,41 @@ class TestFixedActionClosedForms:
         path = linear_interpolant_path([0.0], [1.0], mesh)
         field = linear_field([[0.0]])
         for T in (0.5, 1.0, 4.0):
-            assert action_fixed_T(path, field, T, DEFAULT_QUAD) == pytest.approx(
+            assert fixed_t_value_grad(path, field, T, DEFAULT_QUAD)[0] == pytest.approx(
                 1.0 / (2.0 * T), abs=1e-14
             )
 
     def test_constant_path_at_equilibrium(self):
         field = maier_stein_field()
         path = linear_interpolant_path([1.0, 0.0], [1.0, 0.0], uniform_mesh(6))
-        assert action_fixed_T(path, field, 2.0, DEFAULT_QUAD) == pytest.approx(0.0, abs=1e-15)
+        assert fixed_t_value_grad(path, field, 2.0, DEFAULT_QUAD)[0] == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("T", [0.5, 1.0, np.sqrt(3.0), 5.0])
     def test_unit_ramp_closed_form(self, T):
         # (T/2) * int (1/T + s)^2 ds = 1/(2T) + 1/2 + T/6, exact for q >= 2
-        got = action_fixed_T(unit_ramp(), SCALAR, T, Quadrature(2))
+        got = fixed_t_value_grad(unit_ramp(), SCALAR, T, Quadrature(2))[0]
         want = 1.0 / (2.0 * T) + 0.5 + T / 6.0
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_unit_ramp_value_at_one(self):
-        assert action_fixed_T(unit_ramp(), SCALAR, 1.0, Quadrature(2)) == pytest.approx(
+        assert fixed_t_value_grad(unit_ramp(), SCALAR, 1.0, Quadrature(2))[0] == pytest.approx(
             7.0 / 6.0, rel=1e-14
         )
 
     def test_nonpositive_T_rejected(self):
         with pytest.raises(ValueError):
-            action_fixed_T(unit_ramp(), SCALAR, 0.0, DEFAULT_QUAD)
+            fixed_t_value_grad(unit_ramp(), SCALAR, 0.0, DEFAULT_QUAD)[0]
+
+    @pytest.mark.parametrize("T", [0, -1, True, math.inf, math.nan, 10**400],
+                             ids=["zero", "negative", "bool", "inf", "nan", "beyond_float"])
+    def test_bad_horizon_rejected_by_fused_call(self, T):
+        with pytest.raises(ValueError, match=r"^T must be a finite positive number$"):
+            fixed_t_value_grad(unit_ramp(), SCALAR, T, DEFAULT_QUAD)
+
+    def test_fused_call_returns_horizon_as_given(self):
+        value, _, T = fixed_t_value_grad(unit_ramp(), SCALAR, 1, Quadrature(2))
+        assert type(T) is int and T == 1
+        assert value == fixed_t_value_grad(unit_ramp(), SCALAR, 1.0, Quadrature(2))[0]
 
 
 class TestOptimalTime:
@@ -139,14 +148,14 @@ class TestOptimalTime:
 
 class TestReducedAction:
     def test_unit_ramp_value(self):
-        report = action_optimal(unit_ramp(), SCALAR, Quadrature(2))
-        assert report.value == pytest.approx(0.5 + np.sqrt(3.0) / 3.0, rel=1e-14)
-        assert report.t_hat == pytest.approx(np.sqrt(3.0), rel=1e-14)
+        value, _, t_hat = tmam_value_grad(unit_ramp(), SCALAR, Quadrature(2))
+        assert value == pytest.approx(0.5 + np.sqrt(3.0) / 3.0, rel=1e-14)
+        assert t_hat == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
     def test_reversed_ramp_value(self):
         path = linear_interpolant_path([1.0], [0.0], uniform_mesh(8))
-        report = action_optimal(path, SCALAR, Quadrature(2))
-        assert report.value == pytest.approx(1.0 / np.sqrt(3.0) - 0.5, rel=1e-12)
+        value = tmam_value_grad(path, SCALAR, Quadrature(2))[0]
+        assert value == pytest.approx(1.0 / np.sqrt(3.0) - 0.5, rel=1e-12)
 
     def test_flow_aligned_path_is_zero(self):
         # constant drift: a straight line along b satisfies p' = c b(p)
@@ -154,13 +163,12 @@ class TestReducedAction:
             2, lambda x: np.array([1.0, 2.0]), jac=lambda x: np.zeros((2, 2))
         )
         path = linear_interpolant_path([0.0, 0.0], [0.5, 1.0], uniform_mesh(7))
-        report = action_optimal(path, field, DEFAULT_QUAD)
-        assert abs(report.value) <= 1e-12
-        assert report.hamiltonian_violation <= 1e-12
+        value, _, t_hat = tmam_value_grad(path, field, DEFAULT_QUAD)
+        assert abs(value) <= 1e-12
+        assert hamiltonian_violation(path, field, t_hat, DEFAULT_QUAD) <= 1e-12
 
     def test_grad_shape(self):
-        report = action_optimal(unit_ramp(10), SCALAR, DEFAULT_QUAD)
-        assert report.grad.shape == (9, 1)
+        assert tmam_value_grad(unit_ramp(10), SCALAR, DEFAULT_QUAD)[1].shape == (9, 1)
 
 
 class TestScalingOptimality:
@@ -171,9 +179,9 @@ class TestScalingOptimality:
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim)
             t_hat = optimal_time(path, field, DEFAULT_QUAD)
-            s_hat = action_fixed_T(path, field, t_hat, DEFAULT_QUAD)
+            s_hat = fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[0]
             for T in np.exp(rng.uniform(-2.0, 3.0, size=3)):
-                assert s_hat <= action_fixed_T(path, field, float(T), DEFAULT_QUAD) + 1e-12
+                assert s_hat <= fixed_t_value_grad(path, field, float(T), DEFAULT_QUAD)[0] + 1e-12
 
     def test_stationarity_centered_difference(self):
         rng = np.random.default_rng(101)
@@ -181,13 +189,13 @@ class TestScalingOptimality:
         for k in range(40):
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim)
-            report = action_optimal(path, field, DEFAULT_QUAD)
-            delta = 1e-5 * report.t_hat
+            value, _, t_hat = tmam_value_grad(path, field, DEFAULT_QUAD)
+            delta = 1e-5 * t_hat
             deriv = (
-                action_fixed_T(path, field, report.t_hat + delta, DEFAULT_QUAD)
-                - action_fixed_T(path, field, report.t_hat - delta, DEFAULT_QUAD)
+                fixed_t_value_grad(path, field, t_hat + delta, DEFAULT_QUAD)[0]
+                - fixed_t_value_grad(path, field, t_hat - delta, DEFAULT_QUAD)[0]
             ) / (2.0 * delta)
-            assert abs(deriv) <= 1e-8 * max(report.value, 1e-30)
+            assert abs(deriv) <= 1e-8 * max(value, 1e-30)
 
 
 class TestRewriteIdentity:
@@ -197,9 +205,9 @@ class TestRewriteIdentity:
         for k in range(60):
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim, nonuniform=bool(k % 2))
-            report = action_optimal(path, field, DEFAULT_QUAD)
-            direct = action_fixed_T(path, field, report.t_hat, DEFAULT_QUAD)
-            assert abs(report.value - direct) <= 1e-12 * abs(report.value)
+            value, _, t_hat = tmam_value_grad(path, field, DEFAULT_QUAD)
+            direct = fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[0]
+            assert abs(value - direct) <= 1e-12 * abs(value)
 
     def test_nonnegativity(self):
         rng = np.random.default_rng(103)
@@ -207,7 +215,7 @@ class TestRewriteIdentity:
         for k in range(60):
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim, scale=float(rng.uniform(0.1, 3.0)))
-            assert action_optimal(path, field, DEFAULT_QUAD).value >= -1e-12
+            assert tmam_value_grad(path, field, DEFAULT_QUAD)[0] >= -1e-12
 
 
 class TestGradients:
@@ -218,13 +226,13 @@ class TestGradients:
         for _ in range(5):
             path = random_path(rng, field.dim)
             T = float(np.exp(rng.uniform(-1.0, 1.5)))
-            grad = grad_action_fixed_T(path, field, T, DEFAULT_QUAD)
+            grad = fixed_t_value_grad(path, field, T, DEFAULT_QUAD)[1]
             fd = fd_grad_fixed_T(path, field, T, DEFAULT_QUAD)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
     def test_zero_field_straight_line_gradient_vanishes(self):
         path = linear_interpolant_path([0.0, 0.0], [1.0, 2.0], uniform_mesh(9))
-        grad = grad_action_fixed_T(path, ZERO2, 1.0, DEFAULT_QUAD)
+        grad = fixed_t_value_grad(path, ZERO2, 1.0, DEFAULT_QUAD)[1]
         assert np.max(np.abs(grad)) <= 1e-14
 
     @pytest.mark.parametrize("name", ["scalar_linear", "general_linear", "two_scale", "maier_stein"])
@@ -233,7 +241,7 @@ class TestGradients:
         rng = np.random.default_rng(abs(hash(name + "opt")) % 2**32)
         for _ in range(5):
             path = random_path(rng, field.dim)
-            grad = grad_action_optimal(path, field, DEFAULT_QUAD)
+            grad = tmam_value_grad(path, field, DEFAULT_QUAD)[1]
             fd = fd_grad_optimal(path, field, DEFAULT_QUAD)
             assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
@@ -245,8 +253,8 @@ class TestGradients:
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim, nonuniform=bool(k % 2))
             t_hat = optimal_time(path, field, DEFAULT_QUAD)
-            g_opt = grad_action_optimal(path, field, DEFAULT_QUAD)
-            g_fix = grad_action_fixed_T(path, field, t_hat, DEFAULT_QUAD)
+            g_opt = tmam_value_grad(path, field, DEFAULT_QUAD)[1]
+            g_fix = fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[1]
             assert np.max(np.abs(g_opt - g_fix)) <= 1e-10 * max(1.0, np.max(np.abs(g_fix)))
 
     @pytest.mark.parametrize(
@@ -273,9 +281,9 @@ class TestGradients:
 
         def reduced(eps):
             moved = path.replace_interior(values[1:-1] + eps * d)
-            return action_optimal(moved, field, DEFAULT_QUAD).value
+            return tmam_value_grad(moved, field, DEFAULT_QUAD)[0]
 
-        slope = float(np.sum(grad_action_optimal(path, field, DEFAULT_QUAD) * d))
+        slope = float(np.sum(tmam_value_grad(path, field, DEFAULT_QUAD)[1] * d))
         remainders = [abs(reduced(eps) - reduced(0.0) - eps * slope) for eps in (1e-2, 1e-3, 1e-4)]
         for coarse, fine in zip(remainders, remainders[1:]):
             assert np.log10(coarse / fine) == pytest.approx(2.0, abs=0.01)
@@ -284,7 +292,7 @@ class TestGradients:
         field = SCALAR
         res = minimize_fixed_T(unit_ramp(16), field, 1.0, quad=Quadrature(2))
         assert res.converged
-        grad = grad_action_fixed_T(res.path, field, 1.0, Quadrature(2))
+        grad = fixed_t_value_grad(res.path, field, 1.0, Quadrature(2))[1]
         assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, abs(res.value))
 
 
@@ -346,7 +354,7 @@ class TestWeakFormIdentity:
         rng = np.random.default_rng(321)
         path = random_path(rng, 2)
         T = 1.3
-        grad = grad_action_fixed_T(path, field, T, Quadrature(2))
+        grad = fixed_t_value_grad(path, field, T, Quadrature(2))[1]
 
         nodes = path.mesh.nodes
         x_gl, w_gl = np.polynomial.legendre.leggauss(6)
@@ -390,15 +398,15 @@ class TestRefinementConsistency:
         quad = Quadrature(2)
         for _ in range(10):
             path = random_path(rng, 2, nonuniform=True)
-            fine = refine_path(path)
+            fine = refined(path)
             t0 = optimal_time(path, field, quad)
             t1 = optimal_time(fine, field, quad)
             assert abs(t1 - t0) <= 1e-12 * t0
-            a0 = action_fixed_T(path, field, 2.0, quad)
-            a1 = action_fixed_T(fine, field, 2.0, quad)
+            a0 = fixed_t_value_grad(path, field, 2.0, quad)[0]
+            a1 = fixed_t_value_grad(fine, field, 2.0, quad)[0]
             assert abs(a1 - a0) <= 1e-12 * max(1.0, abs(a0))
-            v0 = action_optimal(path, field, quad).value
-            v1 = action_optimal(fine, field, quad).value
+            v0 = tmam_value_grad(path, field, quad)[0]
+            v1 = tmam_value_grad(fine, field, quad)[0]
             assert abs(v1 - v0) <= 1e-12 * max(1.0, abs(v0))
 
 

@@ -763,6 +763,44 @@ def test_mesh_size_past_numpys_array_limit_names_the_key(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,key,low",
+    [("solve", "optimizer.memory", 0), ("solve", "quadrature.points_per_element", 1),
+     ("oracle", "oracle.samples", 2)],
+    ids=["memory", "points_per_element", "samples"],
+)
+def test_integer_past_index_range_names_the_key(tmp_path, capsys, command, key, low):
+    out = tmp_path / "out"
+    payload = solve_config() if command == "solve" else {
+        "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]},
+        "oracle": {"kind": "trajectory", "t_end": "inf"},
+        "outputs": {"trajectory_csv": "trajectory.csv"},
+    }
+    cfg = write_config(tmp_path, payload)
+    argv = [command, "--config", cfg, "--set", f"{key}={BEYOND_FLOAT}", "--out-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    limit = np.iinfo(np.intp).max
+    assert capsys.readouterr().err == f"config error: {key} must be an integer from {low} to {limit}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 745. GiB"),
+                                   IndexError("index -1 is out of bounds")],
+                         ids=["memory", "index"])
+def test_node_array_numpy_cannot_make_names_the_key(tmp_path, capsys, monkeypatch, error):
+    # numpy's own failures for a node count it cannot hold, raised here by a
+    # stand-in so that nothing is allocated
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np, "linspace", fail)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, solve_config(mesh={"N": 100_000_000_000}))
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: mesh.N is too large for a node array: {error}\n"
+    assert not out.exists()
+
+
 def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # the oracle (10x flow samples, Frechet distance) and solver bits of the
     # infinite-horizon study; the relative out dir keeps summary.json's

@@ -8,12 +8,11 @@ from minaction import (
     OptimConfig,
     Quadrature,
     SpectralLinearProblem,
-    action_fixed_T,
     clustering_fraction,
     continuation_sweep,
     el_residual,
     field_from_callable,
-    grad_action_fixed_T,
+    fixed_t_value_grad,
     hamiltonian_violation,
     linear_field,
     linear_interpolant_path,
@@ -39,6 +38,8 @@ CASES = [
      lambda: minimize_tmam(START, FIELD, OptimConfig(tol_grad=math.inf), QUAD)),
     ("max_iters_float", "max_iters", lambda: OptimConfig(max_iters=2.5)),
     ("memory_bool", "memory", lambda: OptimConfig(memory=True)),
+    ("memory_past_index", "memory", lambda: OptimConfig(memory=10**400)),
+    ("quadrature_past_index", "points_per_element", lambda: Quadrature(10**400)),
     ("quadrature_bool", "points_per_element", lambda: Quadrature(True)),
     ("quadrature_float", "points_per_element", lambda: Quadrature(2.5)),
     ("mesh_bool", "num_elements", lambda: uniform_mesh(True)),
@@ -48,10 +49,14 @@ CASES = [
     ("trajectory_samples_float", "samples",
      lambda: trajectory_times_points([[-1.0]], [1.0], 1.0, 2.5)),
     ("inward_samples_float", "samples", lambda: check_inward_condition(FIELD, 2.5, 10.0)),
+    ("inward_samples_past_index", "samples",
+     lambda: check_inward_condition(FIELD, 10**400, 10.0)),
+    ("trajectory_samples_past_index", "samples",
+     lambda: trajectory_times_points([[-1.0]], [1.0], 1.0, 10**400)),
     ("inward_radius_nan", "radius", lambda: check_inward_condition(FIELD, 8, math.nan)),
     ("inward_radius_inf", "radius", lambda: check_inward_condition(FIELD, 8, math.inf)),
-    ("action_T_inf", "T", lambda: action_fixed_T(START, FIELD, math.inf, QUAD)),
-    ("grad_T_inf", "T", lambda: grad_action_fixed_T(START, FIELD, math.inf, QUAD)),
+    ("action_T_inf", "T", lambda: fixed_t_value_grad(START, FIELD, math.inf, QUAD)[0]),
+    ("grad_T_inf", "T", lambda: fixed_t_value_grad(START, FIELD, math.inf, QUAD)[1]),
     ("hamiltonian_t_hat_inf", "t_hat",
      lambda: hamiltonian_violation(START, FIELD, math.inf, QUAD)),
     ("el_residual_T_inf", "T", lambda: el_residual(START, FIELD, math.inf, QUAD)),

@@ -112,6 +112,14 @@ class TestExactMinimizer:
         )
         np.testing.assert_allclose(exact_fixed_T_minimizer_deriv(prob, s), fd, atol=1e-5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -1e-12, 2.0, [0.5, 1.0 + 1e-12]],
+                             ids=["nan", "inf", "below", "above", "array_above"])
+    def test_scaled_time_outside_unit_interval_rejected(self, s):
+        prob = SpectralLinearProblem(TWO_SCALE, [1.0, 1.0], [0.0, 0.0], T=2.0)
+        for oracle in (exact_fixed_T_minimizer, exact_fixed_T_minimizer_deriv):
+            with pytest.raises(ValueError, match=r"^scaled time s must be finite and in \[0, 1\]$"):
+                oracle(prob, s)
+
 
 class TestExactAction:
     def test_zero_for_coincident_zero_endpoints(self):

@@ -5,23 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brute_force_frechet, random_path
+from helpers import bisected_mesh, brute_force_frechet, random_path, refined
 from minaction import pathcore
 from minaction import (
     FePath,
     Mesh,
     Polyline,
     Quadrature,
-    action_fixed_T,
-    action_optimal,
-    arc_length,
     clustering_fraction,
     discrete_frechet,
     linear_interpolant_path,
     path_polyline,
+    fixed_t_value_grad,
     read_path_csv,
-    refine_path,
     resample_path,
+    tmam_value_grad,
     trajectory_polyline,
     two_scale_field,
     uniform_mesh,
@@ -190,13 +188,13 @@ class TestLinearInterpolant:
 class TestRefine:
     def test_single_element_bisection(self):
         path = linear_interpolant_path([0.0], [1.0], uniform_mesh(1))
-        fine = refine_path(path)
+        fine = resample_path(path, bisected_mesh(path.mesh))
         assert fine.mesh.num_elements == 2
         assert fine.values[1, 0] == pytest.approx(0.5, abs=0)
 
     def test_double_refine_quadruples(self):
         path = random_path(np.random.default_rng(3), dim=2)
-        twice = refine_path(refine_path(path))
+        twice = refined(refined(path))
         assert twice.mesh.num_elements == 4 * path.mesh.num_elements
 
     def test_action_preserved_linear_field(self):
@@ -206,15 +204,15 @@ class TestRefine:
         quad = Quadrature(2)
         for _ in range(5):
             path = random_path(rng, dim=2, nonuniform=True)
-            fine = refine_path(path)
+            fine = refined(path)
             for T in (0.5, 1.0, 3.0):
-                a0 = action_fixed_T(path, field, T, quad)
-                a1 = action_fixed_T(fine, field, T, quad)
+                a0 = fixed_t_value_grad(path, field, T, quad)[0]
+                a1 = fixed_t_value_grad(fine, field, T, quad)[0]
                 assert abs(a1 - a0) <= 1e-12 * max(1.0, abs(a0))
-            r0 = action_optimal(path, field, quad)
-            r1 = action_optimal(fine, field, quad)
-            assert abs(r1.value - r0.value) <= 1e-12 * max(1.0, abs(r0.value))
-            assert abs(r1.t_hat - r0.t_hat) <= 1e-12 * max(1.0, r0.t_hat)
+            v0, _, t0 = tmam_value_grad(path, field, quad)
+            v1, _, t1 = tmam_value_grad(fine, field, quad)
+            assert abs(v1 - v0) <= 1e-12 * max(1.0, abs(v0))
+            assert abs(t1 - t0) <= 1e-12 * max(1.0, t0)
 
     def test_resample_nested_exact(self):
         path = linear_interpolant_path([0.0, 1.0], [1.0, -1.0], uniform_mesh(4))
@@ -222,34 +220,6 @@ class TestRefine:
         np.testing.assert_allclose(resampled(path.mesh.nodes), path.values, atol=1e-15)
         assert np.array_equal(resampled.left, path.left)
         assert np.array_equal(resampled.right, path.right)
-
-
-class TestArcLength:
-    def test_straight_diagonal(self):
-        path = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(13))
-        assert arc_length(path) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-    def test_constant_path(self):
-        path = linear_interpolant_path([2.0], [2.0], uniform_mesh(3))
-        assert arc_length(path) == 0.0
-
-    def test_zigzag(self):
-        path = FePath(uniform_mesh(3), np.array([[0.0], [1.0], [0.0], [1.0]]))
-        assert arc_length(path) == pytest.approx(3.0, abs=1e-12)
-
-    def test_lower_bound_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            path = random_path(rng, dim=3)
-            assert arc_length(path) >= np.linalg.norm(path.right - path.left) - 1e-12
-
-    def test_equality_iff_colinear_ordered(self):
-        # colinear monotone nodes achieve the bound; a perturbation breaks it
-        mesh = uniform_mesh(5)
-        straight = linear_interpolant_path([0.0, 0.0], [3.0, 4.0], mesh)
-        assert arc_length(straight) == pytest.approx(5.0, abs=1e-12)
-        bent = straight.replace_interior(straight.values[1:-1] + [[0.0, 0.1]] * 4)
-        assert arc_length(bent) > 5.0 + 1e-6
 
 
 class TestDiscreteFrechet:
@@ -426,6 +396,19 @@ class TestClustering:
         path = linear_interpolant_path([0.0], [1.0], uniform_mesh(2))
         with pytest.raises(ValueError):
             clustering_fraction(path, [0.0], 0.0)
+
+    @pytest.mark.parametrize("center", [[0.0], [0.0, 0.0, 0.0], [math.nan, 0.0], [0.0, math.inf],
+                                        [[0.0, 0.0]]],
+                             ids=["short", "long", "nan", "inf", "matrix"])
+    def test_bad_center_rejected(self, center):
+        # a short center used to broadcast over every component
+        path = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(2))
+        with pytest.raises(ValueError, match=r"^center must be a finite vector of 2 components$"):
+            clustering_fraction(path, center, 0.5)
+
+    def test_scalar_center_of_a_scalar_path(self):
+        path = linear_interpolant_path([0.0], [1.0], uniform_mesh(4))
+        assert clustering_fraction(path, 0.0, 0.3) == 2 / 5
 
 
 class TestPathCsv:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import csv_text
 from minaction import (
     FePath,
     SpectralLinearProblem,
@@ -15,7 +16,6 @@ from minaction import (
 from minaction.study import (
     StudyRecord,
     fit_rate,
-    study_csv_text,
     values_nonincreasing,
 )
 
@@ -124,7 +124,7 @@ class TestCaseStudies:
 
 class TestStudyCsv:
     def test_header_and_blank_optionals(self):
-        text = study_csv_text(make_records([8], [0.5]))
+        text = csv_text(make_records([8], [0.5]))
         lines = text.splitlines()
         assert lines[0] == (
             "N,h,action,action_error,t_hat,t_error,h1_error,frechet,ham_violation,iterations"
@@ -134,13 +134,13 @@ class TestStudyCsv:
         assert cells[5] == "" and cells[6] == "" and cells[7] == ""
 
     def test_deterministic_repeat(self):
-        a = study_csv_text(run_case_i([8, 16, 32])[0])
-        b = study_csv_text(run_case_i([8, 16, 32])[0])
+        a = csv_text(run_case_i([8, 16, 32])[0])
+        b = csv_text(run_case_i([8, 16, 32])[0])
         assert a == b
 
     def test_round_trip_precision(self):
         # repr serialization: parsing a cell recovers the float bit-exactly
         records = make_records([8], [0.1 + 1e-17])
-        text = study_csv_text(records)
+        text = csv_text(records)
         cell = text.splitlines()[1].split(",")[2]
         assert float(cell) == records[0].action
