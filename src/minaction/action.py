@@ -30,7 +30,8 @@ Gauss-Legendre quadrature per element (exact for linear drift when the rule
 has >= 2 points per element).  Each functional has one public call, which
 returns its value and gradient from one assembly: ``fixed_t_value_grad`` for
 S(T, .) and ``tmam_value_grad`` for S_opt.  The other public functions are
-post-solve diagnostics.
+post-solve diagnostics.  The assembly holds one length-N row per component
+and quadrature point, so its sums run over contiguous rows (``_Assembly``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ __all__ = [
 # optimal-time ratio is meaningless and a typed error is raised instead.
 EPS_DEGENERATE = 1e-14
 
+# Largest Gauss-Legendre rule ``Quadrature`` accepts (see its docstring).
+MAX_POINTS_PER_ELEMENT = 100
+
 
 class ActionError(ValueError):
     """Typed numeric failure; ``code`` is the stable machine-readable name."""
@@ -86,15 +90,17 @@ class Quadrature:
     ``points_per_element`` q integrates polynomials of degree <= 2q - 1
     exactly; q = 2 is exact for quadratic integrands, hence for every
     functional here when the drift is linear.  Default used by the solvers
-    is q = 3.
+    is q = 3.  q runs from 1 to ``MAX_POINTS_PER_ELEMENT`` (100): a P1
+    element gains nothing from more points, and the bound caps the dense
+    q x q eigenproblem that computes the rule and each mesh's (q, N) planes.
     """
 
     points_per_element: int = 3
 
     def __post_init__(self):
-        x, w = np.polynomial.legendre.leggauss(
-            _count_at_least(self.points_per_element, "points_per_element", 1)
-        )
+        x, w = np.polynomial.legendre.leggauss(_count_at_least(
+            self.points_per_element, "points_per_element", 1, MAX_POINTS_PER_ELEMENT
+        ))
         xi = 0.5 * (x + 1.0)
         wts = 0.5 * w
         xi.flags.writeable = False
@@ -109,23 +115,23 @@ class Quadrature:
 
 
 class _Geometry:
-    """Mesh-only quadrature data of one (mesh, rule) pair: element widths and hat weights.
+    """Mesh-only quadrature data of one (mesh, rule) pair, as read-only (q, N) planes.
 
-    ``left_cols[k]`` and ``right_cols[k]`` are the (N, 1) columns
-    h_e w_k (1 - xi_k) and h_e w_k xi_k.  Every array is read-only: one
-    instance serves every assembly on its mesh (see ``_geometry``).
+    Row k, column e of ``hw``, ``left`` and ``right`` holds h_e w_k,
+    h_e w_k (1 - xi_k) and h_e w_k xi_k: the weight of point k of element
+    e, alone and times the hat function of the element's left and right
+    node.  One instance serves every assembly on its mesh (see ``_geometry``).
     """
 
-    __slots__ = ("h", "h_col", "left_cols", "right_cols")
+    __slots__ = ("h", "hw", "left", "right")
 
     def __init__(self, widths: np.ndarray, quad: Quadrature):
         self.h = widths                              # (N,)
-        self.h_col = widths[:, None]                 # (N, 1)
-        hw = self.h_col * quad.w                     # (N, q)
-        left_w, right_w = hw * (1.0 - quad.xi), hw * quad.xi
-        left_w.flags.writeable = right_w.flags.writeable = False
-        self.left_cols = tuple(left_w[:, k, None] for k in range(quad.xi.size))
-        self.right_cols = tuple(right_w[:, k, None] for k in range(quad.xi.size))
+        self.hw = quad.w[:, None] * widths           # (q, N)
+        self.left = self.hw * (1.0 - quad.xi)[:, None]
+        self.right = self.hw * quad.xi[:, None]
+        for plane in (self.hw, self.left, self.right):
+            plane.flags.writeable = False
 
 
 def _geometry(mesh: Mesh, quad: Quadrature) -> _Geometry:
@@ -140,68 +146,57 @@ def _geometry(mesh: Mesh, quad: Quadrature) -> _Geometry:
 
 
 class _Assembly:
-    """Per-element quadrature data for one (path, field, rule) triple."""
+    """Quadrature data of one (path, field, rule) triple, on node-last planes.
 
-    __slots__ = ("geo", "h", "delta", "deriv", "x_quad", "b_quad", "xi", "w", "n", "field")
+    Row i of every array is component i of the path: ``delta`` and
+    ``deriv`` are (n, N), the quadrature points ``x_quad`` and the drift
+    ``b_quad`` are (n, q, N) with point k of element e at [:, k, e].  The
+    field gets the points as the (q N, n) transposed view of ``x_quad``, so
+    every sum below runs over contiguous length-N rows.  An array the field
+    returns is read, never written.
+    """
+
+    __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field")
 
     def __init__(self, mesh: Mesh, values: np.ndarray, field: DriftField, quad: Quadrature):
         self.geo = _geometry(mesh, quad)
-        self.h = self.geo.h                          # (N,)
-        self.delta = values[1:] - values[:-1]        # (N, n)
-        self.deriv = self.delta / self.geo.h_col     # (N, n), constant per element
-        self.xi = quad.xi
-        self.w = quad.w
-        self.n = values.shape[1]
+        nodes = np.ascontiguousarray(values.T)       # (n, N + 1)
+        self.delta = nodes[:, 1:] - nodes[:, :-1]    # (n, N)
+        self.deriv = self.delta / self.geo.h         # (n, N), constant per element
+        xi = quad.xi[:, None]
+        x_quad = nodes[:, None, :-1] * (1.0 - xi) + nodes[:, None, 1:] * xi     # (n, q, N)
+        self.points = x_quad.reshape(x_quad.shape[0], -1).T                    # (q N, n) view
+        self.w = quad.w[:, None]
         self.field = field
-        self.x_quad = np.empty((self.h.size, quad.xi.size, self.n))  # (N, q, n)
-        for k, xi in enumerate(quad.xi):
-            self.x_quad[:, k] = values[:-1] * (1.0 - xi) + values[1:] * xi
-        flat = self.x_quad.reshape(-1, self.n)
-        self.b_quad = field.eval_many(flat).reshape(self.x_quad.shape)
+        self.b_quad = np.ascontiguousarray(field.eval_many(self.points).T).reshape(x_quad.shape)
 
     def jac_quad(self) -> np.ndarray:
-        flat = self.x_quad.reshape(-1, self.n)
-        return self.field.jacobian_many(flat).reshape(self.x_quad.shape + (self.n,))
+        """(n, n, q, N) planes of the Jacobian; [j, i] holds db_j/dx_i."""
+        jac = self.field.jacobian_many(self.points)
+        return jac.transpose(1, 2, 0).reshape(jac.shape[1:] + self.b_quad.shape[1:])
 
-    # squared L2 seminorm of p'
-    def deriv_norm_sq(self) -> float:
-        return float(np.sum(self.delta * self.deriv))
+    # int |f|^2 ds from f's (n, q, N) values at the quadrature points
+    def weighted_sq(self, planes: np.ndarray) -> float:
+        return float(np.vdot(planes, self.geo.hw * planes))
 
-    # squared L2 norm of b(p)
-    def drift_norm_sq(self) -> float:
-        return float(np.einsum("e,q,eqi,eqi->", self.h, self.w, self.b_quad, self.b_quad))
+    def residual(self, t_scale: float) -> np.ndarray:
+        return self.deriv[:, None, :] / t_scale - self.b_quad     # (n, q, N)
 
-    # <p', b(p)>
-    def cross_term(self) -> float:
-        return float(np.einsum("ei,q,eqi->", self.delta, self.w, self.b_quad))
+    def fixed_t_grad(self, t_scale: float, resid: np.ndarray) -> np.ndarray:
+        """Interior gradient (N - 1, n) of the fixed-T value from its residual planes.
 
-    def fixed_t_value(self, t_scale: float) -> float:
-        resid = self.deriv[:, None, :] / t_scale - self.b_quad
-        return 0.5 * t_scale * float(np.einsum("e,q,eqi,eqi->", self.h, self.w, resid, resid))
-
-    def fixed_t_grad(self, t_scale: float) -> np.ndarray:
-        """Gradient of the fixed-T value w.r.t. all nodal values (residual form).
-
-        The drift term of element e at node side phi is the sum over points q
-        of h_e w_q phi(xi_q) (Db^T r)_eq.  It is summed point by point from
-        zero with the factors multiplied left to right, the order of
-        ``np.einsum("e,q,q,eqi->ei", h, w, phi, jtr)``, so it has that
-        einsum's bits, signed zeros included, at a fraction of its cost.
+        Element e adds -wr_e - T left_e to its left node and wr_e - T right_e
+        to its right node, where wr_e = sum_k w_k r_ek and left_e, right_e
+        are the hat-weighted sums over k of (Db^T r)_ek.
         """
-        num_nodes = self.h.size + 1
-        resid = self.deriv[:, None, :] / t_scale - self.b_quad
         jac = self.jac_quad()
-        jtr = np.einsum("eqji,eqj->eqi", jac, resid)
-        wr = np.einsum("q,eqi->ei", self.w, resid)
-        left = np.zeros((self.h.size, self.n))
-        right = np.zeros((self.h.size, self.n))
-        for k, (left_w, right_w) in enumerate(zip(self.geo.left_cols, self.geo.right_cols)):
-            left += left_w * jtr[:, k]
-            right += right_w * jtr[:, k]
-        grad = np.zeros((num_nodes, self.n))
-        grad[:-1] += -wr - t_scale * left
-        grad[1:] += wr - t_scale * right
-        return grad
+        jtr = jac[0] * resid[0]                      # (n, q, N): (Db^T r)_i
+        for j in range(1, resid.shape[0]):
+            jtr += jac[j] * resid[j]
+        wr = np.sum(self.w * resid, axis=1)          # (n, N)
+        to_left = -wr - t_scale * np.sum(self.geo.left * jtr, axis=1)
+        to_right = wr - t_scale * np.sum(self.geo.right * jtr, axis=1)
+        return np.ascontiguousarray((to_left[:, 1:] + to_right[:, :-1]).T)
 
 
 def _assemble(path: FePath, field: DriftField, quad: Quadrature) -> _Assembly:
@@ -216,8 +211,8 @@ def _horizon(asm: _Assembly):
     A ratio that is not finite and positive, as when |b(p)|^2 overflows to
     inf and t_hat underflows to 0, raises a typed error.
     """
-    alpha = math.sqrt(asm.deriv_norm_sq())
-    beta = math.sqrt(asm.drift_norm_sq())
+    alpha = math.sqrt(float(np.vdot(asm.delta, asm.deriv)))
+    beta = math.sqrt(asm.weighted_sq(asm.b_quad))
     if alpha <= EPS_DEGENERATE:
         raise DegeneratePathError("path derivative seminorm is numerically zero")
     if beta <= EPS_DEGENERATE:
@@ -245,7 +240,8 @@ def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadratu
     """
     t_scale = _finite_positive(T, "T")
     asm = _assemble(path, field, quad)
-    return asm.fixed_t_value(t_scale), asm.fixed_t_grad(t_scale)[1:-1], T
+    resid = asm.residual(t_scale)
+    return 0.5 * t_scale * asm.weighted_sq(resid), asm.fixed_t_grad(t_scale, resid), T
 
 
 def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
@@ -258,7 +254,8 @@ def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
     """
     asm = _assemble(path, field, quad)
     t_hat, alpha, beta = _horizon(asm)
-    return alpha * beta - asm.cross_term(), asm.fixed_t_grad(t_hat)[1:-1], t_hat
+    cross = float(np.vdot(asm.w * asm.delta[:, None, :], asm.b_quad))     # <p', b(p)>
+    return alpha * beta - cross, asm.fixed_t_grad(t_hat, asm.residual(t_hat)), t_hat
 
 
 def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
@@ -279,8 +276,8 @@ def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Q
     """
     t_scale = _finite_positive(t_hat, "t_hat")
     asm = _assemble(path, field, quad)
-    speed = np.linalg.norm(asm.deriv, axis=1)[:, None] / t_scale   # (N, 1)
-    drift_mag = np.linalg.norm(asm.b_quad, axis=2)                 # (N, q)
+    speed = np.linalg.norm(asm.deriv, axis=0) / t_scale    # (N,)
+    drift_mag = np.linalg.norm(asm.b_quad, axis=0)         # (q, N)
     return float(np.max(np.abs(speed - drift_mag)))
 
 
@@ -288,10 +285,10 @@ def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> 
     """``el_residual`` of ``path`` from its interior fixed-T gradient at ``t_scale``.
 
     Only the path's H1 seminorm is computed here, from its nodes with the
-    bits of ``_Assembly.deriv_norm_sq``; no drift is evaluated.
+    bits of ``_horizon``'s |p'|; no drift is evaluated.
     """
-    delta = path.values[1:] - path.values[:-1]
-    h1 = math.sqrt(float(np.sum(delta * (delta / path.mesh.widths[:, None]))))
+    delta = np.diff(path.values, axis=0).T
+    h1 = math.sqrt(float(np.vdot(delta, delta / path.mesh.widths)))
     return float(np.linalg.norm(grad_interior) / (t_scale * max(h1, EPS_DEGENERATE)))
 
 
@@ -306,4 +303,5 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
     stationarity diagnostic, not an error bound.
     """
     t_scale = _finite_positive(t_or_that, "T")
-    return _el_residual_at(path, _assemble(path, field, quad).fixed_t_grad(t_scale)[1:-1], t_scale)
+    asm = _assemble(path, field, quad)
+    return _el_residual_at(path, asm.fixed_t_grad(t_scale, asm.residual(t_scale)), t_scale)

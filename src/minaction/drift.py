@@ -152,12 +152,12 @@ def maier_stein_field(gamma: float = 10.0) -> DriftField:
 
     def jac_many(pts):
         u, v = pts[:, 0], pts[:, 1]
-        jac = np.empty((pts.shape[0], 2, 2))
-        jac[:, 0, 0] = 1.0 - 3.0 * u**2 - gamma * v**2
-        jac[:, 0, 1] = -2.0 * gamma * u * v
-        jac[:, 1, 0] = -2.0 * u * v
-        jac[:, 1, 1] = -(1.0 + u**2)
-        return jac
+        jac = np.empty((2, 2, pts.shape[0]))   # a contiguous plane per entry
+        jac[0, 0] = 1.0 - 3.0 * u**2 - gamma * v**2
+        jac[0, 1] = -2.0 * gamma * u * v
+        jac[1, 0] = -2.0 * u * v
+        jac[1, 1] = -(1.0 + u**2)
+        return jac.transpose(2, 0, 1)
 
     return DriftField(dim=2, _eval_many=eval_many, _jac_many=jac_many, beta=1.0, r2=1.5)
 
@@ -192,7 +192,8 @@ def field_from_callable(
 
     def batched(fn, name, shape):
         def many(pts):
-            rows = [fn(p) for p in pts]
+            # one copy, so that each point is a C-contiguous row whatever the batch's layout
+            rows = [fn(p) for p in np.ascontiguousarray(pts)]
             out = np.array(rows, dtype=float) if rows else np.empty((0, *shape))
             if out.shape != (len(pts), *shape):
                 raise ValueError(

@@ -39,6 +39,10 @@ _TINY_RATE = 1e-12
 _DECAYED = 1e-10
 
 
+class _SampleCountError(ValueError):
+    """A sample count numpy cannot make a time array of; the message starts with ``samples``."""
+
+
 def _spectrum(matrix):
     """Checked eigendecomposition (A, eigenvalues, eigenvectors) of a symmetric A."""
     a_mat = np.asarray(matrix, dtype=float)
@@ -216,7 +220,8 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     time entry is inf).  The infinite horizon is rejected when x has a part
     of norm >= 1e-10 on eigenvalues >= 0, which never decays, and when the
     norm overflows before it falls below 1e-10; a finite horizon is rejected
-    when a sample overflows.
+    when a sample overflows or t_end * 1e-4 underflows to 0.  A sample count
+    numpy cannot make an array of raises a ``ValueError`` that names ``samples``.
     """
     samples = _count_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
@@ -241,7 +246,14 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     if samples == 2:
         times = np.array([0.0, t_hi])
     else:
-        times = np.concatenate([[0.0], np.geomspace(t_hi * 1e-4, t_hi, samples - 1)])
+        t_lo = t_hi * 1e-4
+        if t_lo == 0.0:  # geomspace's own error would read as a sizing failure below
+            raise ValueError(f"t_end = {t_hi!r} is too small for log-spaced samples")
+        try:
+            grid = np.geomspace(t_lo, t_hi, samples - 1)
+        except (ValueError, IndexError, MemoryError) as err:  # samples - 1 times numpy cannot hold
+            raise _SampleCountError(f"samples is too large for a time array: {err}") from err
+        times = np.concatenate([[0.0], grid])
     pts = _finite_flow(eigvals, eigvecs, x, times)
     if infinite:
         times = np.concatenate([times, [math.inf]])

@@ -75,11 +75,14 @@ def _int_at_least(value, name: str, low: int) -> int:
     return int(value)
 
 
-def _count_at_least(value, name: str, low: int) -> int:
-    """``_int_at_least`` for a count that sizes an array or a buffer: also at most intp's maximum."""
+def _count_at_least(value, name: str, low: int, high: int = int(np.iinfo(np.intp).max)) -> int:
+    """``_int_at_least`` for a count that sizes an array or a buffer: also at most ``high``.
+
+    ``high`` defaults to intp's maximum, the largest count numpy can index.
+    """
     count = _int_at_least(value, name, low)
-    if count > np.iinfo(np.intp).max:
-        raise ValueError(f"{name} must be an integer from {low} to {np.iinfo(np.intp).max}")
+    if count > high:
+        raise ValueError(f"{name} must be an integer from {low} to {high}")
     return count
 
 

@@ -36,7 +36,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
-from minaction.action import _assemble, _geometry
+from minaction.action import MAX_POINTS_PER_ELEMENT, _geometry
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -48,6 +48,19 @@ def unit_ramp(n_elems=8):
 
 
 class TestQuadrature:
+    def test_points_per_element_is_bounded_before_the_rule_is_computed(self, monkeypatch):
+        assert MAX_POINTS_PER_ELEMENT == 100
+        rule = Quadrature(MAX_POINTS_PER_ELEMENT)
+        assert rule.xi.shape == rule.w.shape == (100,)
+        assert np.sum(rule.w) == pytest.approx(1.0, abs=1e-13)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("leggauss ran for a rule past the bound")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+        with pytest.raises(ValueError, match="^points_per_element must be an integer from 1 to 100$"):
+            Quadrature(MAX_POINTS_PER_ELEMENT + 1)
+
     def test_weights_positive_sum_to_one(self):
         for q in range(1, 6):
             rule = Quadrature(q)
@@ -417,21 +430,63 @@ def with_signed_zeros(rng, arr):
     return arr
 
 
-def einsum_fixed_t_grad(asm, t_scale):
-    """Reference: the residual-form gradient with four-operand einsums."""
-    resid = asm.deriv[:, None, :] / t_scale - asm.b_quad
-    jtr = np.einsum("eqji,eqj->eqi", asm.jac_quad(), resid)
-    wr = np.einsum("q,eqi->ei", asm.w, resid)
-    grad = np.zeros((asm.h.size + 1, asm.n))
-    grad[:-1] += -wr - t_scale * np.einsum("e,q,q,eqi->ei", asm.h, asm.w, 1.0 - asm.xi, jtr)
-    grad[1:] += wr - t_scale * np.einsum("e,q,q,eqi->ei", asm.h, asm.w, asm.xi, jtr)
-    return grad
+def plane_reference(path, field, quad, T=None):
+    """Reference: (value, interior gradient, horizon) in the plane order, from scratch.
+
+    T = None gives the reduced functional at t_hat, a number the fixed-T one.
+    Every weight is recomputed from ``np.diff(nodes)``.  Point k of element e
+    is row k N + e of the batch the field sees, and each per-point quantity
+    is a list over the component i of lists over k of length-N rows.  A sum
+    over the component j of Db^T r or over the point k starts from its first
+    term and adds the rest in index order; a value is one BLAS dot product
+    of two such lists flattened component by component.
+    """
+    h, w, xi = np.diff(path.mesh.nodes), quad.w, quad.xi
+    vals, n, q, m = path.values, path.dim, xi.size, h.size
+    flat = lambda planes: np.concatenate([row for rows in planes for row in rows])
+    delta = [vals[1:, i] - vals[:-1, i] for i in range(n)]
+    deriv = [d / h for d in delta]
+    pts = np.concatenate([vals[:-1] * (1.0 - xi[k]) + vals[1:] * xi[k] for k in range(q)])
+    b_rows, jac_rows = field.eval_many(pts), field.jacobian_many(pts)
+    b = [[b_rows[k * m:(k + 1) * m, i] for k in range(q)] for i in range(n)]
+    hw = [w[k] * h for k in range(q)]
+    weighted_sq = lambda f: float(np.dot(flat(f), flat([[hw[k] * f[i][k] for k in range(q)]
+                                                         for i in range(n)])))
+    resid = lambda t: [[deriv[i] / t - b[i][k] for k in range(q)] for i in range(n)]
+    if T is None:
+        alpha = math.sqrt(float(np.dot(np.concatenate(delta), np.concatenate(deriv))))
+        beta = math.sqrt(weighted_sq(b))
+        t_scale = alpha / beta
+        cross = float(np.dot(flat([[w[k] * delta[i] for k in range(q)] for i in range(n)]), flat(b)))
+        value = alpha * beta - cross
+    else:
+        t_scale = float(T)
+        value = 0.5 * t_scale * weighted_sq(resid(t_scale))
+    r = resid(t_scale)
+    jac = lambda j, i, k: jac_rows[k * m:(k + 1) * m, j, i]
+    jtr = [[sum_in_order([jac(j, i, k) * r[j][k] for j in range(n)]) for k in range(q)]
+           for i in range(n)]
+    grad = np.empty((m - 1, n))
+    for i in range(n):
+        wr = sum_in_order([w[k] * r[i][k] for k in range(q)])
+        left = sum_in_order([hw[k] * (1.0 - xi[k]) * jtr[i][k] for k in range(q)])
+        right = sum_in_order([hw[k] * xi[k] * jtr[i][k] for k in range(q)])
+        grad[:, i] = (-wr - t_scale * left)[1:] + (wr - t_scale * right)[:-1]
+    return value, grad, t_scale
+
+
+def sum_in_order(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 class TestGradientBits:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("q", [1, 2, 3, 10])
     def test_fixed_t_grad_matches_einsum_formula(self, q, n):
+        # the name is kept; the reference is now the plane-order formula
         rng = np.random.default_rng(100 * q + n)
         quad = Quadrature(q)
         for _ in range(25):
@@ -441,47 +496,12 @@ class TestGradientBits:
             jac = with_signed_zeros(rng, rng.standard_normal((m, n, n)))
             field = DriftField(dim=n, _eval_many=lambda pts: drift, _jac_many=lambda pts: jac)
             values = with_signed_zeros(rng, rng.standard_normal((mesh.num_elements + 1, n)))
-            asm = _assemble(FePath(mesh, values), field, quad)
+            path = FePath(mesh, values)
             t_scale = float(np.exp(rng.uniform(-2.0, 2.0)))
-            grad = asm.fixed_t_grad(t_scale)
-            ref = einsum_fixed_t_grad(asm, t_scale)
-            assert np.array_equal(grad, ref)
-            assert np.array_equal(np.signbit(grad), np.signbit(ref))
-
-
-def fresh_value_grad(path, field, quad, T=None):
-    """Reference: (value, interior gradient, horizon) with every mesh quantity computed afresh.
-
-    T = None gives the reduced functional at t_hat, a number the fixed-T one.
-    The value einsums keep h and w as separate operands, as the library
-    does: with one h*w operand einsum sums in another order, which moves
-    the last bit of some values at n = 1.
-    """
-    h, w, xi = np.diff(path.mesh.nodes), quad.w, quad.xi
-    delta = np.diff(path.values, axis=0)
-    deriv = delta / h[:, None]
-    n = path.dim
-    x_quad = np.empty((h.size, xi.size, n))
-    for k, x in enumerate(xi):
-        x_quad[:, k] = path.values[:-1] * (1.0 - x) + path.values[1:] * x
-    b_quad = field.eval_many(x_quad.reshape(-1, n)).reshape(x_quad.shape)
-    if T is None:
-        alpha = math.sqrt(float(np.sum(delta * deriv)))
-        beta = math.sqrt(float(np.einsum("e,q,eqi,eqi->", h, w, b_quad, b_quad)))
-        t_scale = alpha / beta
-        value = alpha * beta - float(np.einsum("ei,q,eqi->", delta, w, b_quad))
-    else:
-        t_scale = float(T)
-        resid = deriv[:, None, :] / t_scale - b_quad
-        value = 0.5 * t_scale * float(np.einsum("e,q,eqi,eqi->", h, w, resid, resid))
-    resid = deriv[:, None, :] / t_scale - b_quad
-    jac = field.jacobian_many(x_quad.reshape(-1, n)).reshape(x_quad.shape + (n,))
-    jtr = np.einsum("eqji,eqj->eqi", jac, resid)
-    wr = np.einsum("q,eqi->ei", w, resid)
-    grad = np.zeros((h.size + 1, n))
-    grad[:-1] += -wr - t_scale * np.einsum("e,q,q,eqi->ei", h, w, 1.0 - xi, jtr)
-    grad[1:] += wr - t_scale * np.einsum("e,q,q,eqi->ei", h, w, xi, jtr)
-    return value, grad[1:-1], t_scale
+            got = fixed_t_value_grad(path, field, t_scale, quad)
+            ref = plane_reference(path, field, quad, t_scale)
+            assert_same_bits(got, ref)
+            assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
 
 
 def assert_same_bits(got, ref):
@@ -509,9 +529,9 @@ class TestMeshGeometry:
         for _ in range(10):
             path = random_path(rng, n, scale=0.7, nonuniform=nonuniform)
             assert_same_bits(tmam_value_grad(path, field, quad),
-                             fresh_value_grad(path, field, quad))
+                             plane_reference(path, field, quad))
             assert_same_bits(fixed_t_value_grad(path, field, 1.7, quad),
-                             fresh_value_grad(path, field, quad, 1.7))
+                             plane_reference(path, field, quad, 1.7))
 
     def test_alternating_meshes_and_rules_never_share_weights(self):
         # two meshes with the same N and different nodes, two rules, in
@@ -526,9 +546,69 @@ class TestMeshGeometry:
             for path in paths:
                 for q in (2, 3):
                     assert_same_bits(tmam_value_grad(path, field, Quadrature(q)),
-                                     fresh_value_grad(path, field, Quadrature(q)))
+                                     plane_reference(path, field, Quadrature(q)))
         # equal rules share one entry, kept on each mesh
         for mesh in meshes:
             assert sorted(quad.points_per_element for quad in mesh._per_rule) == [2, 3]
             assert _geometry(mesh, Quadrature(3)) is _geometry(mesh, Quadrature(3))
         assert _geometry(meshes[0], Quadrature(3)) is not _geometry(meshes[1], Quadrature(3))
+
+
+class TestFieldContract:
+    """What the assembly hands a field and what it does with the arrays a field returns."""
+
+    @pytest.mark.parametrize("exact_jac", [True, False], ids=["jac", "fd_jac"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_callable_gets_each_point_as_a_contiguous_row(self, dim, exact_jac):
+        seen = []
+
+        def record(p):
+            seen.append((type(p), p.dtype, p.shape, p.flags.c_contiguous))
+
+        def func(p):
+            record(p)
+            return -p - 0.1 * p * p
+
+        def jac(p):
+            record(p)
+            return -np.eye(dim) - 0.2 * np.diag(p)
+
+        field = field_from_callable(dim, func, jac if exact_jac else None)
+        path = random_path(np.random.default_rng(dim), dim, scale=0.5)
+        tmam_value_grad(path, field, Quadrature(3))
+        fixed_t_value_grad(path, field, 1.3, Quadrature(2))
+        hamiltonian_violation(path, field, 1.3, Quadrature(2))
+        assert seen
+        assert set(seen) == {(np.ndarray, np.dtype(np.float64), (dim,), True)}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("jac_kind", ["cached", "broadcast"])
+    def test_arrays_a_field_returns_are_never_written(self, order, jac_kind):
+        # one cached drift array for every call, in either memory order; the
+        # Jacobian is another cached array or a read-only broadcast view, as
+        # in linear_field.  The bits do not depend on the memory order.
+        rng = np.random.default_rng(7)
+        path = random_path(rng, 2, scale=0.5, nonuniform=True)
+        quad = Quadrature(3)
+        m = path.mesh.num_elements * 3
+        drift = np.asarray(rng.standard_normal((m, 2)), order=order)
+        matrix = np.array([[-1.0, 0.3], [0.2, -2.0]])
+        jac = np.asarray(rng.standard_normal((m, 2, 2)), order=order)
+        if jac_kind == "broadcast":
+            jac = np.broadcast_to(matrix, (m, 2, 2))
+        kept_drift, kept_jac = drift.copy(), jac.copy()
+        field = DriftField(dim=2, _eval_many=lambda pts: drift, _jac_many=lambda pts: jac)
+        first = [tmam_value_grad(path, field, quad), fixed_t_value_grad(path, field, 0.8, quad)]
+        for _ in range(3):
+            again = [tmam_value_grad(path, field, quad), fixed_t_value_grad(path, field, 0.8, quad)]
+            for got, ref in zip(again, first):
+                assert_same_bits(got, ref)
+            hamiltonian_violation(path, field, 0.8, quad)
+            el_residual(path, field, 0.8, quad)
+        assert drift.tobytes() == kept_drift.tobytes()
+        assert jac.tobytes() == kept_jac.tobytes()
+        swapped = np.asfortranarray if order == "C" else np.ascontiguousarray
+        other = DriftField(dim=2, _eval_many=lambda pts: swapped(kept_drift),
+                           _jac_many=lambda pts: swapped(kept_jac))
+        assert_same_bits(tmam_value_grad(path, other, quad), first[0])
+        assert_same_bits(fixed_t_value_grad(path, other, 0.8, quad), first[1])

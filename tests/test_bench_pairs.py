@@ -150,3 +150,34 @@ def test_record_refuses_a_checkout_that_is_not_its_own_work_tree(tmp_path, neste
     assert proc.stdout == ""
     assert not record.exists()
     assert not (copy / "ran").exists()
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_record_refuses_a_dirty_checkout(tmp_path, side):
+    # a committed checkout with one tracked file modified, on either side
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    (checkout / "bench").mkdir()
+    (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (checkout / "bench" / "run.py").write_text("open('ran', 'w').close()\n")
+    (checkout / "notes.txt").write_text("committed\n")
+    git = ["git", "-C", str(checkout), "-c", "user.name=bench", "-c", "user.email=bench@invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "copy"], check=True)
+    clean = tmp_path / "clean"
+    subprocess.run(["git", "clone", "-q", str(checkout), str(clean)], check=True)
+    (checkout / "notes.txt").write_text("modified\n")
+    sides = {"parent": clean, "change": checkout} if side == "change" else {
+        "parent": checkout, "change": clean}
+    record = tmp_path / "BENCH.json"
+    proc = run_tool("--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                    "--workload", "case_i", "--pairs", "1", "--seconds", "0",
+                    "--record", str(record))
+    assert proc.returncode == 1
+    assert f"{checkout} has uncommitted changes to tracked files (" in proc.stderr
+    assert "-dirty)" in proc.stderr
+    assert proc.stdout == ""
+    assert not record.exists()
+    assert not (checkout / "ran").exists() and not (clean / "ran").exists()

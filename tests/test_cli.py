@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import minaction
+from minaction.action import MAX_POINTS_PER_ELEMENT
 from minaction.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 
 
@@ -763,13 +764,17 @@ def test_mesh_size_past_numpys_array_limit_names_the_key(tmp_path, capsys, monke
     assert not out.exists()
 
 
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 @pytest.mark.parametrize(
-    "command,key,low",
-    [("solve", "optimizer.memory", 0), ("solve", "quadrature.points_per_element", 1),
-     ("oracle", "oracle.samples", 2)],
+    "command,key,low,high",
+    [("solve", "optimizer.memory", 0, INTP_MAX),
+     ("solve", "quadrature.points_per_element", 1, MAX_POINTS_PER_ELEMENT),
+     ("oracle", "oracle.samples", 2, INTP_MAX)],
     ids=["memory", "points_per_element", "samples"],
 )
-def test_integer_past_index_range_names_the_key(tmp_path, capsys, command, key, low):
+def test_integer_past_index_range_names_the_key(tmp_path, capsys, command, key, low, high):
     out = tmp_path / "out"
     payload = solve_config() if command == "solve" else {
         "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]},
@@ -779,8 +784,7 @@ def test_integer_past_index_range_names_the_key(tmp_path, capsys, command, key, 
     cfg = write_config(tmp_path, payload)
     argv = [command, "--config", cfg, "--set", f"{key}={BEYOND_FLOAT}", "--out-dir", str(out)]
     assert main(argv) == EXIT_CONFIG
-    limit = np.iinfo(np.intp).max
-    assert capsys.readouterr().err == f"config error: {key} must be an integer from {low} to {limit}\n"
+    assert capsys.readouterr().err == f"config error: {key} must be an integer from {low} to {high}\n"
     assert not out.exists()
 
 
@@ -801,10 +805,41 @@ def test_node_array_numpy_cannot_make_names_the_key(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 16.0 EiB"),
+     ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum "
+                "possible size.")],
+    ids=["memory", "too_big"],
+)
+def test_sample_count_numpy_cannot_size_names_the_key(tmp_path, capsys, monkeypatch, error):
+    # numpy's own failures for a sample count it cannot hold, raised here by
+    # a stand-in so that nothing is allocated; the field is not at fault
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np, "geomspace", fail)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]},
+        "oracle": {"kind": "trajectory", "t_end": "inf", "samples": 2305843009213693952},
+        "outputs": {"trajectory_csv": "trajectory.csv"},
+    })
+    assert main(["oracle", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: oracle.samples is too large for a time array: {error}\n"
+    )
+    assert not out.exists()
+
+
 def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # the oracle (10x flow samples, Frechet distance) and solver bits of the
     # infinite-horizon study; the relative out dir keeps summary.json's
-    # study_csv_fixed entry the same in every run
+    # study_csv_fixed entry the same in every run.  Re-recorded when the action
+    # moved to node-last planes, which moves last bits; before, the digests
+    # were study.csv 0bdd15fadf69066d16be5fdc75f88c798f9c93f565170635df64dccb73f0bb73,
+    # study_fixed.csv ec2c03d6b31e1250c0a318239418e7c9a50180cc22de4398c8e49f985809b6f2
+    # and summary.json 9aec048ddd2d2e311557c20fb8c58125c1f26618b6d78c40d8a105dba24e028c.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {
         "study": {"name": "case_ii"},
@@ -815,9 +850,9 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "out").iterdir()}
     assert digests == {
-        "study.csv": "0bdd15fadf69066d16be5fdc75f88c798f9c93f565170635df64dccb73f0bb73",
-        "study_fixed.csv": "ec2c03d6b31e1250c0a318239418e7c9a50180cc22de4398c8e49f985809b6f2",
-        "summary.json": "9aec048ddd2d2e311557c20fb8c58125c1f26618b6d78c40d8a105dba24e028c",
+        "study.csv": "1f25b225e6e31b2ecacfec594a11d99fe476007f66cf6358f9485a3b727b9521",
+        "study_fixed.csv": "7e50ce37b56a3d5dc652e12462d7914f3d0a2e1e8aeb94dd077c61543b3470d3",
+        "summary.json": "812b39c9863dfb2d76378b0ce1d28264b391bd338b5d4c897c64e5e8fb2fe140",
     }
 
 

@@ -13,7 +13,13 @@ from minaction import (
     trajectory_polyline,
     two_scale_field,
 )
-from minaction.linoracle import _finite_flow, _flow, _spectrum, trajectory_times_points
+from minaction.linoracle import (
+    _finite_flow,
+    _flow,
+    _SampleCountError,
+    _spectrum,
+    trajectory_times_points,
+)
 
 TWO_SCALE = two_scale_field().linear_matrix
 
@@ -254,6 +260,20 @@ class TestInvalidInputs:
     def test_finite_horizon_overflow_rejected(self, call):
         with pytest.raises(ValueError, match="overflow"):
             call()
+
+    def test_horizon_too_small_to_log_space_is_not_a_sample_count_error(self):
+        # t_end * 1e-4 underflows to 0, where geomspace itself fails
+        with pytest.raises(ValueError, match="too small for log-spaced samples") as caught:
+            trajectory_times_points([[-1.0]], [1.0], 5e-324, 4)
+        assert not isinstance(caught.value, _SampleCountError)
+
+    def test_unsizable_sample_count_names_samples(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 EiB")
+
+        monkeypatch.setattr(np, "geomspace", fail)
+        with pytest.raises(_SampleCountError, match="^samples is too large for a time array: "):
+            trajectory_times_points([[-1.0]], [1.0], 1.0, 2**61)
 
     def test_infinite_horizon_off_the_neutral_eigenspace(self):
         # a zero eigenvalue is harmless when x has no part along it

@@ -408,6 +408,13 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # 0x1.4fa7d2eaa9d4ep+3, grad_norm 0x1.6badc7e000000p-26, 94 iterations,
     # 148 calls and path sha256
     # 9cb0bd8e679899397053392a169686c05cf776c7b02d0b21f25ce0e21ff9ead2.
+    # They were re-recorded again when the action moved to node-last planes,
+    # which changes the summation order and so the last bits of every value
+    # and gradient.  The solve then converges; in the (N, q, n) layout it
+    # stalled with value 0x1.00014fb7239eap-1, t_hat 0x1.4fd0f87649647p+3,
+    # grad_norm 0x1.4133f80000000p-28, 102 iterations, converged False, 194
+    # calls and path sha256
+    # d706a5f76ed4874a95eee1cce5c7c2bb9844511101a6c5623bae6cf9be05cc99.
     calls = []
     inner = optimize.tmam_value_grad
 
@@ -418,16 +425,16 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     monkeypatch.setattr(optimize, "tmam_value_grad", counted)
     start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(256))
     res = minimize_tmam(start, maier_stein_field(1.0))
-    assert res.value.hex() == "0x1.00014fb7239eap-1"
-    assert res.t_hat.hex() == "0x1.4fd0f87649647p+3"
-    assert res.grad_norm.hex() == "0x1.4133f80000000p-28"
-    assert (res.iterations, res.converged) == (102, False)
+    assert res.value.hex() == "0x1.00014fb719cc6p-1"
+    assert res.t_hat.hex() == "0x1.4fdbedf808296p+3"
+    assert res.grad_norm.hex() == "0x1.7064340000000p-31"
+    assert (res.iterations, res.converged) == (100, True)
     path_bytes = np.ascontiguousarray(res.path.values, dtype="<f8").tobytes()
     assert hashlib.sha256(path_bytes).hexdigest() == (
-        "d706a5f76ed4874a95eee1cce5c7c2bb9844511101a6c5623bae6cf9be05cc99"
+        "ee1fbf83854a2cc761b369b41b2cdf04711ba1c30048bd463d543f232863f60f"
     )
     assert len(calls) < 315
-    assert len(calls) == 194
+    assert len(calls) == 127
 
 
 def test_norm2_has_the_bits_of_numpy_norm():

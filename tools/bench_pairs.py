@@ -35,10 +35,12 @@ file with every workload's rows, both checkouts' ``git describe``, the command
 with the checkouts shown as PARENT and CHANGE, the host, and the ``--claim``,
 if one was given.  So that the record names both commits, ``--record`` needs
 each checkout to be the top of its own git work tree (a ``git worktree add``
-or ``git clone``, not an unpacked ``git archive``); else the tool names the
-checkout and exits 1 before any run.  The exit code is 1, and no record is
-written, if a run failed or reported ``correct: false``; else 0.  Only the
-standard library is used.
+or ``git clone``, not an unpacked ``git archive``), and each must be clean: a
+checkout whose ``git describe --always --dirty`` ends in ``-dirty`` has
+tracked files that differ from the commit the record would name.  Either
+way the tool names the checkout and exits 1 before any run.  The exit code
+is 1, and no record is written, if a run failed or reported
+``correct: false``; else 0.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -207,6 +209,11 @@ def main(argv=None) -> int:
             if not _is_toplevel(checkout):
                 print(f"{checkout} is not the top of its own git work tree, so --record could "
                       "not name its commit; use git worktree add or git clone", file=sys.stderr)
+                return 1
+            revision = _revision(checkout)
+            if revision is not None and revision.endswith("-dirty"):
+                print(f"{checkout} has uncommitted changes to tracked files ({revision}), so "
+                      "--record could not name what ran; commit them first", file=sys.stderr)
                 return 1
 
     sides = {"parent": args.parent, "change": args.change}
