@@ -149,11 +149,11 @@ class _Assembly:
     """Quadrature data of one (path, field, rule) triple, on node-last planes.
 
     Row i of every array is component i of the path: ``delta`` and
-    ``deriv`` are (n, N), the quadrature points ``x_quad`` and the drift
-    ``b_quad`` are (n, q, N) with point k of element e at [:, k, e].  The
-    field gets the points as the (q N, n) transposed view of ``x_quad``, so
-    every sum below runs over contiguous length-N rows.  An array the field
-    returns is read, never written.
+    ``deriv`` are (n, N), the quadrature points and the drift ``b_quad``
+    are (n, q, N) with point k of element e at [:, k, e].  The field gets
+    the points as ``points``, their (q N, n) transposed view, so every sum
+    below runs over contiguous length-N rows.  An array the field returns
+    is read, never written.
     """
 
     __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field")

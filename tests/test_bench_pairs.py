@@ -154,30 +154,20 @@ def test_record_refuses_a_checkout_that_is_not_its_own_work_tree(tmp_path, neste
 
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_record_refuses_a_dirty_checkout(tmp_path, side):
-    # a committed checkout with one tracked file modified, on either side
-    checkout = tmp_path / "checkout"
-    checkout.mkdir()
-    (checkout / "bench").mkdir()
-    (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    (checkout / "bench" / "run.py").write_text("open('ran', 'w').close()\n")
-    (checkout / "notes.txt").write_text("committed\n")
-    git = ["git", "-C", str(checkout), "-c", "user.name=bench", "-c", "user.email=bench@invalid",
-           "-c", "commit.gpgsign=false"]
-    subprocess.run(["git", "init", "-q", str(checkout)], check=True)
-    subprocess.run([*git, "add", "."], check=True)
-    subprocess.run([*git, "commit", "-q", "-m", "copy"], check=True)
+    # a committed checkout with one tracked file modified, on either side,
+    # against a clean clone of it
+    dirty = _committed_copy(tmp_path / "dirty")
     clean = tmp_path / "clean"
-    subprocess.run(["git", "clone", "-q", str(checkout), str(clean)], check=True)
-    (checkout / "notes.txt").write_text("modified\n")
-    sides = {"parent": clean, "change": checkout} if side == "change" else {
-        "parent": checkout, "change": clean}
+    subprocess.run(["git", "clone", "-q", str(dirty), str(clean)], check=True)
+    with open(dirty / "src" / "minaction" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write("# modified\n")
+    parent, change = (dirty, clean) if side == "parent" else (clean, dirty)
     record = tmp_path / "BENCH.json"
-    proc = run_tool("--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                    "--workload", "case_i", "--pairs", "1", "--seconds", "0",
-                    "--record", str(record))
+    proc = run_tool("--parent", str(parent), "--change", str(change), "--workload", "case_i",
+                    "--pairs", "1", "--smoke", "--seconds", "0", "--record", str(record))
     assert proc.returncode == 1
-    assert f"{checkout} has uncommitted changes to tracked files (" in proc.stderr
+    assert f"{dirty} has uncommitted changes to tracked files (" in proc.stderr
     assert "-dirty)" in proc.stderr
     assert proc.stdout == ""
     assert not record.exists()
-    assert not (checkout / "ran").exists() and not (clean / "ran").exists()
+    assert not any((c / "bench" / "results").exists() for c in (dirty, clean))  # nothing ran
