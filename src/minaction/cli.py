@@ -26,7 +26,7 @@ from .action import ActionError, Quadrature
 from .drift import field_from_config
 from .linoracle import (
     SpectralLinearProblem,
-    _SampleCountError,
+    _SamplingError,
     exact_fixed_T_minimizer,
     trajectory_times_points,
 )
@@ -427,7 +427,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         samples = _count_at_least(oracle.get("samples", 200), "oracle.samples", 2)
         try:
             times, points = trajectory_times_points(field.linear_matrix, x1, t_end, samples)
-        except _SampleCountError as err:
+        except _SamplingError as err:
             raise ConfigError(f"oracle.{err}") from err
         except ValueError as err:
             raise ConfigError(f"problem.field: {err}") from err

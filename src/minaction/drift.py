@@ -37,7 +37,11 @@ class DriftField:
     Metadata (all optional): ``lipschitz`` is a Lipschitz constant K,
     ``beta``/``r2`` parametrize the inward-drift condition
     <b(x), x> <= -beta |x|^2 for |x| >= r2, and ``linear_matrix`` carries A
-    when b(x) = A x exactly.
+    when b(x) = A x exactly.  The solvers read ``linear_matrix``: an n x n
+    one makes them precondition with the exact Hessian of the action for
+    b(x) = A x.  One that is not the field's own matrix changes only the
+    preconditioner, never the action: the solve may take more iterations
+    or stop short of its tolerance.
     """
 
     dim: int

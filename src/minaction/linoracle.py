@@ -39,7 +39,11 @@ _TINY_RATE = 1e-12
 _DECAYED = 1e-10
 
 
-class _SampleCountError(ValueError):
+class _SamplingError(ValueError):
+    """A sampling input the oracle cannot use; the message starts with the input's name."""
+
+
+class _SampleCountError(_SamplingError):
     """A sample count numpy cannot make a time array of; the message starts with ``samples``."""
 
 
@@ -220,8 +224,9 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     time entry is inf).  The infinite horizon is rejected when x has a part
     of norm >= 1e-10 on eigenvalues >= 0, which never decays, and when the
     norm overflows before it falls below 1e-10; a finite horizon is rejected
-    when a sample overflows or t_end * 1e-4 underflows to 0.  A sample count
-    numpy cannot make an array of raises a ``ValueError`` that names ``samples``.
+    when a sample overflows or t_end * 1e-4 underflows to 0.  That t_end,
+    and a sample count numpy cannot make an array of, raise a ``ValueError``
+    whose message starts with ``t_end`` or ``samples``.
     """
     samples = _count_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
@@ -248,7 +253,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     else:
         t_lo = t_hi * 1e-4
         if t_lo == 0.0:  # geomspace's own error would read as a sizing failure below
-            raise ValueError(f"t_end = {t_hi!r} is too small for log-spaced samples")
+            raise _SamplingError(f"t_end = {t_hi!r} is too small for log-spaced samples")
         try:
             grid = np.geomspace(t_lo, t_hi, samples - 1)
         except (ValueError, IndexError, MemoryError) as err:  # samples - 1 times numpy cannot hold

@@ -7,11 +7,17 @@ line search.  The two public solvers differ only in the value/gradient call
 and the reference horizon of the preconditioner.  The discrete reduced
 functional has a finite optimal horizon at every mesh, so the horizon needs
 no cap.  Because the stationarity system is elliptic, raw nodal gradients
-condition badly as the mesh or the horizon grows; the inverse of a
-stiffness-plus-scaled-mass operator on interior nodes is applied per state
-component as the initial inverse-Hessian guess (a Sobolev-type gradient),
-which keeps iteration counts roughly mesh- and horizon-independent.
-Endpoints are never touched.
+condition badly as the mesh or the horizon grows, so the initial
+inverse-Hessian guess is the inverse of an SPD operator on the interior
+nodes.  For a field that carries ``linear_matrix`` A, the fixed-T action is
+a quadratic whose Hessian does not depend on the path; its inverse makes
+the first fixed-T step an exact Newton step, and a reduced solve gets the
+inverse of the reduced Hessian at its start.  Every other field gets the
+inverse of a stiffness-plus-scaled-mass operator per state component (a
+Sobolev-type gradient), which keeps iteration counts roughly mesh- and
+horizon-independent.  A ``linear_matrix`` that is not the field's own
+changes only the preconditioner, never the action: the solve may take more
+iterations or stop short of ``tol_grad``.  Endpoints are never touched.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 # A solve takes its horizon and Euler-Lagrange residual from the loop's own
 # evaluations, so el_residual and optimal_time are not called here; they stay
@@ -90,7 +96,7 @@ class OptimConfig:
     tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
     ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
     scaled preconditioner); ``log_path`` names an optional per-iteration CSV
-    log.  The elliptic preconditioner is always on, and the line search's
+    log.  The preconditioner is always on, and the line search's
     Armijo constant (1e-4) and backtracking factor (0.5) are fixed.
     """
 
@@ -340,6 +346,107 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     return apply
 
 
+def _hat_moments(quad: Quadrature):
+    """(sum_k w_k xi_k^2, sum_k w_k xi_k (1 - xi_k)) of the rule.
+
+    The Gauss-Legendre rule is symmetric about 1/2, so sum_k w_k xi_k = 1/2
+    and sum_k w_k (1 - xi_k)^2 = sum_k w_k xi_k^2: these two moments are
+    every quadrature sum of a product of two hat functions on an element.
+    """
+    same = quad.w.dot(quad.xi * quad.xi)
+    return same, 0.5 - same
+
+
+def _t_coupling(start: FePath, gram: np.ndarray, quad: Quadrature, t_ref: float):
+    """(c, H_TT) of the fixed-T action for a linear drift with A^T A = ``gram``, at T = ``t_ref``.
+
+    c = grad |b(p)|^2 / 2 - grad |p'|^2 / (2 T^2) is the derivative in T of
+    the interior gradient, flat in node-major order, and H_TT = |p'|^2 / T^3
+    the second derivative of the action in T.  The quadrature sums of
+    grad |b(p)|^2 / 2 reduce to the rule's moments of xi (``_hat_moments``).
+    """
+    same, cross = _hat_moments(quad)
+    h = start.mesh.widths
+    nodes = start.values
+    delta = np.diff(nodes, axis=0)
+    deriv = delta / h[:, None]
+    h_tt = float(np.vdot(delta, deriv)) / t_ref / t_ref / t_ref
+    mass = ((same * (h[:-1] + h[1:]))[:, None] * nodes[1:-1]
+            + cross * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
+    return (mass @ gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
+
+
+def _linear_preconditioner(start: FePath, a_mat, quad: Quadrature, t_ref: float, reduced: bool):
+    """Apply closure of the inverse Hessian of the action for the drift b(x) = A x, or None.
+
+    H is the exact Hessian of the fixed-T action at T = ``t_ref``,
+    T sum_e h_e sum_k w_k A_ek^T A_ek, whose element rows
+    A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
+    derivatives of the residual at point k of element e by its two nodes.
+    The sums over k reduce to the rule's moments of xi.  H is block
+    tridiagonal with n x n blocks, so in the node-major order of the
+    interior vector it is one upper band with 2n - 1 superdiagonals,
+    factored once by banded Cholesky.  If ``reduced``, the closure applies
+    instead the inverse of the reduced Hessian H - c c^T / H_TT at the
+    start path by Sherman-Morrison, with ``_t_coupling``'s c and H_TT, the
+    mixed and second derivatives of the action in T.  The downdate is left
+    out when H_TT - c^T H^-1 c <= 1e-8 H_TT, where the reduced Hessian is
+    not safely positive definite, and when c or that difference is not
+    finite.  None if banded Cholesky finds H not positive definite (the
+    action is then not strictly convex in the path).
+    """
+    n = start.dim
+    a_mat = np.asarray(a_mat, dtype=float)
+    h = start.mesh.widths
+    same, cross = _hat_moments(quad)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gram = a_mat.T @ a_mat
+        inv_th = 1.0 / (t_ref * h)                       # (N,)
+        # The diagonal block of interior node i sums element i-1's right-node
+        # and element i's left-node parts, whose A + A^T terms cancel by the
+        # rule's symmetry; the off-diagonal block of nodes i and i + 1 is
+        # element i's cross part.
+        diag_eye, diag_gram = inv_th[:-1] + inv_th[1:], (t_ref * same) * (h[:-1] + h[1:])
+        off_eye, off_gram = -inv_th[1:-1], (t_ref * cross) * h[1:-1]
+        off_const = 0.5 * (a_mat - a_mat.T)
+        upper = 2 * n - 1
+        band = np.zeros((2 * n, (h.size - 1) * n))     # band[upper + row - col, col]
+        for r in range(n):
+            for c in range(n):
+                if c >= r:
+                    entry = diag_gram * gram[r, c]
+                    band[upper + r - c, c::n] = diag_eye + entry if r == c else entry
+                entry = off_const[r, c] + off_gram * gram[r, c]
+                band[upper + r - c - n, n + c::n] = off_eye + entry if r == c else entry
+        if not np.isfinite(band).all():
+            raise ActionError("preconditioner is not finite at this horizon")
+    try:
+        factor = cholesky_banded(band, lower=False)
+    except LinAlgError:
+        return None
+    if not np.isfinite(factor).all():
+        raise ActionError("preconditioner is not finite at this horizon")
+
+    def apply(vec):
+        return cho_solve_banded((factor, False), vec)
+
+    if not reduced:
+        return apply
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_vec, h_tt = _t_coupling(start, gram, quad, t_ref)
+        if not np.isfinite(c_vec).all():
+            return apply
+        u_vec = apply(c_vec)
+        schur = h_tt - c_vec.dot(u_vec)
+    if not 1e-8 * h_tt < schur < math.inf:
+        return apply
+
+    def apply_reduced(vec):
+        return apply(vec) + u_vec * (u_vec.dot(vec) / schur)
+
+    return apply_reduced
+
+
 def _minimize(
     start: FePath,
     field: DriftField,
@@ -352,8 +459,11 @@ def _minimize(
 
     ``value_grad(path) -> (value, grad, t_hat)`` is the functional and
     ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
-    is evaluated first and its t_hat is the horizon; else the preconditioner
-    is built first.  Either way the start is evaluated once.  The
+    is evaluated first, its t_hat is the horizon and the solve is a reduced
+    one; else the preconditioner is built first.  Either way the start is
+    evaluated once.  A field with an n x n ``linear_matrix`` gets
+    ``_linear_preconditioner``, every other field (and one whose Hessian is
+    not positive definite) ``_preconditioner``.  The
     diagnostics are evaluated at the final t_hat: the Euler-Lagrange
     residual from the loop's last gradient, which is the fixed-T gradient
     there, and the Hamiltonian violation from one drift evaluation.
@@ -366,10 +476,15 @@ def _minimize(
 
     z0 = start.values[1:-1].ravel()
     first = None
-    if t_ref is None:
+    reduced = t_ref is None
+    if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond = _preconditioner(start, field, t_ref)
+    precond = None
+    if np.shape(field.linear_matrix) == (n, n):
+        precond = _linear_preconditioner(start, field.linear_matrix, quad, t_ref, reduced)
+    if precond is None:
+        precond = _preconditioner(start, field, t_ref)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(evaluate, z0, cfg, precond, first)
     if cfg.log_path is not None:
         _write_table(cfg.log_path, ("iteration", "value", "grad_norm", "t_hat"), rows)

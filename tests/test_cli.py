@@ -207,6 +207,8 @@ class TestSolve:
         assert "not finite" in result["message"]
 
     def test_overflowing_drift_rate_is_solver_error(self, tmp_path):
+        # A^T A has the entry 1e320, which overflows a float; the linear
+        # field's Hessian band is not finite
         payload = solve_config(mode={"kind": "fixed_t", "T": 1}, mesh={"N": 8})
         payload["problem"]["field"] = {"type": "linear", "matrix": [[-1e160, 0], [0, -1]]}
         cfg = write_config(tmp_path, payload)
@@ -832,6 +834,22 @@ def test_sample_count_numpy_cannot_size_names_the_key(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_horizon_too_small_to_log_space_names_t_end(tmp_path, capsys):
+    # t_end * 1e-4 underflows to 0, so no log-spaced times exist; the field
+    # is not at fault
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]},
+        "oracle": {"kind": "trajectory", "t_end": 5e-324, "samples": 5},
+        "outputs": {"trajectory_csv": "trajectory.csv"},
+    })
+    assert main(["oracle", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: oracle.t_end = 5e-324 is too small for log-spaced samples\n"
+    )
+    assert not out.exists()
+
+
 def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # the oracle (10x flow samples, Frechet distance) and solver bits of the
     # infinite-horizon study; the relative out dir keeps summary.json's
@@ -840,6 +858,12 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # were study.csv 0bdd15fadf69066d16be5fdc75f88c798f9c93f565170635df64dccb73f0bb73,
     # study_fixed.csv ec2c03d6b31e1250c0a318239418e7c9a50180cc22de4398c8e49f985809b6f2
     # and summary.json 9aec048ddd2d2e311557c20fb8c58125c1f26618b6d78c40d8a105dba24e028c.
+    # Re-recorded again when linear fields got their exact Hessian as the
+    # preconditioner, which moves last bits and the iteration counts; with
+    # the scalar-rate preconditioner the digests were study.csv
+    # 1f25b225e6e31b2ecacfec594a11d99fe476007f66cf6358f9485a3b727b9521,
+    # study_fixed.csv 7e50ce37b56a3d5dc652e12462d7914f3d0a2e1e8aeb94dd077c61543b3470d3
+    # and summary.json 812b39c9863dfb2d76378b0ce1d28264b391bd338b5d4c897c64e5e8fb2fe140.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {
         "study": {"name": "case_ii"},
@@ -850,9 +874,9 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "out").iterdir()}
     assert digests == {
-        "study.csv": "1f25b225e6e31b2ecacfec594a11d99fe476007f66cf6358f9485a3b727b9521",
-        "study_fixed.csv": "7e50ce37b56a3d5dc652e12462d7914f3d0a2e1e8aeb94dd077c61543b3470d3",
-        "summary.json": "812b39c9863dfb2d76378b0ce1d28264b391bd338b5d4c897c64e5e8fb2fe140",
+        "study.csv": "8a500518227c39f1b441cf0c718e0aada4fc0e69280e1ccd8254470a75a9870c",
+        "study_fixed.csv": "dbd55efe86b9a2d4efdfc2e175430f8d7084f312505402d34a9840e255b4d1b0",
+        "summary.json": "e2d70b27db885e0db78362acc6d3a29358690d582bfe44a9c1a7f66f1cb08abf",
     }
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -11,6 +12,7 @@ from minaction import (
     ActionError,
     DegeneratePathError,
     DriftVanishesError,
+    FePath,
     Mesh,
     OptimConfig,
     Quadrature,
@@ -27,6 +29,7 @@ from minaction import (
     matrix_exp_apply,
     minimize_fixed_T,
     minimize_tmam,
+    tmam_value_grad,
     two_scale_field,
     uniform_mesh,
 )
@@ -73,9 +76,18 @@ class TestFixedTSolver:
             minimize_fixed_T(start, two_scale_field(), horizon, quad=QUAD)
 
     def test_overflowing_drift_rate_is_action_error(self):
-        # the squared Lipschitz rate 1e320 overflows a float; the band is not finite
+        # A^T A has the entry 1e320, which overflows a float; the linear
+        # field's Hessian band is not finite
         field = linear_field([[-1e160, 0.0], [0.0, -1.0]])
         start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
+        with pytest.raises(ActionError, match="preconditioner is not finite"):
+            minimize_fixed_T(start, field, 1.0, quad=QUAD)
+
+    def test_overflowing_lipschitz_rate_of_a_nonlinear_field_is_action_error(self):
+        # the squared Lipschitz rate 1e320 of a field without linear_matrix
+        # overflows a float; the scalar-rate band is not finite
+        field = field_from_callable(2, _callable_maier_stein, lipschitz=1e160)
+        start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))
         with pytest.raises(ActionError, match="preconditioner is not finite"):
             minimize_fixed_T(start, field, 1.0, quad=QUAD)
 
@@ -101,9 +113,11 @@ class TestFixedTSolver:
         assert res.value <= fixed_t_value_grad(start, field, 5.0, QUAD)[0] + 1e-12
 
     def test_not_converged_is_flagged_not_raised(self):
-        field = two_scale_field()
-        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(32))
-        res = minimize_fixed_T(start, field, 100.0, OptimConfig(max_iters=2), QUAD)
+        # a nonlinear problem that 2 iterations cannot solve; a linear field's
+        # fixed-T solve converges in one exact Newton step
+        s = uniform_mesh(32).nodes
+        start = FePath(uniform_mesh(32), np.column_stack([-1.0 + s, 0.3 * np.sin(np.pi * s)]))
+        res = minimize_fixed_T(start, maier_stein_field(10.0), 10.0, OptimConfig(max_iters=2), QUAD)
         assert not res.converged
         assert res.iterations <= 2
         assert np.isfinite(res.value)
@@ -570,3 +584,156 @@ def test_banded_solve_of_a_nonfinite_vector_is_scipys_value_error(bad):
         optimize.cho_solve_banded((factor, False), b)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"
+
+
+# A of b(x) = A x for the Hessian preconditioner: symmetric, nonsymmetric, 1-D to 3-D
+LINEAR_MATRICES = {
+    "scalar": [[-1.5]],
+    "two_scale": two_scale_field().linear_matrix,
+    "nonsymmetric": [[-1.0, 3.0], [-0.5, -2.0]],
+    "three_d": [[-2.0, 1.0, 0.0], [0.5, -1.0, 0.3], [0.0, -0.7, -3.0]],
+}
+
+
+def _linear_case(name, nonuniform, seed):
+    """(field, random path) of ``LINEAR_MATRICES[name]`` on a 12-element mesh."""
+    rng = np.random.default_rng(seed)
+    field = linear_field(LINEAR_MATRICES[name])
+    if nonuniform:
+        widths = rng.uniform(0.2, 1.0, 12)
+        mesh = Mesh(np.concatenate([[0.0], np.cumsum(widths[:-1]) / widths.sum(), [1.0]]))
+    else:
+        mesh = uniform_mesh(12)
+    return field, FePath(mesh, rng.standard_normal((13, field.dim))), rng
+
+
+def _fixed_t_hessian_times(path, field, T, quad, step):
+    """H step from a gradient difference; exact up to roundoff, since the action is quadratic."""
+    g0 = fixed_t_value_grad(path, field, T, quad)[1]
+    g1 = fixed_t_value_grad(path.replace_interior(path.values[1:-1] + step), field, T, quad)[1]
+    return (g1 - g0).ravel()
+
+
+@pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(LINEAR_MATRICES))
+def test_linear_preconditioner_inverts_the_fixed_t_hessian(name, q, nonuniform):
+    field, path, rng = _linear_case(name, nonuniform, seed=q)
+    quad = Quadrature(q)
+    step = rng.standard_normal((11, field.dim))
+    hv = _fixed_t_hessian_times(path, field, 1.7, quad, step)
+    apply = optimize._linear_preconditioner(path, field.linear_matrix, quad, 1.7, False)
+    assert np.linalg.norm(apply(hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(LINEAR_MATRICES))
+def test_t_coupling_is_the_horizon_derivative_of_the_action(name, q):
+    # c against a central difference in T of the gradient, H_TT against a
+    # second difference of the value
+    field, path, _ = _linear_case(name, nonuniform=True, seed=10 + q)
+    quad, T = Quadrature(q), 1.3
+    a_mat = field.linear_matrix
+    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, quad, T)
+    d = 1e-5 * T
+    fd_c = (fixed_t_value_grad(path, field, T + d, quad)[1]
+            - fixed_t_value_grad(path, field, T - d, quad)[1]).ravel() / (2.0 * d)
+    assert np.max(np.abs(c_vec - fd_c)) <= 1e-8 * np.max(np.abs(c_vec))
+    d = 1e-3 * T
+    value = [fixed_t_value_grad(path, field, t, quad)[0] for t in (T - d, T, T + d)]
+    assert h_tt == pytest.approx((value[0] - 2.0 * value[1] + value[2]) / d**2, rel=1e-5)
+
+
+@pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("name", ["two_scale", "nonsymmetric", "three_d"])
+def test_reduced_linear_preconditioner_inverts_the_reduced_hessian(name, nonuniform):
+    # at the start's t_hat the reduced action has the Hessian H - c c^T / H_TT
+    # (a central difference of its gradient checks it), and the reduced
+    # closure maps that matrix times a step back to the step
+    field, random_path, rng = _linear_case(name, nonuniform, seed=20)
+    straight = linear_interpolant_path(rng.standard_normal(field.dim), np.zeros(field.dim),
+                                       random_path.mesh)
+    path = straight.replace_interior(straight.values[1:-1]
+                                     + 0.05 * rng.standard_normal((11, field.dim)))
+    quad = Quadrature(2)
+    t_hat = tmam_value_grad(path, field, quad)[2]
+    a_mat = field.linear_matrix
+    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, quad, t_hat)
+    step = rng.standard_normal((11, field.dim))
+    reduced_hv = (_fixed_t_hessian_times(path, field, t_hat, quad, step)
+                  - c_vec * (c_vec.dot(step.ravel()) / h_tt))
+    eps = 1e-4
+    fd_hv = (tmam_value_grad(path.replace_interior(path.values[1:-1] + eps * step), field, quad)[1]
+             - tmam_value_grad(path.replace_interior(path.values[1:-1] - eps * step), field,
+                               quad)[1]).ravel() / (2.0 * eps)
+    assert np.linalg.norm(fd_hv - reduced_hv) <= 1e-6 * np.linalg.norm(reduced_hv)
+    apply = optimize._linear_preconditioner(path, a_mat, quad, t_hat, True)
+    plain = optimize._linear_preconditioner(path, a_mat, quad, t_hat, False)
+    assert not np.array_equal(apply(reduced_hv), plain(reduced_hv))  # the downdate is on
+    assert np.linalg.norm(apply(reduced_hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
+
+
+# (field, x1, x2, T, q, N, value): the values are those of the parent solver
+# with the scalar-rate preconditioner, which took 20, 32 and 13 iterations
+LINEAR_FIXED_T_SOLVES = {
+    "two_scale": (two_scale_field(), [1.0, 1.0], [0.0, 0.0], 100.0, 2, 32, 16.73107583169383),
+    "nonsymmetric": (linear_field(LINEAR_MATRICES["nonsymmetric"]), [1.0, -0.5], [0.2, 0.1],
+                     3.0, 3, 40, 0.04026852044487449),
+    "three_d": (linear_field(LINEAR_MATRICES["three_d"]), [1.0, 0.5, -1.0], [0.0, 0.2, 0.0],
+                2.0, 1, 24, 0.04697031102133182),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_FIXED_T_SOLVES))
+def test_linear_fixed_t_solve_is_one_newton_step(name):
+    field, x1, x2, T, q, N, value = LINEAR_FIXED_T_SOLVES[name]
+    start = linear_interpolant_path(x1, x2, uniform_mesh(N))
+    res = minimize_fixed_T(start, field, T, quad=Quadrature(q))
+    assert res.converged and res.iterations == 1
+    assert abs(res.value - value) <= 1e-13 * value
+
+
+def _same_solve(a, b):
+    return (a.value.hex(), a.t_hat.hex(), a.iterations, a.path.values.tobytes()) == (
+        b.value.hex(), b.t_hat.hex(), b.iterations, b.path.values.tobytes())
+
+
+def _two_scale_solves(mode, field):
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(24))
+    if mode == "tmam":
+        return minimize_tmam(start, field, quad=QUAD)
+    return minimize_fixed_T(start, field, 5.0, quad=QUAD)
+
+
+@pytest.mark.parametrize("mode", ["tmam", "fixed_t"])
+def test_hessian_cholesky_failure_falls_back_to_the_scalar_rate_preconditioner(monkeypatch, mode):
+    field = two_scale_field()
+    ref = _two_scale_solves(mode, dataclasses.replace(field, linear_matrix=None))
+    real = optimize.cholesky_banded
+
+    def reject_the_hessian(band, lower):
+        if band.shape[0] > 2:  # the n = 2 Hessian band has 4 rows, the scalar-rate band 2
+            raise scipy.linalg.LinAlgError("3-th leading minor not positive definite")
+        return real(band, lower=lower)
+
+    monkeypatch.setattr(optimize, "cholesky_banded", reject_the_hessian)
+    assert _same_solve(_two_scale_solves(mode, field), ref)
+
+
+@pytest.mark.parametrize("mode", ["tmam", "fixed_t"])
+def test_linear_matrix_of_another_shape_is_not_read(mode):
+    field = two_scale_field()
+    ref = _two_scale_solves(mode, dataclasses.replace(field, linear_matrix=None))
+    assert _same_solve(_two_scale_solves(mode, dataclasses.replace(field, linear_matrix=np.eye(3))),
+                       ref)
+
+
+@pytest.mark.parametrize("mode", ["tmam", "fixed_t"])
+def test_linear_matrix_that_is_not_the_fields_changes_only_the_preconditioner(mode):
+    field = two_scale_field()
+    exact = _two_scale_solves(mode, field)
+    wrong = _two_scale_solves(
+        mode, dataclasses.replace(field, linear_matrix=np.array(LINEAR_MATRICES["nonsymmetric"])))
+    assert exact.converged and wrong.converged
+    assert wrong.iterations > exact.iterations
+    assert abs(wrong.value - exact.value) <= 1e-9 * exact.value
