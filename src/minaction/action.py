@@ -281,6 +281,23 @@ def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Q
     return float(np.max(np.abs(speed - drift_mag)))
 
 
+def _norm2(vec: np.ndarray) -> float:
+    """2-norm of a contiguous float array, with the bits of numpy's ``norm`` where that is finite.
+
+    The sum of squares is one ``np.vdot``, as in ``norm``, but free of
+    numpy's overflow warning.  Only where it overflows while every entry is
+    finite is the norm taken again of the array divided by its largest
+    magnitude, and then multiplied back: a finite norm is not reported as inf.
+    """
+    sq = np.vdot(vec, vec)
+    if sq == math.inf:
+        scale = float(np.abs(vec).max())
+        if scale < math.inf:
+            unit = vec / scale
+            return scale * math.sqrt(np.vdot(unit, unit))
+    return math.sqrt(sq)
+
+
 def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> float:
     """``el_residual`` of ``path`` from its interior fixed-T gradient at ``t_scale``.
 
@@ -289,7 +306,7 @@ def _el_residual_at(path: FePath, grad_interior: np.ndarray, t_scale: float) -> 
     """
     delta = np.diff(path.values, axis=0).T
     h1 = math.sqrt(float(np.vdot(delta, delta / path.mesh.widths)))
-    return float(np.linalg.norm(grad_interior) / (t_scale * max(h1, EPS_DEGENERATE)))
+    return _norm2(grad_interior) / (t_scale * max(h1, EPS_DEGENERATE))
 
 
 def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrature) -> float:

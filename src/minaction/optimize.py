@@ -48,6 +48,7 @@ from .action import (  # noqa: F401
     ActionError,
     Quadrature,
     _el_residual_at,
+    _norm2,
     el_residual,
     fixed_t_value_grad,
     hamiltonian_violation,
@@ -127,11 +128,6 @@ class OptimResult:
 
 def _max_norm(vec: np.ndarray) -> float:
     return float(np.abs(vec).max()) if vec.size else 0.0
-
-
-def _norm2(vec: np.ndarray) -> float:
-    """2-norm of a 1-D float vector by numpy's own ``norm`` formula, with its bits and warnings."""
-    return math.sqrt(vec.dot(vec))
 
 
 # Consecutive failed or no-progress iterations tolerated before declaring the
@@ -330,10 +326,11 @@ def _preconditioner(start: FePath, field: DriftField, t_ref: float):
     stiff_off = -1.0 / h[1:-1]
     mass_diag = (h[:-1] + h[1:]) / 3.0
     mass_off = h[1:-1] / 6.0
-    reaction = t_ref * kappa
     band = np.zeros((2, h.size - 1))
-    band[1] = stiff_diag / t_ref + reaction * mass_diag
-    band[0, 1:] = stiff_off / t_ref + reaction * mass_off
+    with np.errstate(over="ignore", invalid="ignore"):
+        reaction = t_ref * kappa
+        band[1] = stiff_diag / t_ref + reaction * mass_diag
+        band[0, 1:] = stiff_off / t_ref + reaction * mass_off
     if not np.all(np.isfinite(band)):
         raise ActionError("preconditioner is not finite at this horizon")
     factor = cholesky_banded(band, lower=False)

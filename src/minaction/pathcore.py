@@ -262,7 +262,7 @@ def resample_path(path: FePath, mesh: Mesh) -> FePath:
     return FePath(mesh, values)
 
 
-_BLOCK_CELLS = 1 << 14  # lattice cells per vectorized block of the bounds
+_BLOCK_CELLS = 1 << 14  # lattice cells per vectorized block of the nearest-partner check
 
 
 def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -282,37 +282,51 @@ def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest_bound(short: np.ndarray, tall: np.ndarray):
-    """Lower bound on the squared distance, and each tall point's nearest short row.
+_WINDOW = 4  # rows of the shorter polyline searched on each side of a point's arc length
 
-    The bound is the largest of the two end costs and of every point's cost
-    to its nearest partner on the other polyline.  The costs are visited in
-    blocks of about ``_BLOCK_CELLS`` cells, a few rows of ``tall`` against all
-    of ``short``, so memory stays O(P + Q).
+
+def _arc_positions(pts: np.ndarray) -> np.ndarray:
+    """Normalized cumulative arc length at each point of a component-major polyline.
+
+    A polyline of zero (or overflowing) length gets the index ratio
+    k / (K - 1) instead.
     """
-    p, q = short.shape[1], tall.shape[1]
-    near_cost = np.full(p, np.inf)  # each short point to its nearest tall point
-    partner_cost = np.empty(q)      # each tall point to its nearest short point
-    partner = np.empty(q, dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // p)
-    for j0 in range(0, q, step):
-        block = _sq_dist(short[:, None, :], tall[:, j0:j0 + step, None])  # (rows, p)
-        nearest = block.argmin(axis=1)
-        partner[j0:j0 + step] = nearest
-        partner_cost[j0:j0 + step] = block[np.arange(nearest.size), nearest]
-        np.minimum(near_cost, block.min(axis=0), out=near_cost)
-    ends = _sq_dist(short[:, [0, -1]], tall[:, [0, -1]])
-    return max(ends.max(), near_cost.max(), partner_cost.max()), partner
+    arc = np.zeros(pts.shape[1])
+    np.cumsum(np.sqrt(_sq_dist(pts[:, 1:], pts[:, :-1])), out=arc[1:])
+    if 0.0 < arc[-1] < math.inf:
+        return arc / arc[-1]
+    return np.arange(arc.size) / max(arc.size - 1, 1)
 
 
-def _coupling_max(short: np.ndarray, tall: np.ndarray, partner: np.ndarray) -> float:
-    """Largest squared cost along one monotone coupling of ``short`` and ``tall``.
+def _window_partner(short: np.ndarray, tall: np.ndarray) -> np.ndarray:
+    """Each tall point's nearest short row among those about its arc-length position.
+
+    A tall point at normalized arc length u is compared with the
+    2 * ``_WINDOW`` + 1 rows of ``short`` about ``searchsorted`` of u in the
+    short polyline's normalized arc lengths, clipped to the polyline; a tie
+    goes to the lower row.  That is O(Q) costs, one numpy step per offset.
+    """
+    center = np.searchsorted(_arc_positions(short), _arc_positions(tall))
+    best = np.full(tall.shape[1], np.inf)
+    partner = np.zeros(tall.shape[1], dtype=np.intp)
+    for offset in range(-_WINDOW, _WINDOW + 1):
+        rows = np.clip(center + offset, 0, short.shape[1] - 1)
+        cost = _sq_dist(short[:, rows], tall)
+        closer = cost < best
+        best[closer] = cost[closer]
+        partner[closer] = rows[closer]
+    return partner
+
+
+def _coupling(short: np.ndarray, tall: np.ndarray, partner: np.ndarray):
+    """Rows, columns and squared costs of the cells of one monotone coupling.
 
     ``partner[j]`` is a row of ``short`` for each point j of ``tall``; it is
     made nondecreasing in place and forced to end at the last row.  Column j
     then covers rows first[j]..partner[j], entered from column j - 1 by a
     diagonal step when the row rises and by a right step when it stays, and
-    column 0 starts at row 0: at most P + Q cells from (0, 0) to (P-1, Q-1).
+    column 0 starts at row 0: at most P + Q cells from (0, 0) to (P-1, Q-1),
+    in that order.
     """
     np.maximum.accumulate(partner, out=partner)
     partner[-1] = short.shape[1] - 1
@@ -321,7 +335,22 @@ def _coupling_max(short: np.ndarray, tall: np.ndarray, partner: np.ndarray) -> f
     counts = partner - first + 1
     cols = np.repeat(np.arange(partner.size), counts)
     rows = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    return _sq_dist(short[:, rows], tall[:, cols]).max()
+    return rows, cols, _sq_dist(short[:, rows], tall[:, cols])
+
+
+def _nearest_reaches(points: np.ndarray, other: np.ndarray, cost: float) -> bool:
+    """Whether some point's squared cost to its nearest point of ``other`` equals ``cost``.
+
+    Both are component-major.  The costs are visited in blocks of about
+    ``_BLOCK_CELLS`` cells, a few points against all of ``other``, so memory
+    stays O(P + Q); the scan stops at the first block that reaches ``cost``.
+    """
+    step = max(1, _BLOCK_CELLS // other.shape[1])
+    for k0 in range(0, points.shape[1], step):
+        block = _sq_dist(points[:, k0:k0 + step, None], other[:, None, :])  # (points, other)
+        if (block.min(axis=1) == cost).any():
+            return True
+    return False
 
 
 def _frechet_sweep(short: np.ndarray, tall: np.ndarray) -> float:
@@ -348,6 +377,26 @@ def _frechet_sweep(short: np.ndarray, tall: np.ndarray) -> float:
     return prev1[p]
 
 
+def _squared_frechet(short: np.ndarray, tall: np.ndarray) -> float:
+    """Squared discrete Frechet distance of component-major ``short`` and ``tall``.
+
+    ``short`` has P >= 1 points and ``tall`` Q >= P.  The largest cost on the
+    arc-length coupling is the answer when an end pair or the nearest partner
+    of a point on a max-cost pair reaches it (see ``discrete_frechet``);
+    otherwise the anti-diagonal sweep gives it.
+    """
+    rows, cols, cost = _coupling(short, tall, _window_partner(short, tall))
+    upper = cost.max()
+    on_max = cost == upper
+    if (
+        max(cost[0], cost[-1]) == upper
+        or _nearest_reaches(tall[:, np.unique(cols[on_max])], short, upper)
+        or _nearest_reaches(short[:, np.unique(rows[on_max])], tall, upper)
+    ):
+        return upper
+    return _frechet_sweep(short, tall)
+
+
 def discrete_frechet(a: Polyline, b: Polyline) -> float:
     """Discrete Frechet distance between two polylines.
 
@@ -355,36 +404,37 @@ def discrete_frechet(a: Polyline, b: Polyline) -> float:
     point-to-point cost (Eiter-Mannila).  Symmetric, nonnegative, and zero
     only when the point sequences admit a perfect coupling.
 
-    Two bounds on the squared distance come first:
+    One explicit coupling comes first.  Each point of the longer polyline
+    is paired with its nearest point among the 9 points of the shorter one
+    about its position in normalized arc length (the index ratio on a
+    polyline of zero length); the pairing is made nondecreasing and forced
+    to end at the last point.  The largest squared cost on it, ``upper``,
+    bounds the distance from above.  Every coupling holds both end pairs and
+    gives each point some partner, so the distance is at least the end
+    costs and every point's cost to its nearest partner on the other
+    polyline.  ``upper`` is therefore the distance when an end cost equals
+    it, or when the nearest-partner cost of some point on a max-cost pair
+    does.  Only those points need checking: a point whose nearest cost is
+    ``upper`` pays at least that on each of its pairs, so it lies on a
+    max-cost pair.  Otherwise the exact dynamic program sweeps the lattice
+    one anti-diagonal at a time.  Both paths take min and max over the same
+    squared costs and one square root at the end (monotone and correctly
+    rounded), so the value is the same float either way.  Two samplings of
+    nearly the same curve, such as a minimizer and a fine sampling of the
+    exact trajectory, are usually certified; about half of all pairs of
+    random walks are not.
 
-    - lower: every coupling holds both end pairs and gives each point some
-      partner, so the distance is at least the largest of the two end costs
-      and of every point's cost to its nearest partner on the other polyline;
-    - upper: the largest cost along one explicit coupling, which pairs each
-      point of the longer polyline with its nearest point on the shorter one,
-      made nondecreasing and forced to end at the last point.
-
-    When they are equal, that is the distance.  Otherwise the exact dynamic
-    program sweeps the lattice one anti-diagonal at a time.  Both paths take
-    min and max over the same squared costs and one square root at the end
-    (monotone and correctly rounded), so the value is the same float either
-    way.  Two samplings of nearly the same curve, such as a minimizer and a
-    fine sampling of the exact trajectory, usually meet the bounds; about
-    half of all pairs of random walks do not.
-
-    Costs O(PQ) time and O(P+Q) memory for P and Q points: the bounds visit
-    the cost lattice in blocks of a fixed cell count, and the sweep keeps two
-    diagonals.  When the bounds meet, the sweep's P+Q-1 numpy steps are
-    skipped.
+    A certified call costs O(P+Q) time for P and Q points: 9 costs per point
+    of the longer polyline, the coupling's at most P+Q cells, and P or Q
+    costs per point checked on a max-cost pair.  Otherwise the sweep costs
+    O(PQ) time.  Memory is O(P+Q) either way: the check visits the costs in
+    blocks of a fixed cell count, and the sweep keeps two diagonals.
     """
     if a.dim != b.dim:
         raise ValueError("polylines must share the state dimension")
     # (x - y)**2 == (y - x)**2 bit for bit, so which side is which is free
     short, tall = (np.ascontiguousarray(pts.T) for pts in sorted((a.points, b.points), key=len))
-    lower, partner = _nearest_bound(short, tall)
-    upper = _coupling_max(short, tall, partner)
-    sq = lower if lower == upper else _frechet_sweep(short, tall)
-    return float(np.sqrt(sq))
+    return float(np.sqrt(_squared_frechet(short, tall)))
 
 
 def clustering_fraction(path: FePath, center, radius: float) -> float:

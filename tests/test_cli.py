@@ -232,6 +232,27 @@ class TestSolve:
         assert result["error"] == "ActionError"
         assert "not finite" in result["message"]
 
+    def test_huge_horizon_writes_strict_json(self, tmp_path):
+        # the gradient is finite at T = 1e200 but its sum of squares is not;
+        # every warning is an error in the child, and Infinity is not JSON
+        payload = solve_config(mode={"kind": "fixed_t", "T": 1e200}, mesh={"N": 8})
+        cfg = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "minaction", "solve",
+             "--config", cfg, "--out-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        result = json.loads((tmp_path / "result.json").read_text(), parse_constant=reject)
+        assert result["converged"] is True
+        assert 0.0 < result["el_residual"] < 1e-10
+
     def test_underflowing_start_horizon_is_solver_error_without_warning(self, tmp_path):
         # |b(p)|^2 overflows at the start, so its optimal horizon underflows to 0
         payload = solve_config(mesh={"N": 16})

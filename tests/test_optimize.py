@@ -91,6 +91,26 @@ class TestFixedTSolver:
         with pytest.raises(ActionError, match="preconditioner is not finite"):
             minimize_fixed_T(start, field, 1.0, quad=QUAD)
 
+    def test_tiny_horizon_of_a_nonlinear_field_is_action_error_without_warning(self):
+        # 1/T overflows in the scalar-rate band of a field without
+        # linear_matrix; the band is built under errstate and checked
+        start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ActionError, match="preconditioner is not finite"):
+                minimize_fixed_T(start, maier_stein_field(10.0), 5e-324, quad=QUAD)
+        assert [str(w.message) for w in caught] == []
+
+    def test_huge_horizon_reports_finite_norms_without_warning(self):
+        # the gradient (max-norm about 7e184) is finite, its sum of squares not
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = minimize_fixed_T(start, two_scale_field(), 1e200, quad=QUAD)
+        assert [str(w.message) for w in caught] == []
+        assert math.isfinite(res.grad_norm) and res.grad_norm > 1e184
+        assert 0.0 < res.el_residual < 1e-10
+
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             minimize_fixed_T(
@@ -459,13 +479,20 @@ def test_norm2_has_the_bits_of_numpy_norm():
             assert _norm2(vec).hex() == float(np.linalg.norm(vec)).hex()
 
 
-def test_norm2_overflows_to_inf_with_numpy_norms_warning():
+def test_norm2_is_finite_where_the_sum_of_squares_overflows():
+    # numpy's norm overflows to inf here, with a warning; _norm2 scales by
+    # the largest magnitude only then, with no warning
     vec = np.array([1e200, -3.0, 1e180])
     with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-        ref = np.linalg.norm(vec)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-        got = _norm2(vec)
-    assert got == ref == math.inf
+        assert np.linalg.norm(vec) == math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _norm2(vec) == 1e200 * math.sqrt(1.0 + 1e-40)
+        assert _norm2(np.full(4, 1e300)) == 2e300
+        assert _norm2(np.array([1e308, 1e308, 1e308, 1e308, 1e308])) == math.inf
+        assert _norm2(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(_norm2(np.array([math.nan, 1e200])))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_sweep_rejects_a_level_too_large_for_an_array_before_any_solve(monkeypatch):

@@ -360,8 +360,8 @@ class TestDiscreteFrechet:
         assert sweep_calls == [((2, 40), (2, 90))]
 
     def test_certified_memory_stays_linear(self, no_sweep):
-        # 513 x 5131 is the case_ii pair at N=512; the bounds visit its 2.6M
-        # cells in blocks of a fixed size
+        # 513 x 5131 is the case_ii pair at N=512; of its 2.6M cells the
+        # certificate visits a few per point, in blocks of a fixed size
         a, b = exact_trajectory(513), exact_trajectory(5131)
         assert (len(a.points), len(b.points)) == (513, 5131)
         tracemalloc.start()
@@ -371,6 +371,71 @@ class TestDiscreteFrechet:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_certified_call_does_linear_work(self, no_sweep, monkeypatch):
+        # 1025 x 10251 is the case_ii pair at N=1024: about 10.5M lattice
+        # cells, of which a certified call computes a few per point
+        a, b = exact_trajectory(1025), exact_trajectory(10251)
+        cells = []
+        sq_dist = pathcore._sq_dist
+
+        def counted(x, y):
+            out = sq_dist(x, y)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(pathcore, "_sq_dist", counted)
+        assert discrete_frechet(a, b) > 0.0
+        assert sum(cells) <= 40 * (1025 + 10251)
+
+    @pytest.mark.parametrize("q", [1, 2, 9, 30])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_point_polyline_matches_brute_force(self, n, q, no_sweep):
+        # a Polyline has two points at least; the distance itself takes one,
+        # and its only coupling pairs that point with every other, certified
+        rng = np.random.default_rng([n, q])
+        point = rng.standard_normal((1, n))
+        other = np.cumsum(rng.standard_normal((q, n)), axis=0)
+        short, tall = (np.ascontiguousarray(x.T) for x in (point, other))
+        got = float(np.sqrt(pathcore._squared_frechet(short, tall)))
+        assert got == sweep_with_np_sum(point, other)
+        assert got == pytest.approx(brute_force_frechet(point, other), abs=1e-12)
+
+    # zero arc length on the shorter side, the longer side or both
+    @pytest.mark.parametrize("p, q, still", [(4, 11, "a"), (9, 3, "a"), (5, 12, "ab"), (2, 2, "ab")])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_repeated_equal_points_match_brute_force(self, p, q, still, n):
+        rng = np.random.default_rng([p, q, n])
+        a = np.cumsum(rng.standard_normal((p, n)), axis=0)
+        b = np.cumsum(rng.standard_normal((q, n)), axis=0)
+        a[:] = a[p // 2]
+        if "b" in still:
+            b[:] = a[0] + 0.5
+        want = sweep_with_np_sum(a, b)
+        assert discrete_frechet(Polyline(a), Polyline(b)) == want
+        assert discrete_frechet(Polyline(b), Polyline(a)) == want
+        assert want == pytest.approx(brute_force_frechet(a, b), abs=1e-12)
+
+    def test_ties_on_max_cost_pairs_match_brute_force(self, sweep_calls):
+        # integer coordinates in {-1, 0, 1}: many pairs share the largest
+        # cost, and every squared cost is an exact integer, so the oracle's
+        # np.linalg.norm gives the same bits
+        rng = np.random.default_rng(5)
+        tied = certified_on_ties = 0
+        for k in range(60):
+            p, q = (int(m) for m in rng.integers(2, 7, size=2))
+            a = rng.integers(-1, 2, (p, 1 + k % 2)).astype(float)
+            b = rng.integers(-1, 2, (q, 1 + k % 2)).astype(float)
+            short, tall = (np.ascontiguousarray(x.T) for x in sorted((a, b), key=len))
+            _, _, cost = pathcore._coupling(short, tall, pathcore._window_partner(short, tall))
+            swept = len(sweep_calls)
+            assert discrete_frechet(Polyline(a), Polyline(b)) == brute_force_frechet(a, b)
+            if np.count_nonzero(cost == cost.max()) > 1:
+                tied += 1
+                by_ends = max(cost[0], cost[-1]) == cost.max()
+                certified_on_ties += len(sweep_calls) == swept and not by_ends
+        # the tied pairs include some certified by a nearest-partner cost
+        assert tied > 20 and certified_on_ties > 0
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
