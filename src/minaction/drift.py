@@ -37,11 +37,17 @@ class DriftField:
     Metadata (all optional): ``lipschitz`` is a Lipschitz constant K,
     ``beta``/``r2`` parametrize the inward-drift condition
     <b(x), x> <= -beta |x|^2 for |x| >= r2, and ``linear_matrix`` carries A
-    when b(x) = A x exactly.  The solvers read ``linear_matrix``: an n x n
-    one makes them precondition with the exact Hessian of the action for
-    b(x) = A x.  One that is not the field's own matrix changes only the
-    preconditioner, never the action: the solve may take more iterations
-    or stop short of its tolerance.
+    when b(x) = A x exactly.  Each given ``lipschitz``, ``beta`` and ``r2``
+    must be a finite real number, not a bool; another value raises a
+    ``ValueError`` that names it.  The solvers precondition with the
+    Hessian of the action for a linear drift b(x) = A x: an n x n
+    ``linear_matrix`` gives A, and a field without one gets A = K I (with
+    exact mass integrals), K from ``lipschitz`` or, if that is None, the
+    largest spectral norm of the Jacobian at the start path's nodes.  A
+    ``linear_matrix`` that is not the field's own matrix changes only the
+    preconditioner, never the action: the solve may take more iterations or
+    stop short of its tolerance.  ``check_inward_condition`` reads ``beta``
+    and ``r2``.
     """
 
     dim: int
@@ -52,6 +58,12 @@ class DriftField:
     r2: Optional[float] = None
     linear_matrix: Optional[np.ndarray] = None
     jacobian_fd: bool = False
+
+    def __post_init__(self):
+        for key in ("lipschitz", "beta", "r2"):
+            value = getattr(self, key)
+            if value is not None and _finite_float(value) is None:
+                raise ValueError(f"{key} must be a finite real number")
 
     def __call__(self, x) -> np.ndarray:
         """b(x) at a single point."""

@@ -225,13 +225,16 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
     of norm >= 1e-10 on eigenvalues >= 0, which never decays, and when the
     norm overflows before it falls below 1e-10; a finite horizon is rejected
     when a sample overflows or t_end * 1e-4 underflows to 0.  That t_end,
-    and a sample count numpy cannot make an array of, raise a ``ValueError``
-    whose message starts with ``t_end`` or ``samples``.
+    a t_end that is not a real number above 0 (or is a bool), and a sample
+    count numpy cannot make an array of, raise a ``ValueError`` whose
+    message starts with ``t_end`` or ``samples``.
     """
     samples = _count_at_least(samples, "samples", 2)
     _, eigvals, eigvecs = _spectrum(matrix)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
+    if not _is_real(t_end) or not t_end > 0.0:
+        raise ValueError("t_end must be positive or inf")
     infinite = t_end == math.inf
     if infinite:
         if np.linalg.norm((eigvecs.T @ x)[eigvals >= 0.0]) >= _DECAYED:
@@ -244,8 +247,6 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
                 if not np.isfinite(norm) or t_hi > 1e9:
                     raise ValueError("trajectory does not decay; infinite horizon invalid")
     else:
-        if not t_end > 0.0:
-            raise ValueError("t_end must be positive or inf")
         t_hi = float(t_end)
 
     if samples == 2:

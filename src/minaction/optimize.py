@@ -8,13 +8,14 @@ and the reference horizon of the preconditioner.  The discrete reduced
 functional has a finite optimal horizon at every mesh, so the horizon needs
 no cap.  Because the stationarity system is elliptic, raw nodal gradients
 condition badly as the mesh or the horizon grows, so the initial
-inverse-Hessian guess is the inverse of an SPD operator on the interior
-nodes.  For a field that carries ``linear_matrix`` A, the fixed-T action is
-a quadratic whose Hessian does not depend on the path; its inverse makes
-the first fixed-T step an exact Newton step, and a reduced solve gets the
-inverse of the reduced Hessian at its start.  Every other field gets the
-inverse of a stiffness-plus-scaled-mass operator per state component (a
-Sobolev-type gradient), which keeps iteration counts roughly mesh- and
+inverse-Hessian guess is the inverse of one SPD operator on the interior
+nodes: the fixed-T Hessian of the action for a linear drift b(x) = A x,
+which does not depend on the path.  A field that carries ``linear_matrix``
+gives A, so the first fixed-T step is an exact Newton step and a reduced
+solve gets the inverse of the reduced Hessian at its start.  Every other
+field gets A = sqrt(kappa) I, kappa its squared Lipschitz rate: a
+stiffness-plus-scaled-mass operator per state component (a Sobolev-type
+gradient), which keeps iteration counts roughly mesh- and
 horizon-independent.  A ``linear_matrix`` that is not the field's own
 changes only the preconditioner, never the action: the solve may take more
 iterations or stop short of ``tol_grad``.  Endpoints are never touched.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -296,9 +297,12 @@ def cho_solve_banded(cb_and_lower, b):
 
     Same call form and bits, straight through LAPACK ``pbtrs``; only the
     right-hand side is checked, with scipy's ``ValueError`` if it is not
-    finite.  ``b`` is a nonempty float64 array.
+    finite.  ``b`` is a float64 array; an empty one is returned as scipy
+    returns it, since ``pbtrs`` rejects an empty 2-D right-hand side.
     """
     cb, lower = cb_and_lower
+    if not b.size:
+        return np.empty_like(b)
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     x, info = _PBTRS(cb, b, lower=lower)
@@ -307,130 +311,104 @@ def cho_solve_banded(cb_and_lower, b):
     return x
 
 
-def _preconditioner(start: FePath, field: DriftField, t_ref: float):
-    """Apply closure of P^-1, P = (1/T) K + T kappa M on interior nodes per component.
-
-    K is the 1-D stiffness matrix and M the mass matrix of the start path's
-    mesh, T = ``t_ref`` and kappa estimates the squared local Lipschitz rate
-    of the drift.  The operator mirrors the elliptic part of the stationarity
-    system: for small horizons it is essentially the (Sobolev) inverse
-    Laplacian, for large horizons the reaction term keeps it aligned with the
-    Hessian, so iteration counts stay roughly mesh- and horizon-independent in
-    both regimes.  P is SPD, factored once per solve by banded Cholesky; the
-    closure maps a flat interior vector to P^-1 applied to each component.
-    """
-    n = start.dim
-    kappa = _drift_rate_sq(field, start)
-    h = start.mesh.widths
-    stiff_diag = 1.0 / h[:-1] + 1.0 / h[1:]
-    stiff_off = -1.0 / h[1:-1]
-    mass_diag = (h[:-1] + h[1:]) / 3.0
-    mass_off = h[1:-1] / 6.0
-    band = np.zeros((2, h.size - 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        reaction = t_ref * kappa
-        band[1] = stiff_diag / t_ref + reaction * mass_diag
-        band[0, 1:] = stiff_off / t_ref + reaction * mass_off
-    if not np.all(np.isfinite(band)):
-        raise ActionError("preconditioner is not finite at this horizon")
-    factor = cholesky_banded(band, lower=False)
-    if not np.isfinite(factor).all():
-        raise ActionError("preconditioner is not finite at this horizon")
-
-    def apply(vec):
-        return cho_solve_banded((factor, False), vec.reshape(-1, n)).ravel()
-
-    return apply
-
-
-def _hat_moments(quad: Quadrature):
-    """(sum_k w_k xi_k^2, sum_k w_k xi_k (1 - xi_k)) of the rule.
-
-    The Gauss-Legendre rule is symmetric about 1/2, so sum_k w_k xi_k = 1/2
-    and sum_k w_k (1 - xi_k)^2 = sum_k w_k xi_k^2: these two moments are
-    every quadrature sum of a product of two hat functions on an element.
-    """
-    same = quad.w.dot(quad.xi * quad.xi)
-    return same, 0.5 - same
-
-
-def _t_coupling(start: FePath, gram: np.ndarray, quad: Quadrature, t_ref: float):
+def _t_coupling(start: FePath, gram: np.ndarray, same: float, t_ref: float):
     """(c, H_TT) of the fixed-T action for a linear drift with A^T A = ``gram``, at T = ``t_ref``.
 
     c = grad |b(p)|^2 / 2 - grad |p'|^2 / (2 T^2) is the derivative in T of
     the interior gradient, flat in node-major order, and H_TT = |p'|^2 / T^3
     the second derivative of the action in T.  The quadrature sums of
-    grad |b(p)|^2 / 2 reduce to the rule's moments of xi (``_hat_moments``).
+    grad |b(p)|^2 / 2 reduce to the rule's moment ``same`` = sum_k w_k xi_k^2
+    (see ``_preconditioner``).
     """
-    same, cross = _hat_moments(quad)
     h = start.mesh.widths
     nodes = start.values
     delta = np.diff(nodes, axis=0)
     deriv = delta / h[:, None]
     h_tt = float(np.vdot(delta, deriv)) / t_ref / t_ref / t_ref
     mass = ((same * (h[:-1] + h[1:]))[:, None] * nodes[1:-1]
-            + cross * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
+            + (0.5 - same) * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
     return (mass @ gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
 
 
-def _linear_preconditioner(start: FePath, a_mat, quad: Quadrature, t_ref: float, reduced: bool):
-    """Apply closure of the inverse Hessian of the action for the drift b(x) = A x, or None.
+def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
+                    reduced: bool):
+    """Apply closure of P^-1, P the fixed-T Hessian of the action for a linear drift b(x) = A x.
 
-    H is the exact Hessian of the fixed-T action at T = ``t_ref``,
-    T sum_e h_e sum_k w_k A_ek^T A_ek, whose element rows
-    A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
-    derivatives of the residual at point k of element e by its two nodes.
-    The sums over k reduce to the rule's moments of xi.  H is block
-    tridiagonal with n x n blocks, so in the node-major order of the
-    interior vector it is one upper band with 2n - 1 superdiagonals,
-    factored once by banded Cholesky.  If ``reduced``, the closure applies
-    instead the inverse of the reduced Hessian H - c c^T / H_TT at the
-    start path by Sherman-Morrison, with ``_t_coupling``'s c and H_TT, the
-    mixed and second derivatives of the action in T.  The downdate is left
-    out when H_TT - c^T H^-1 c <= 1e-8 H_TT, where the reduced Hessian is
-    not safely positive definite, and when c or that difference is not
-    finite.  None if banded Cholesky finds H not positive definite (the
-    action is then not strictly convex in the path).
+    At T = ``t_ref``, P = T sum_e h_e sum_k w_k A_ek^T A_ek, whose element
+    rows A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
+    derivatives of the residual at point k of element e by its two nodes:
+    P = (1/T) K (x) I + T M (x) A^T A plus the skew part of A on the
+    off-diagonal blocks, K and M the stiffness and mass matrices of the
+    start path's mesh on its interior nodes.  The rule is symmetric about
+    1/2, so M takes its moments sum_k w_k xi_k^2 (a node with itself) and
+    1/2 minus that (a node with its neighbour).  A field with an n x n
+    ``linear_matrix`` gives A.  Every other field gets A = sqrt(kappa) I,
+    kappa from ``_drift_rate_sq``, with the exact P1 mass moments 1/3 and
+    1/6: a Sobolev-type operator, the inverse Laplacian at small horizons
+    and aligned with the Hessian by its reaction term at large ones, whose
+    1 x 1 blocks give one factor for every state component.
+
+    P is block tridiagonal with m x m blocks, so in the node-major order of
+    the interior vector it is one upper band with 2m - 1 superdiagonals,
+    factored once by banded Cholesky.  If ``reduced`` and A is the field's,
+    the closure applies instead the inverse of the reduced Hessian
+    P - c c^T / H_TT at the start path by Sherman-Morrison, with
+    ``_t_coupling``'s c and H_TT, the mixed and second derivatives of the
+    action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
+    H_TT, where the reduced Hessian is not safely positive definite, and
+    when c or that difference is not finite.  A Hessian that banded
+    Cholesky rejects (the action is then not strictly convex in the path)
+    gives way to the kappa operator.  A band or factor that is not finite
+    raises ``ActionError``.
     """
     n = start.dim
-    a_mat = np.asarray(a_mat, dtype=float)
     h = start.mesh.widths
-    same, cross = _hat_moments(quad)
+    linear = np.shape(field.linear_matrix) == (n, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gram = a_mat.T @ a_mat
-        inv_th = 1.0 / (t_ref * h)                       # (N,)
+        if linear:
+            a_mat = np.asarray(field.linear_matrix, dtype=float)
+            gram, skew = a_mat.T @ a_mat, 0.5 * (a_mat - a_mat.T)
+            same = quad.w.dot(quad.xi * quad.xi)
+            mass_diag, mass_off = same * (h[:-1] + h[1:]), (0.5 - same) * h[1:-1]
+        else:
+            gram, skew = np.array([[_drift_rate_sq(field, start)]]), np.zeros((1, 1))
+            mass_diag, mass_off = (h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0
+        m = gram.shape[0]
+        stiff_diag = (1.0 / h[:-1] + 1.0 / h[1:]) / t_ref
+        stiff_off = -1.0 / h[1:-1] / t_ref
+        upper = 2 * m - 1
+        band = np.zeros((2 * m, (h.size - 1) * m))     # band[upper + row - col, col]
         # The diagonal block of interior node i sums element i-1's right-node
         # and element i's left-node parts, whose A + A^T terms cancel by the
         # rule's symmetry; the off-diagonal block of nodes i and i + 1 is
         # element i's cross part.
-        diag_eye, diag_gram = inv_th[:-1] + inv_th[1:], (t_ref * same) * (h[:-1] + h[1:])
-        off_eye, off_gram = -inv_th[1:-1], (t_ref * cross) * h[1:-1]
-        off_const = 0.5 * (a_mat - a_mat.T)
-        upper = 2 * n - 1
-        band = np.zeros((2 * n, (h.size - 1) * n))     # band[upper + row - col, col]
-        for r in range(n):
-            for c in range(n):
+        for r in range(m):
+            for c in range(m):
+                reaction = t_ref * gram[r, c]
                 if c >= r:
-                    entry = diag_gram * gram[r, c]
-                    band[upper + r - c, c::n] = diag_eye + entry if r == c else entry
-                entry = off_const[r, c] + off_gram * gram[r, c]
-                band[upper + r - c - n, n + c::n] = off_eye + entry if r == c else entry
-        if not np.isfinite(band).all():
-            raise ActionError("preconditioner is not finite at this horizon")
+                    entry = reaction * mass_diag
+                    band[upper + r - c, c::m] = stiff_diag + entry if r == c else entry
+                entry = skew[r, c] + reaction * mass_off
+                band[upper + r - c - m, m + c::m] = stiff_off + entry if r == c else entry
+    if not np.isfinite(band).all():
+        raise ActionError("preconditioner is not finite at this horizon")
     try:
         factor = cholesky_banded(band, lower=False)
     except LinAlgError:
-        return None
+        if not linear:
+            raise
+        return _preconditioner(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
     if not np.isfinite(factor).all():
         raise ActionError("preconditioner is not finite at this horizon")
+    rhs = n // m  # right-hand sides: the components, or one flat vector
 
     def apply(vec):
-        return cho_solve_banded((factor, False), vec)
+        return cho_solve_banded((factor, False), vec.reshape(-1, rhs)).ravel()
 
-    if not reduced:
+    if not (linear and reduced):
         return apply
     with np.errstate(over="ignore", invalid="ignore"):
-        c_vec, h_tt = _t_coupling(start, gram, quad, t_ref)
+        c_vec, h_tt = _t_coupling(start, gram, same, t_ref)
         if not np.isfinite(c_vec).all():
             return apply
         u_vec = apply(c_vec)
@@ -458,12 +436,10 @@ def _minimize(
     ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
     is evaluated first, its t_hat is the horizon and the solve is a reduced
     one; else the preconditioner is built first.  Either way the start is
-    evaluated once.  A field with an n x n ``linear_matrix`` gets
-    ``_linear_preconditioner``, every other field (and one whose Hessian is
-    not positive definite) ``_preconditioner``.  The
-    diagnostics are evaluated at the final t_hat: the Euler-Lagrange
-    residual from the loop's last gradient, which is the fixed-T gradient
-    there, and the Hamiltonian violation from one drift evaluation.
+    evaluated once.  The diagnostics are evaluated at the final t_hat: the
+    Euler-Lagrange residual from the loop's last gradient, which is the
+    fixed-T gradient there, and the Hamiltonian violation from one drift
+    evaluation.
     """
     n = start.dim
 
@@ -477,11 +453,7 @@ def _minimize(
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond = None
-    if np.shape(field.linear_matrix) == (n, n):
-        precond = _linear_preconditioner(start, field.linear_matrix, quad, t_ref, reduced)
-    if precond is None:
-        precond = _preconditioner(start, field, t_ref)
+    precond = _preconditioner(start, field, quad, t_ref, reduced)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(evaluate, z0, cfg, precond, first)
     if cfg.log_path is not None:
         _write_table(cfg.log_path, ("iteration", "value", "grad_norm", "t_hat"), rows)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,13 @@ class TestInwardCondition:
         assert report.first_violation is not None
         assert report.worst_margin > 0.0
 
+    def test_nonfinite_metadata_cannot_pass_an_outward_field(self):
+        # a NaN beta or r2 made every margin comparison false: b(x) = x passed
+        for key in ("beta", "r2"):
+            metadata = {"beta": 1.0, "r2": 1.0, key: math.nan}
+            with pytest.raises(ValueError, match=f"^{key} must be a finite real number$"):
+                linear_field(np.eye(2), **metadata)
+
     def test_missing_metadata_rejected(self):
         with pytest.raises(ValueError):
             check_inward_condition(linear_field(-np.eye(2)), samples=10, radius=2.0)
@@ -359,3 +367,19 @@ class TestFieldConfig:
     def test_invalid_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             field_from_config(spec)
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), 10**400,
+                                     "abc", "1.0", True, False, [1.0]],
+                             ids=["nan", "inf", "-inf", "np_nan", "huge_int", "string",
+                                  "numeric_string", "true", "false", "list"])
+    @pytest.mark.parametrize("key", ["lipschitz", "beta", "r2"])
+    def test_bad_metadata_is_rejected_by_name(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite real number$"):
+            field_from_callable(1, lambda x: -x, **{key: bad})
+
+    def test_finite_metadata_is_kept(self):
+        # 1e160 is finite although its square, the preconditioner's rate, overflows
+        field = field_from_callable(1, lambda x: -x, lipschitz=1e160, beta=np.float64(0.5), r2=2)
+        assert (field.lipschitz, field.beta, field.r2) == (1e160, 0.5, 2)

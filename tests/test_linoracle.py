@@ -227,6 +227,15 @@ class TestInvalidInputs:
         with pytest.raises(ValueError, match="t_end"):
             trajectory_times_points([[-1.0]], [1.0], -math.inf, 4)
 
+    @pytest.mark.parametrize("call", [trajectory_times_points, trajectory_polyline],
+                             ids=["times_points", "polyline"])
+    @pytest.mark.parametrize("t_end", [True, False, "inf", None, math.nan, 0.0, -1.0],
+                             ids=["true", "false", "string_inf", "none", "nan", "zero", "negative"])
+    def test_horizon_that_is_not_a_positive_real_rejected(self, call, t_end):
+        # True was sampled as t_end = 1.0, and "inf" and None raised TypeError
+        with pytest.raises(ValueError, match="^t_end must be positive or inf$"):
+            call([[-1.0]], [1.0], t_end, 4)
+
     @pytest.mark.parametrize(
         "matrix,x",
         [

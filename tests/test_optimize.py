@@ -553,23 +553,33 @@ def test_tmam_solve_evaluates_its_start_once_and_no_optimal_time(monkeypatch):
     assert at_start[0] and sum(at_start) == 1
 
 
-def _band_factor(mesh: Mesh, t_ref: float, kappa: float) -> np.ndarray:
-    """The upper banded Cholesky factor of the preconditioner built by ``optimize._preconditioner``."""
-    factors = []
+def _scalar_rate_field(kappa: float):
+    """A 1-D field without ``linear_matrix`` whose Lipschitz rate squared is ``kappa``."""
+    return dataclasses.replace(linear_field([[-math.sqrt(kappa)]]), linear_matrix=None)
+
+
+def _recorded_bands(start, field, quad, t_ref, reduced=False):
+    """(bands, factors) that ``optimize._preconditioner`` passes to and gets from banded Cholesky."""
+    bands, factors = [], []
 
     def recording(band, lower):
+        bands.append(band.copy())
         factors.append(scipy.linalg.cholesky_banded(band, lower=lower))
         return factors[-1]
 
-    field = linear_field([[-math.sqrt(kappa)]])  # its Lipschitz rate squared is kappa
-    start = linear_interpolant_path([0.0], [1.0], mesh)
     original = optimize.cholesky_banded
     optimize.cholesky_banded = recording
     try:
-        optimize._preconditioner(start, field, t_ref)
+        optimize._preconditioner(start, field, quad, t_ref, reduced)
     finally:
         optimize.cholesky_banded = original
-    return factors[0]
+    return bands, factors
+
+
+def _band_factor(mesh: Mesh, t_ref: float, kappa: float) -> np.ndarray:
+    """The upper banded Cholesky factor of the scalar-rate preconditioner of ``optimize._preconditioner``."""
+    start = linear_interpolant_path([0.0], [1.0], mesh)
+    return _recorded_bands(start, _scalar_rate_field(kappa), QUAD, t_ref)[1][0]
 
 
 def test_banded_solve_has_the_bits_of_scipy():
@@ -594,10 +604,57 @@ def test_preconditioner_apply_has_the_bits_of_scipy():
     mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
     factor = _band_factor(mesh, t_ref=2.5, kappa=100.0)
     start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], mesh)
-    apply = optimize._preconditioner(start, two_scale_field(), 2.5)  # Lipschitz rate 10
+    field = dataclasses.replace(two_scale_field(), linear_matrix=None)  # Lipschitz rate 10
+    apply = optimize._preconditioner(start, field, QUAD, 2.5, False)
     vec = rng.standard_normal(2 * 40)
     ref = scipy.linalg.cho_solve_banded((factor, False), vec.reshape(-1, 2)).ravel()
     assert apply(vec).tobytes() == ref.tobytes()
+    # the Hessian band of a linear field solves for the flat vector at once
+    hessian = _recorded_bands(start, two_scale_field(), QUAD, 2.5)[1][0]
+    apply = optimize._preconditioner(start, two_scale_field(), QUAD, 2.5, False)
+    assert apply(vec).tobytes() == scipy.linalg.cho_solve_banded((hessian, False), vec).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 2)])
+def test_banded_solve_of_an_empty_right_hand_side_is_scipys(shape):
+    # N=1 has no interior node; LAPACK pbtrs itself rejects an empty 2-D right-hand side
+    factor = _band_factor(uniform_mesh(1), t_ref=1.0, kappa=1.0)
+    b = np.empty(shape)
+    ref = scipy.linalg.cho_solve_banded((factor, False), b)
+    got = optimize.cho_solve_banded((factor, False), b)
+    assert got.shape == ref.shape == shape and got.dtype == ref.dtype
+
+
+def test_scalar_rate_band_has_the_bits_of_its_formula():
+    # every solve of a field without linear_matrix depends on these bits:
+    # stiffness (1/h_i + 1/h_{i+1}) / T and reaction (T kappa) times the P1
+    # mass; at this horizon the reaction dominates, so its last bits show
+    rng = np.random.default_rng(8)
+    mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
+    h, t_ref, kappa = mesh.widths, 40.0, 90.0
+    start = linear_interpolant_path([0.0, 1.0], [1.0, 0.0], mesh)
+    field = dataclasses.replace(two_scale_field(), linear_matrix=None, lipschitz=math.sqrt(kappa))
+    band = _recorded_bands(start, field, Quadrature(3), t_ref)[0][0]
+    reaction = t_ref * math.sqrt(kappa) ** 2
+    ref = np.zeros((2, 40))
+    ref[1] = (1.0 / h[:-1] + 1.0 / h[1:]) / t_ref + reaction * ((h[:-1] + h[1:]) / 3.0)
+    ref[0, 1:] = -1.0 / h[1:-1] / t_ref + reaction * (h[1:-1] / 6.0)
+    assert band.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_scalar_rate_band_is_the_hessian_band_of_an_isotropic_linear_drift(q):
+    # for b(x) = -sqrt(kappa) x the fixed-T Hessian is (1/T) K + T kappa M, and a
+    # rule with q >= 2 integrates the hat products exactly; the midpoint rule
+    # (q = 1) does not, and its band differs by 5% on this mesh
+    rng = np.random.default_rng(31)
+    mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(30)), [1.0]]))
+    start = linear_interpolant_path([0.0], [1.0], mesh)
+    kappa, quad = 7.3, Quadrature(q)
+    scalar = _recorded_bands(start, _scalar_rate_field(kappa), quad, 1.9)[0]
+    hessian = _recorded_bands(start, linear_field([[-math.sqrt(kappa)]]), quad, 1.9)[0]
+    assert len(scalar) == len(hessian) == 1 and scalar[0].shape == hessian[0].shape == (2, 30)
+    assert np.all(np.abs(scalar[0] - hessian[0]) <= 1e-15 * np.abs(hessian[0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -634,6 +691,11 @@ def _linear_case(name, nonuniform, seed):
     return field, FePath(mesh, rng.standard_normal((13, field.dim))), rng
 
 
+def _same_moment(quad):
+    """sum_k w_k xi_k^2 of the rule, the moment ``optimize._t_coupling`` takes."""
+    return float(np.sum(quad.w * quad.xi**2))
+
+
 def _fixed_t_hessian_times(path, field, T, quad, step):
     """H step from a gradient difference; exact up to roundoff, since the action is quadratic."""
     g0 = fixed_t_value_grad(path, field, T, quad)[1]
@@ -649,7 +711,7 @@ def test_linear_preconditioner_inverts_the_fixed_t_hessian(name, q, nonuniform):
     quad = Quadrature(q)
     step = rng.standard_normal((11, field.dim))
     hv = _fixed_t_hessian_times(path, field, 1.7, quad, step)
-    apply = optimize._linear_preconditioner(path, field.linear_matrix, quad, 1.7, False)
+    apply = optimize._preconditioner(path, field, quad, 1.7, False)
     assert np.linalg.norm(apply(hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
 
 
@@ -661,7 +723,7 @@ def test_t_coupling_is_the_horizon_derivative_of_the_action(name, q):
     field, path, _ = _linear_case(name, nonuniform=True, seed=10 + q)
     quad, T = Quadrature(q), 1.3
     a_mat = field.linear_matrix
-    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, quad, T)
+    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, _same_moment(quad), T)
     d = 1e-5 * T
     fd_c = (fixed_t_value_grad(path, field, T + d, quad)[1]
             - fixed_t_value_grad(path, field, T - d, quad)[1]).ravel() / (2.0 * d)
@@ -685,7 +747,7 @@ def test_reduced_linear_preconditioner_inverts_the_reduced_hessian(name, nonunif
     quad = Quadrature(2)
     t_hat = tmam_value_grad(path, field, quad)[2]
     a_mat = field.linear_matrix
-    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, quad, t_hat)
+    c_vec, h_tt = optimize._t_coupling(path, a_mat.T @ a_mat, _same_moment(quad), t_hat)
     step = rng.standard_normal((11, field.dim))
     reduced_hv = (_fixed_t_hessian_times(path, field, t_hat, quad, step)
                   - c_vec * (c_vec.dot(step.ravel()) / h_tt))
@@ -694,8 +756,8 @@ def test_reduced_linear_preconditioner_inverts_the_reduced_hessian(name, nonunif
              - tmam_value_grad(path.replace_interior(path.values[1:-1] - eps * step), field,
                                quad)[1]).ravel() / (2.0 * eps)
     assert np.linalg.norm(fd_hv - reduced_hv) <= 1e-6 * np.linalg.norm(reduced_hv)
-    apply = optimize._linear_preconditioner(path, a_mat, quad, t_hat, True)
-    plain = optimize._linear_preconditioner(path, a_mat, quad, t_hat, False)
+    apply = optimize._preconditioner(path, field, quad, t_hat, True)
+    plain = optimize._preconditioner(path, field, quad, t_hat, False)
     assert not np.array_equal(apply(reduced_hv), plain(reduced_hv))  # the downdate is on
     assert np.linalg.norm(apply(reduced_hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
 
