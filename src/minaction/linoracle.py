@@ -143,23 +143,44 @@ def _cosh_over_sinh(a: np.ndarray, b: float) -> np.ndarray:
     return -np.exp(a - b) * (1.0 + np.exp(-2.0 * a)) / math.expm1(-2.0 * b)
 
 
+def _overflow_error(prob: SpectralLinearProblem, y1, y2, what: str) -> ValueError:
+    """The ``ValueError`` for a closed form ``what`` that is not finite, naming the input to blame.
+
+    An endpoint whose squared norm overflows is named first; otherwise the
+    horizon is, since at a fixed matrix and endpoints only a tiny or huge T
+    takes the sinh ratios and the 1/T terms out of range.
+    """
+    with np.errstate(over="ignore"):
+        for name, y in (("x1", y1), ("x2", y2)):
+            if not np.isfinite(y.dot(y)):
+                return ValueError(f"{name} is too large for a finite {what}")
+    return ValueError(f"T = {prob.T!r} is out of range for a finite {what}")
+
+
 def _exact(prob: SpectralLinearProblem, s, deriv: bool) -> np.ndarray:
-    """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s in [0, 1]."""
+    """Exact minimizer, or its s-derivative when ``deriv``, at scaled time(s) s in [0, 1].
+
+    Raises ``ValueError`` naming T, x1 or x2 when a value is not finite.
+    """
     T = prob.T
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all((s_arr >= 0.0) & (s_arr <= 1.0)):
         raise ValueError("scaled time s must be finite and in [0, 1]")
-    y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     ratio, sign = (_cosh_over_sinh, -1.0) if deriv else (_sinh_ratio, 1.0)
     coords = np.empty((s_arr.size, prob.dim))
-    for i, lam in enumerate(prob.eigenvalues):
-        b = abs(float(lam)) * T
-        if b < _TINY_RATE:
-            coords[:, i] = y2[i] - y1[i] if deriv else y1[i] * (1.0 - s_arr) + y2[i] * s_arr
-        else:
-            blend = sign * y1[i] * ratio(b * (1.0 - s_arr), b) + y2[i] * ratio(b * s_arr, b)
-            coords[:, i] = b * blend if deriv else blend
-    out = coords @ prob.eigenvectors.T
+    # checked once the values are made, so a finite result keeps its bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
+        for i, lam in enumerate(prob.eigenvalues):
+            b = abs(float(lam)) * T
+            if b < _TINY_RATE:
+                coords[:, i] = y2[i] - y1[i] if deriv else y1[i] * (1.0 - s_arr) + y2[i] * s_arr
+            else:
+                blend = sign * y1[i] * ratio(b * (1.0 - s_arr), b) + y2[i] * ratio(b * s_arr, b)
+                coords[:, i] = b * blend if deriv else blend
+        out = coords @ prob.eigenvectors.T
+    if not np.all(np.isfinite(out)):
+        raise _overflow_error(prob, y1, y2, "exact minimizer derivative" if deriv else "exact minimizer")
     return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
@@ -197,20 +218,25 @@ def exact_fixed_T_action(prob: SpectralLinearProblem) -> float:
     S_i = (mu/2) [ (y1^2 + y2^2) coth(mu T) - 2 y1 y2 / sinh(mu T) ]
           - (lambda/2) (y2^2 - y1^2),
 
-    with limit (y2 - y1)^2 / (2 T) when mu = 0.
+    with limit (y2 - y1)^2 / (2 T) when mu = 0.  Raises ``ValueError``
+    naming T, x1 or x2 when the value is not finite.
     """
     T = prob.T
-    y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
     total = 0.0
-    for i, lam in enumerate(prob.eigenvalues):
-        lam = float(lam)
-        mu = abs(lam)
-        if mu * T < _TINY_RATE:
-            total += (y2[i] - y1[i]) ** 2 / (2.0 * T)
-            continue
-        b = mu * T
-        boundary = (y1[i] ** 2 + y2[i] ** 2) * _coth(b) - 2.0 * y1[i] * y2[i] * _csch(b)
-        total += 0.5 * mu * boundary - 0.5 * lam * (y2[i] ** 2 - y1[i] ** 2)
+    # checked once the sum is made, so a finite value keeps its bits
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y1, y2 = prob.eigenvectors.T @ prob.x1, prob.eigenvectors.T @ prob.x2
+        for i, lam in enumerate(prob.eigenvalues):
+            lam = float(lam)
+            mu = abs(lam)
+            if mu * T < _TINY_RATE:
+                total += (y2[i] - y1[i]) ** 2 / (2.0 * T)
+                continue
+            b = mu * T
+            boundary = (y1[i] ** 2 + y2[i] ** 2) * _coth(b) - 2.0 * y1[i] * y2[i] * _csch(b)
+            total += 0.5 * mu * boundary - 0.5 * lam * (y2[i] ** 2 - y1[i] ** 2)
+    if not math.isfinite(total):
+        raise _overflow_error(prob, y1, y2, "exact action")
     return float(total)
 
 
@@ -247,7 +273,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
                 if not np.isfinite(norm) or t_hi > 1e9:
                     raise ValueError("trajectory does not decay; infinite horizon invalid")
     else:
-        t_hi = float(t_end)
+        t_hi = _finite_positive(t_end, "t_end")  # an int past the float range has no float
 
     if samples == 2:
         times = np.array([0.0, t_hi])

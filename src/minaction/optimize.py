@@ -34,13 +34,18 @@ moves the gradient less still, so no later trial could pass.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+import scipy
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
 # A solve takes its horizon and Euler-Lagrange residual from the loop's own
 # evaluations, so el_residual and optimal_time are not called here; they stay
@@ -287,15 +292,65 @@ def _drift_rate_sq(field: DriftField, start: FePath) -> float:
         return math.inf
 
 
-# LAPACK's banded Cholesky solve for float64, the routine behind scipy's
-# cho_solve_banded
-_PBTRS = get_lapack_funcs(("pbtrs",), (np.empty(0),))[0]
+def _load_flapack():
+    """scipy's LAPACK extension module ``_flapack``, loaded from its file without ``scipy.linalg``.
+
+    Importing the ``scipy.linalg`` package would take about two thirds of
+    ``import minaction``, for two of its routines.  CPython enters a
+    single-phase extension in ``sys.modules`` as it loads it; that entry is
+    put back as it was, so a later ``import scipy.linalg`` imports the module
+    as usual and gets the same routine objects from the interpreter's
+    extension cache.  When the file is missing or does not load, the module
+    comes from ``scipy.linalg``: the same routines either way.
+    """
+    name = "scipy.linalg._flapack"
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    entry = sys.modules.get(name)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        module = None
+    finally:
+        if entry is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = entry
+    if module is None:
+        from scipy.linalg import _flapack as module
+    return module
+
+
+_FLAPACK = _load_flapack()
+# LAPACK's float64 banded Cholesky solve, the routine behind scipy's
+# cho_solve_banded; the factor is cholesky_banded's pbtrf from the same module
+_PBTRS = _FLAPACK.dpbtrs
+
+
+def cholesky_banded(ab, lower=False):
+    """``scipy.linalg.cholesky_banded(ab, lower=lower)`` for a float64 band: same checks, errors and bits.
+
+    The band is checked finite (numpy's ``ValueError``) and factored by
+    LAPACK ``pbtrf`` into a new array.  A matrix that is not positive
+    definite raises ``LinAlgError`` with scipy's message.
+    """
+    ab = np.asarray_chkfinite(ab)
+    c, info = _FLAPACK.dpbtrf(ab, lower=lower, overwrite_ab=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {info}-th argument of internal pbtrf")
+    return c
 
 
 def cho_solve_banded(cb_and_lower, b):
     """``scipy.linalg.cho_solve_banded`` for a factor that was checked finite when made.
 
-    Same call form and bits, straight through LAPACK ``pbtrs``; only the
+    Same call form and bits, straight through the LAPACK ``pbtrs`` that
+    scipy calls (``_PBTRS``, from the module ``_load_flapack`` loads), with
+    neither the ``scipy.linalg`` package nor its wrapper; only the
     right-hand side is checked, with scipy's ``ValueError`` if it is not
     finite.  ``b`` is a float64 array; an empty one is returned as scipy
     returns it, since ``pbtrs`` rejects an empty 2-D right-hand side.

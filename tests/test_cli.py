@@ -760,6 +760,35 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, updates, m
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+GIVEN_PROBLEM = {"field": {"type": "two_scale"}, "x1": [1.0, 1.0], "x2": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "command,updates,message",
+    [
+        ("study", {"mode": {"kind": "fixed_t", "T": 5e-324}},
+         "T = 5e-324 is out of range for a finite exact action"),
+        ("study", {"problem": {**GIVEN_PROBLEM, "x1": [1e308, 1e308]}},
+         "x1 is too large for a finite exact action"),
+        ("study", {"problem": {**GIVEN_PROBLEM, "x2": [1e308, 1e308]}},
+         "x2 is too large for a finite exact action"),
+        ("oracle", {"mode": {"kind": "fixed_t", "T": 1e308}},
+         "T = 1e+308 is out of range for a finite exact minimizer"),
+    ],
+    ids=["study_tiny_T", "study_huge_x1", "study_huge_x2", "oracle_huge_T"],
+)
+def test_closed_form_out_of_range_is_config_error(tmp_path, capsys, command, updates, message):
+    # these warned from numpy and then exited 2 ("preconditioner is not
+    # finite") or 1 with "path values must be finite", which names no key
+    base = {"study": {"name": "linear_fixed_t"}, "mesh": {"N_list": [4, 8]}}
+    if command == "oracle":
+        base = {"oracle": {"kind": "exact_minimizer"}, "mesh": {"N": 4}}
+    cfg = write_config(tmp_path, {**base, "problem": GIVEN_PROBLEM,
+                                  "mode": {"kind": "fixed_t", "T": 2.0}, **updates})
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_mesh_size_past_numpys_array_limit_names_the_key(tmp_path, capsys, monkeypatch):
     # N + 1 nodes past numpy's array size limit; only 10**400 is tried, a size
     # numpy rejects before it allocates anything

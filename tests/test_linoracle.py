@@ -174,6 +174,43 @@ class TestExactAction:
         assert 0.0 <= mid < 1e-100
 
 
+class TestClosedFormOutOfRange:
+    """A closed form that is not finite raises a ``ValueError`` naming T, x1 or x2.
+
+    Each case warned from numpy's overflow or invalid-value checks before;
+    the suite turns a ``RuntimeWarning`` into an error.
+    """
+
+    def test_tiny_horizon_action_names_t(self):
+        # (y2 - y1)^2 / (2 T) overflows
+        prob = SpectralLinearProblem(TWO_SCALE, [1.0, 1.0], [0.0, 0.0], T=5e-324)
+        with pytest.raises(ValueError, match="^T = 5e-324 is out of range for a finite exact action$"):
+            exact_fixed_T_action(prob)
+
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    def test_huge_endpoint_action_names_it(self, name):
+        # the squared spectral coordinates overflow
+        ends = {"x1": [1.0, 1.0], "x2": [0.0, 0.0], name: [1e308, 1e308]}
+        prob = SpectralLinearProblem(TWO_SCALE, ends["x1"], ends["x2"], T=1.0)
+        with pytest.raises(ValueError, match=f"^{name} is too large for a finite exact action$"):
+            exact_fixed_T_action(prob)
+
+    @pytest.mark.parametrize("oracle,what", [
+        (exact_fixed_T_minimizer, "exact minimizer"),
+        (exact_fixed_T_minimizer_deriv, "exact minimizer derivative"),
+    ], ids=["minimizer", "deriv"])
+    def test_huge_horizon_minimizer_names_t(self, oracle, what):
+        # mu T overflows to inf for the rate-10 component, and inf * 0 is NaN
+        prob = SpectralLinearProblem(TWO_SCALE, [1.0, 1.0], [0.0, 0.0], T=1e308)
+        with pytest.raises(ValueError, match=rf"^T = 1e\+308 is out of range for a finite {what}$"):
+            oracle(prob, np.linspace(0.0, 1.0, 5))
+
+    def test_huge_endpoints_keep_a_finite_minimizer(self):
+        prob = SpectralLinearProblem([[-1.0]], [1e308], [0.0], T=1.0)
+        assert exact_fixed_T_minimizer(prob, 0.0)[0] == 1e308
+        assert exact_fixed_T_minimizer(prob, 1.0)[0] == 0.0
+
+
 class TestTrajectory:
     def test_first_point_is_start(self):
         poly = trajectory_polyline(TWO_SCALE, [1.0, 1.0], 1.0, 20)
@@ -222,6 +259,14 @@ class TestInvalidInputs:
     def test_nonfinite_matrix_rejected(self, call, bad):
         with pytest.raises(ValueError, match="matrix must be finite"):
             call([[bad]])
+
+    @pytest.mark.parametrize("call", [trajectory_times_points, trajectory_polyline],
+                             ids=["times_points", "polyline"])
+    def test_integer_horizon_past_the_float_range_rejected(self, call):
+        # an int that has no float passes the positivity test; float(t_end)
+        # raised an untyped OverflowError
+        with pytest.raises(ValueError, match="^t_end must be a finite positive number$"):
+            call([[-1.0]], [1.0], 10**400, 4)
 
     def test_negative_infinite_horizon_rejected(self):
         with pytest.raises(ValueError, match="t_end"):

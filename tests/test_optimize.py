@@ -670,6 +670,70 @@ def test_banded_solve_of_a_nonfinite_vector_is_scipys_value_error(bad):
     assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"
 
 
+BAND_CASES = ("linear_matrix", "nonuniform", "one_element", "scalar_rate_n1", "scalar_rate_n2")
+
+
+@pytest.fixture(scope="module")
+def tier1_bands():
+    """Bands ``optimize._preconditioner`` builds in the solves above, by name of ``BAND_CASES``."""
+    rng = np.random.default_rng(5)
+    nonuniform = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
+    one_d = linear_interpolant_path([0.0], [1.0], uniform_mesh(64))
+    two_d = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(24))
+    scalar_rate_2d = dataclasses.replace(two_scale_field(), linear_matrix=None)
+    cases = {
+        "scalar_rate_n1": (one_d, _scalar_rate_field(4.0), 1.0),
+        "scalar_rate_n2": (two_d, scalar_rate_2d, 5.0),
+        "linear_matrix": (two_d, two_scale_field(), 5.0),
+        "nonuniform": (linear_interpolant_path([1.0, 1.0], [0.0, 0.0], nonuniform), scalar_rate_2d, 2.5),
+        "one_element": (linear_interpolant_path([1.0, 1.0], [0.0, 0.5], uniform_mesh(1)),
+                        two_scale_field(), 2.0),
+    }
+    return {name: _recorded_bands(start, field, QUAD, t_ref)[0][0]
+            for name, (start, field, t_ref) in cases.items()}
+
+
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_banded_factor_has_the_bits_of_scipy(tier1_bands, name):
+    band = tier1_bands[name]
+    kept = band.copy()
+    ref = scipy.linalg.cholesky_banded(band, lower=False)
+    got = optimize.cholesky_banded(band, lower=False)
+    assert got.shape == ref.shape == band.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert band.tobytes() == kept.tobytes()  # factored into a new array
+
+
+def test_rejected_band_raises_scipys_lin_alg_error(tier1_bands):
+    # the Hessian band with its sign flipped is negative definite: the first
+    # leading minor fails, as it must for _preconditioner's linear_matrix fallback
+    band = -tier1_bands["linear_matrix"]
+    with pytest.raises(scipy.linalg.LinAlgError) as ref:
+        scipy.linalg.cholesky_banded(band, lower=False)
+    with pytest.raises(optimize.LinAlgError) as got:
+        optimize.cholesky_banded(band, lower=False)
+    assert optimize.LinAlgError is scipy.linalg.LinAlgError is np.linalg.LinAlgError
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value) == "1-th leading minor not positive definite"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_band_raises_scipys_value_error(tier1_bands, bad):
+    band = tier1_bands["scalar_rate_n1"].copy()
+    band[1, 7] = bad
+    with pytest.raises(ValueError) as ref:
+        scipy.linalg.cholesky_banded(band, lower=False)
+    with pytest.raises(ValueError) as got:
+        optimize.cholesky_banded(band, lower=False)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"
+
+
+def test_banded_solve_is_scipys_float64_pbtrs():
+    assert optimize._PBTRS is scipy.linalg.get_lapack_funcs(("pbtrs",), (np.empty(0),))[0]
+    assert optimize._FLAPACK.dpbtrf is scipy.linalg.get_lapack_funcs(("pbtrf",), (np.empty(0),))[0]
+
+
 # A of b(x) = A x for the Hessian preconditioner: symmetric, nonsymmetric, 1-D to 3-D
 LINEAR_MATRICES = {
     "scalar": [[-1.5]],
