@@ -695,13 +695,14 @@ def tier1_bands():
 
 @pytest.mark.parametrize("name", BAND_CASES)
 def test_banded_factor_has_the_bits_of_scipy(tier1_bands, name):
-    band = tier1_bands[name]
-    kept = band.copy()
-    ref = scipy.linalg.cholesky_banded(band, lower=False)
-    got = optimize.cholesky_banded(band, lower=False)
-    assert got.shape == ref.shape == band.shape and got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
-    assert band.tobytes() == kept.tobytes()  # factored into a new array
+    # a Fortran-ordered band is one LAPACK could factor in place; it must not
+    for band in (tier1_bands[name], np.asfortranarray(tier1_bands[name])):
+        kept = band.copy()
+        ref = scipy.linalg.cholesky_banded(band, lower=False)
+        got = optimize.cholesky_banded(band, lower=False)
+        assert got.shape == ref.shape == band.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        assert band.tobytes() == kept.tobytes()
 
 
 def test_rejected_band_raises_scipys_lin_alg_error(tier1_bands):
