@@ -29,7 +29,11 @@ respect to the interior nodal values of a piecewise-linear path, using
 Gauss-Legendre quadrature per element (exact for linear drift when the rule
 has >= 2 points per element).  Each functional has one public call, which
 returns its value and gradient from one assembly: ``fixed_t_value_grad`` for
-S(T, .) and ``tmam_value_grad`` for S_opt.  The other public functions are
+S(T, .) and ``tmam_value_grad`` for S_opt.  Each is a thin wrapper of a
+staged evaluation, ``_fixed_t_staged`` and ``_tmam_staged``, which returns
+the value with a callable that finishes the gradient from the same assembly;
+only that call evaluates the drift's Jacobian, so the optimizer's line search
+skips it for a trial it rejects on the value.  The other public functions are
 post-solve diagnostics.  The assembly holds one length-N row per component
 and quadrature point, so its sums run over contiguous rows (``_Assembly``).
 """
@@ -230,6 +234,32 @@ def _horizon(asm: _Assembly):
 # ---------------------------------------------------------------------------
 
 
+def _fixed_t_staged(path: FePath, field: DriftField, T: float, quad: Quadrature):
+    """(value, gradient callable, T) of the fixed-T action, the gradient left for later.
+
+    The callable returns the interior gradient of ``fixed_t_value_grad``
+    from the same assembly and residual, and is the only step that evaluates
+    the drift's Jacobian.
+    """
+    t_scale = _finite_positive(T, "T")
+    asm = _assemble(path, field, quad)
+    resid = asm.residual(t_scale)
+    return 0.5 * t_scale * asm.weighted_sq(resid), lambda: asm.fixed_t_grad(t_scale, resid), T
+
+
+def _tmam_staged(path: FePath, field: DriftField, quad: Quadrature):
+    """(value, gradient callable, t_hat) of the reduced action, the gradient left for later.
+
+    The callable returns the interior gradient of ``tmam_value_grad`` from
+    the same assembly, residual at t_hat included, and is the only step that
+    evaluates the drift's Jacobian.
+    """
+    asm = _assemble(path, field, quad)
+    t_hat, alpha, beta = _horizon(asm)
+    cross = float(np.vdot(asm.w * asm.delta[:, None, :], asm.b_quad))     # <p', b(p)>
+    return alpha * beta - cross, lambda: asm.fixed_t_grad(t_hat, asm.residual(t_hat)), t_hat
+
+
 def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):
     """(value, interior gradient, T) of the fixed-T action from one assembly.
 
@@ -238,10 +268,8 @@ def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadratu
     ``tmam_value_grad``'s t_hat, so an int horizon stays an int in the
     iteration log.
     """
-    t_scale = _finite_positive(T, "T")
-    asm = _assemble(path, field, quad)
-    resid = asm.residual(t_scale)
-    return 0.5 * t_scale * asm.weighted_sq(resid), asm.fixed_t_grad(t_scale, resid), T
+    value, grad, T = _fixed_t_staged(path, field, T, quad)
+    return value, grad(), T
 
 
 def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
@@ -252,10 +280,8 @@ def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
     gradient at t_hat, which by the envelope identity (module docstring) is
     the exact reduced gradient.
     """
-    asm = _assemble(path, field, quad)
-    t_hat, alpha, beta = _horizon(asm)
-    cross = float(np.vdot(asm.w * asm.delta[:, None, :], asm.b_quad))     # <p', b(p)>
-    return alpha * beta - cross, asm.fixed_t_grad(t_hat, asm.residual(t_hat)), t_hat
+    value, grad, t_hat = _tmam_staged(path, field, quad)
+    return value, grad(), t_hat
 
 
 def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
@@ -276,9 +302,29 @@ def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Q
     """
     t_scale = _finite_positive(t_hat, "t_hat")
     asm = _assemble(path, field, quad)
-    speed = np.linalg.norm(asm.deriv, axis=0) / t_scale    # (N,)
-    drift_mag = np.linalg.norm(asm.b_quad, axis=0)         # (q, N)
+    speed = _norms_over_components(asm.deriv) / t_scale    # (N,)
+    drift_mag = _norms_over_components(asm.b_quad)         # (q, N)
     return float(np.max(np.abs(speed - drift_mag)))
+
+
+def _norms_over_components(planes: np.ndarray) -> np.ndarray:
+    """2-norms over axis 0, with the bits of ``np.linalg.norm(planes, axis=0)`` where those are finite.
+
+    The sums of squares are numpy's, free of its overflow warning.  Only
+    where one overflows while its entries are finite is that norm taken
+    again of the entries divided by their largest magnitude, and then
+    multiplied back, as in ``_norm2``: a finite norm is not reported as inf,
+    and one past the float range is inf without a warning.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(planes * planes, axis=0))
+        redo = norms == math.inf
+        if redo.any():
+            scale = np.abs(planes).max(axis=0)
+            redo &= scale < math.inf
+            unit = planes[:, redo] / scale[redo]
+            norms[redo] = scale[redo] * np.sqrt(np.add.reduce(unit * unit, axis=0))
+    return norms
 
 
 def _norm2(vec: np.ndarray) -> float:

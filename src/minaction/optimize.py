@@ -24,12 +24,16 @@ A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
 iterate bitwise: every smaller step gives the iterate too, and a search that
 returns the iterate has failed, so that trial is never evaluated or accepted.
-Near the minimizer the search accepts by gradient-norm descent instead of
-Armijo's test: a trial must shrink the gradient's 2-norm below 0.999 of the
-current one.  Such a search also fails at its first rejected trial whose
-gradient differs from the current one by at most 0.001 of its norm: by the
-triangle inequality that trial keeps 0.999 of the norm, and a smaller step
-moves the gradient less still, so no later trial could pass.
+Armijo's sufficient-decrease test reads only the value, so a trial evaluates
+the value first and its gradient, with the drift's Jacobian, only once the
+test accepts it; a trial whose gradient raises a typed error is rejected like
+one whose value does.  Near the minimizer the search accepts by gradient-norm
+descent instead of Armijo's test: a trial must shrink the gradient's 2-norm
+below 0.999 of the current one, so every such trial takes its gradient.  Such
+a search also fails at its first rejected trial whose gradient differs from
+the current one by at most 0.001 of its norm: by the triangle inequality that
+trial keeps 0.999 of the norm, and a smaller step moves the gradient less
+still, so no later trial could pass.
 """
 
 from __future__ import annotations
@@ -48,13 +52,16 @@ import scipy
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
 # A solve takes its horizon and Euler-Lagrange residual from the loop's own
-# evaluations, so el_residual and optimal_time are not called here; they stay
-# names of this module, where bench/layertrace.py wraps every call site
+# evaluations, which are staged (value first, gradient on demand), so
+# el_residual, optimal_time and the two value_grad functions are not called
+# here; they stay names of this module, where bench/layertrace.py wraps them
 from .action import (  # noqa: F401
     ActionError,
     Quadrature,
     _el_residual_at,
+    _fixed_t_staged,
     _norm2,
+    _tmam_staged,
     el_residual,
     fixed_t_value_grad,
     hamiltonian_violation,
@@ -142,7 +149,7 @@ _DEAD_LIMIT = 30
 
 
 def _evaluate_start(evaluate, z0):
-    """``evaluate(z0)``, which must have a finite value and gradient.
+    """``(value, grad, t_hat)`` at ``z0`` from ``evaluate``; the value and gradient must be finite.
 
     The line search accepts only trial points with a finite value, so this
     one check keeps an overflowed start from passing the stopping test; the
@@ -150,7 +157,8 @@ def _evaluate_start(evaluate, z0):
     A degenerate start raises its own typed error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        value, grad, t_hat = evaluate(z0)
+        value, grad_of, t_hat = evaluate(z0)
+        grad = grad_of()
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise ActionError("action or gradient is not finite at the start path")
     return value, grad, t_hat
@@ -159,13 +167,16 @@ def _evaluate_start(evaluate, z0):
 def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     """Core L-BFGS iteration.
 
-    ``evaluate(z) -> (value, grad, t_hat)`` may raise ActionError for trial
-    points; trials that raise are rejected by halving the step.  ``start``
-    is ``_evaluate_start(evaluate, z0)`` if the caller has it already, else
-    None, and the loop evaluates the start itself.  A line search ends
-    accepted at its first accepted trial, and fails after its last step
-    (2**-66) or at its first trial that equals ``z`` bitwise, which is not
-    evaluated.  A gradient-norm search also fails at its first rejected
+    ``evaluate(z) -> (value, grad_of, t_hat)`` gives the value at once and
+    the gradient only when ``grad_of()`` is called; the loop calls it for
+    the start, for every gradient-norm trial and for an Armijo trial only
+    once the trial passes the test.  Either call may raise ActionError for a
+    trial point, which rejects the trial: the search halves the step.
+    ``start`` is ``_evaluate_start(evaluate, z0)`` if the caller has it
+    already, else None, and the loop evaluates the start itself.  A line
+    search ends accepted at its first accepted trial, and fails after its
+    last step (2**-66) or at its first trial that equals ``z`` bitwise,
+    which is not evaluated.  A gradient-norm search also fails at its first rejected
     trial whose gradient moved by at most 1 - _GRAD_SHRINK times the current
     gradient's 2-norm, since no smaller step could then pass.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
@@ -224,20 +235,22 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
                 # since rounding to nearest is monotone: the search has failed
                 break
             try:
-                f_try, g_try, t_try = evaluate(z_try)
+                f_try, grad_of, t_try = evaluate(z_try)
+                if not (grad_mode or f_try <= value + _ARMIJO_C1 * step * slope):
+                    continue  # Armijo rejects on the value: no gradient needed
+                g_try = grad_of()
             except ActionError:
                 continue
-            if grad_mode:
-                try_gn2 = _norm2(g_try)
-                if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
-                    accepted = True
-                    break
-                if _norm2(g_try - grad) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
-                    # |g_try| >= 0.999 |g| here, and a smaller step moves the
-                    # gradient less still: the search has failed
-                    break
-            elif f_try <= value + _ARMIJO_C1 * step * slope:
+            if not grad_mode:
                 accepted = True
+                break
+            try_gn2 = _norm2(g_try)
+            if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
+                accepted = True
+                break
+            if _norm2(g_try - grad) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
+                # |g_try| >= 0.999 |g| here, and a smaller step moves the
+                # gradient less still: the search has failed
                 break
 
         if not accepted:
@@ -482,12 +495,13 @@ def _minimize(
     field: DriftField,
     cfg: OptimConfig,
     quad: Quadrature,
-    value_grad,
+    staged,
     t_ref: Optional[float] = None,
 ) -> OptimResult:
     """Shared solve: L-BFGS over the interior of ``start``, log, package.
 
-    ``value_grad(path) -> (value, grad, t_hat)`` is the functional and
+    ``staged(path) -> (value, grad_of, t_hat)`` is the functional, its
+    gradient computed by ``grad_of()`` only when the loop asks, and
     ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
     is evaluated first, its t_hat is the horizon and the solve is a reduced
     one; else the preconditioner is built first.  Either way the start is
@@ -499,8 +513,8 @@ def _minimize(
     n = start.dim
 
     def evaluate(z):
-        f, g, th = value_grad(start.replace_interior(z.reshape(-1, n)))
-        return f, g.ravel(), th
+        f, grad_of, th = staged(start.replace_interior(z.reshape(-1, n)))
+        return f, lambda: grad_of().ravel(), th
 
     z0 = start.values[1:-1].ravel()
     first = None
@@ -542,7 +556,7 @@ def minimize_fixed_T(
     cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
     return _minimize(
-        start, field, cfg, quad, lambda p: fixed_t_value_grad(p, field, T, quad), t_ref
+        start, field, cfg, quad, lambda p: _fixed_t_staged(p, field, T, quad), t_ref
     )
 
 
@@ -562,7 +576,7 @@ def minimize_tmam(
     """
     cfg = cfg or OptimConfig()
     quad = quad or Quadrature()
-    return _minimize(start, field, cfg, quad, lambda p: tmam_value_grad(p, field, quad))
+    return _minimize(start, field, cfg, quad, lambda p: _tmam_staged(p, field, quad))
 
 
 def _nested_meshes(N_list) -> list[Mesh]:

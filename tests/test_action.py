@@ -36,7 +36,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
-from minaction.action import MAX_POINTS_PER_ELEMENT, _geometry
+from minaction.action import MAX_POINTS_PER_ELEMENT, _geometry, _norms_over_components
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -327,6 +327,27 @@ class TestHamiltonianViolation:
     def test_invalid_time_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian_violation(unit_ramp(), SCALAR, 0.0, DEFAULT_QUAD)
+
+    def test_component_norms_have_the_bits_of_numpy_norm(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 9), (2, 17), (3, 4, 33)):
+            for scale in (1e-160, 1e-3, 1.0, 1e140):
+                planes = scale * rng.standard_normal(shape)
+                got = _norms_over_components(planes)
+                assert got.tobytes() == np.linalg.norm(planes, axis=0).tobytes()
+
+    def test_component_norms_are_finite_where_the_squares_overflow(self):
+        # numpy's norm is inf in the first three columns, with a warning
+        planes = np.array([[3e200, 1e308, 1.5e308, 1.0, math.inf, math.nan],
+                           [4e200, 1e308, 1.5e308, 2.0, 1.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _norms_over_components(planes)
+        assert [str(w.message) for w in caught] == []
+        assert got[0] == pytest.approx(5e200, rel=1e-15)
+        assert got[1] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        assert got[2] == math.inf and got[3] == math.sqrt(5.0)
+        assert got[4] == math.inf and math.isnan(got[5])
 
 
 class TestElResidual:

@@ -253,6 +253,33 @@ class TestSolve:
         assert result["converged"] is True
         assert 0.0 < result["el_residual"] < 1e-10
 
+    def test_overflowing_speed_squares_give_a_finite_hamiltonian_violation(self, tmp_path):
+        # |p'|^2 overflows at the straight line from [1, 1] to [1e154, 1e154],
+        # which is already the minimizer, but |p'| and |p'|/T are finite;
+        # every warning is an error in the child, and Infinity is not JSON
+        payload = solve_config(mode={"kind": "fixed_t", "T": 1e8}, mesh={"N": 4})
+        payload["problem"] = {
+            "field": {"type": "linear", "matrix": [[0.0, 0.0], [0.0, -1e-300]]},
+            "x1": [1, 1],
+            "x2": [1e154, 1e154],
+        }
+        cfg = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "minaction", "solve",
+             "--config", cfg, "--out-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        result = json.loads((tmp_path / "result.json").read_text(), parse_constant=reject)
+        assert result["converged"] is True
+        assert result["hamiltonian_violation"] == pytest.approx(math.sqrt(2.0) * 1e146, rel=1e-14)
+
     def test_underflowing_start_horizon_is_solver_error_without_warning(self, tmp_path):
         # |b(p)|^2 overflows at the start, so its optimal horizon underflows to 0
         payload = solve_config(mesh={"N": 16})

@@ -344,8 +344,8 @@ class TestLineSearchAtTheIterate:
         def evaluate(z):
             trials.append(z.copy())
             if z.tobytes() == z0.tobytes():
-                return 1.0, np.full(z.size, -1.0), 2.0
-            return 2.0, np.full(z.size, off_grad), 0.5
+                return 1.0, lambda: np.full(z.size, -1.0), 2.0
+            return 2.0, lambda: np.full(z.size, off_grad), 0.5
 
         out = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: direction * vec)
         return out, trials
@@ -402,7 +402,7 @@ def test_trial_that_raises_is_rejected_by_halving():
         trials.append(float(z[0]))
         if z[0] < 0.25:
             raise ActionError("undefined here")
-        return 0.5 * float(z[0]) ** 2, z.copy(), 1.0
+        return 0.5 * float(z[0]) ** 2, z.copy, 1.0
 
     z, value, _, _, iters, _, rows = _lbfgs_loop(
         evaluate, np.array([1.0]), OptimConfig(max_iters=1), lambda vec: vec
@@ -410,6 +410,101 @@ def test_trial_that_raises_is_rejected_by_halving():
     assert trials == [1.0, 0.0, 0.5]
     assert iters == 1 and z[0] == 0.5 and value == 0.125
     assert [r[1] for r in rows] == [0.5, 0.125]
+
+
+def test_armijo_trial_rejected_on_its_value_takes_no_gradient():
+    # f = z**2 / 2 from z = 1 along -4: the steps 1 and 1/2 reach z = -3 and
+    # z = -1, which Armijo's test rejects on their values, and the step 1/4
+    # reaches the minimizer z = 0; only the start and z = 0 take a gradient
+    trials, grads = [], []
+
+    def evaluate(z):
+        trials.append(float(z[0]))
+
+        def grad_of():
+            grads.append(float(z[0]))
+            return z.copy()
+
+        return 0.5 * float(z[0]) ** 2, grad_of, 1.0
+
+    z, value, _, _, iters, ok, _ = _lbfgs_loop(
+        evaluate, np.array([1.0]), OptimConfig(max_iters=1), lambda vec: 4.0 * vec
+    )
+    assert trials == [1.0, -3.0, -1.0, 0.0]
+    assert grads == [1.0, 0.0]
+    assert (iters, z[0], value, ok) == (1, 0.0, 0.0, True)
+
+
+def test_trial_whose_gradient_raises_is_rejected_by_halving():
+    # f = z**2 / 2 from z = 1 along -1: the full step reaches z = 0, whose
+    # value passes Armijo's test but whose gradient is undefined, so the
+    # search rejects it and halves to z = 0.5, which it accepts
+    trials, grads = [], []
+
+    def evaluate(z):
+        trials.append(float(z[0]))
+
+        def grad_of():
+            grads.append(float(z[0]))
+            if z[0] < 0.25:
+                raise ActionError("gradient undefined here")
+            return z.copy()
+
+        return 0.5 * float(z[0]) ** 2, grad_of, 1.0
+
+    z, value, grad, _, iters, _, rows = _lbfgs_loop(
+        evaluate, np.array([1.0]), OptimConfig(max_iters=1), lambda vec: vec
+    )
+    assert trials == [1.0, 0.0, 0.5]
+    assert grads == [1.0, 0.0, 0.5]
+    assert iters == 1 and z[0] == 0.5 and value == 0.125 and grad[0] == 0.5
+    assert [r[1] for r in rows] == [0.5, 0.125]
+
+
+def _jacobian_counted(field):
+    """(copy of ``field`` that counts its batch Jacobians, one-entry count list)."""
+    count = [0]
+    inner = field._jac_many
+
+    def jac_many(pts):
+        count[0] += 1
+        return inner(pts)
+
+    return dataclasses.replace(field, _jac_many=jac_many), count
+
+
+def test_only_rejected_armijo_trials_skip_the_jacobian(monkeypatch):
+    # gamma=10 from the straight line at N=64: 59 evaluations, the start,
+    # 42 accepted and 8 rejected Armijo trials and 8 gradient-norm trials
+    # (7 accepted, 1 rejected).  Taking every gradient at once, as the solver
+    # did before its evaluations were staged, costs a Jacobian per
+    # evaluation plus one for the preconditioner's rate; the staged solve
+    # skips exactly the 8 rejected Armijo trials, with the same bits.
+    inner = optimize._tmam_staged
+    start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(64))
+    runs = {}
+    for eager in (True, False):
+        evaluations = []
+
+        def staged(*args, eager=eager):
+            value, grad_of, t_hat = inner(*args)
+            evaluations.append(t_hat)
+            if eager:
+                grad = grad_of()
+                return value, lambda: grad, t_hat
+            return value, grad_of, t_hat
+
+        monkeypatch.setattr(optimize, "_tmam_staged", staged)
+        field, jacobians = _jacobian_counted(maier_stein_field(10.0))
+        res = minimize_tmam(start, field)
+        runs[eager] = (res, len(evaluations), jacobians[0])
+    (eager_res, eager_evals, eager_jacs), (res, evals, jacs) = runs[True], runs[False]
+    assert (res.iterations, res.converged) == (49, True)
+    assert eager_evals == evals == 59
+    assert eager_jacs == 1 + evals
+    assert jacs == eager_jacs - 8 == 52
+    assert res.value.hex() == eager_res.value.hex()
+    assert np.array_equal(res.path.values, eager_res.path.values)
 
 
 def test_flat_value_with_moving_steps_stops_at_the_dead_limit():
@@ -421,7 +516,7 @@ def test_flat_value_with_moving_steps_stops_at_the_dead_limit():
 
     def evaluate(z):
         trials.append(z.copy())
-        return 1.0, np.ones(z.size), 1.0
+        return 1.0, lambda: np.ones(z.size), 1.0
 
     z, value, _, _, iters, ok, rows = _lbfgs_loop(evaluate, z0, OptimConfig(), lambda vec: vec)
     assert iters == _DEAD_LIMIT
@@ -449,14 +544,16 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # grad_norm 0x1.4133f80000000p-28, 102 iterations, converged False, 194
     # calls and path sha256
     # d706a5f76ed4874a95eee1cce5c7c2bb9844511101a6c5623bae6cf9be05cc99.
+    # The solver evaluates through the staged call, value first and gradient
+    # on demand; each evaluation is one call to it.
     calls = []
-    inner = optimize.tmam_value_grad
+    inner = optimize._tmam_staged
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(optimize, "tmam_value_grad", counted)
+    monkeypatch.setattr(optimize, "_tmam_staged", counted)
     start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(256))
     res = minimize_tmam(start, maier_stein_field(1.0))
     assert res.value.hex() == "0x1.00014fb719cc6p-1"
@@ -467,7 +564,7 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     assert hashlib.sha256(path_bytes).hexdigest() == (
         "ee1fbf83854a2cc761b369b41b2cdf04711ba1c30048bd463d543f232863f60f"
     )
-    assert len(calls) < 315
+    assert 0 < len(calls) < 315
     assert len(calls) == 127
 
 
@@ -536,19 +633,20 @@ def test_diagnostics_have_the_bits_of_the_public_functions(name, mode):
 
 def test_tmam_solve_evaluates_its_start_once_and_no_optimal_time(monkeypatch):
     calls, horizons = [], []
-    inner = optimize.tmam_value_grad
+    inner = optimize._tmam_staged
 
     def counted(path, *args):
         calls.append(path.values.copy())
         return inner(path, *args)
 
-    monkeypatch.setattr(optimize, "tmam_value_grad", counted)
+    monkeypatch.setattr(optimize, "_tmam_staged", counted)
     monkeypatch.setattr(optimize, "optimal_time", lambda *args: horizons.append(args))
     field = two_scale_field()
     start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(32))
     res = minimize_tmam(start, field, quad=QUAD)
     assert res.converged and res.iterations > 0
     assert horizons == []
+    assert len(calls) > res.iterations
     at_start = [np.array_equal(values, start.values) for values in calls]
     assert at_start[0] and sum(at_start) == 1
 

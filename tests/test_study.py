@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,15 @@ class TestCaseStudies:
         assert rate_h1.slope == pytest.approx(-1.0, abs=0.1)
         assert rate_a.slope == pytest.approx(-2.0, abs=0.2)
         assert all(r.h1_error > 0 and r.action_error > 0 for r in records)
+
+    def test_linear_study_hamiltonian_violation_survives_overflowing_squares(self):
+        # |p'|^2 overflows on the straight line, which is the minimizer, while
+        # |p'|/T = sqrt(2) 1e146 is finite; RuntimeWarnings are errors here
+        records, _, _ = run_linear_fixed_T_study(
+            [[0.0, 0.0], [0.0, -1e-300]], [1.0, 1.0], [1e154, 1e154], 1e8, [4, 8]
+        )
+        for r in records:
+            assert r.hamiltonian_violation == pytest.approx(math.sqrt(2.0) * 1e146, rel=1e-14)
 
 
 class TestStudyCsv:
