@@ -16,7 +16,10 @@ solve gets the inverse of the reduced Hessian at its start.  Every other
 field gets A = sqrt(kappa) I, kappa its squared Lipschitz rate: a
 stiffness-plus-scaled-mass operator per state component (a Sobolev-type
 gradient), which keeps iteration counts roughly mesh- and
-horizon-independent.  A ``linear_matrix`` that is not the field's own
+horizon-independent.  That operator is one symmetric positive definite
+tridiagonal matrix for all components, factored as L D L^T by LAPACK's
+tridiagonal routines; a linear field's block band with n >= 2 by banded
+Cholesky.  A ``linear_matrix`` that is not the field's own
 changes only the preconditioner, never the action: the solve may take more
 iterations or stop short of ``tol_grad``.  Endpoints are never touched.
 
@@ -26,14 +29,14 @@ iterate bitwise: every smaller step gives the iterate too, and a search that
 returns the iterate has failed, so that trial is never evaluated or accepted.
 Armijo's sufficient-decrease test reads only the value, so a trial evaluates
 the value first and its gradient, with the drift's Jacobian, only once the
-test accepts it; a trial whose gradient raises a typed error is rejected like
-one whose value does.  Near the minimizer the search accepts by gradient-norm
-descent instead of Armijo's test: a trial must shrink the gradient's 2-norm
-below 0.999 of the current one, so every such trial takes its gradient.  Such
-a search also fails at its first rejected trial whose gradient differs from
-the current one by at most 0.001 of its norm: by the triangle inequality that
-trial keeps 0.999 of the norm, and a smaller step moves the gradient less
-still, so no later trial could pass.
+test accepts it; a trial whose gradient raises a typed error or is not finite
+is rejected like one whose value raises.  Near the minimizer the search
+accepts by gradient-norm descent instead of Armijo's test: a trial must shrink
+the gradient's 2-norm below 0.999 of the current one, so every such trial
+takes its gradient.  Such a search also fails at its first rejected trial
+whose gradient differs from the current one by at most 0.001 of its norm: by
+the triangle inequality that trial keeps 0.999 of the norm, and a smaller step
+moves the gradient less still, so no later trial could pass.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     the gradient only when ``grad_of()`` is called; the loop calls it for
     the start, for every gradient-norm trial and for an Armijo trial only
     once the trial passes the test.  Either call may raise ActionError for a
-    trial point, which rejects the trial: the search halves the step.
+    trial point, which rejects the trial: the search halves the step.  So
+    does a gradient that is not finite.
     ``start`` is ``_evaluate_start(evaluate, z0)`` if the caller has it
     already, else None, and the loop evaluates the start itself.  A line
     search ends accepted at its first accepted trial, and fails after its
@@ -242,6 +246,8 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
             except ActionError:
                 continue
             if not grad_mode:
+                if not np.isfinite(g_try).all():
+                    continue  # rejected as for an ActionError; the norm tests below reject it too
                 accepted = True
                 break
             try_gn2 = _norm2(g_try)
@@ -294,11 +300,20 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
 
 
 def _drift_rate_sq(field: DriftField, start: FePath) -> float:
-    """Squared Lipschitz-rate estimate for the reaction term of the preconditioner."""
-    if field.lipschitz is not None:
-        rate = float(field.lipschitz)
-    else:
-        rate = float(np.max(np.linalg.norm(field.jacobian_many(start.values), 2, axis=(1, 2))))
+    """Squared Lipschitz-rate estimate kappa for the reaction term of the preconditioner.
+
+    ``field.lipschitz`` squared if given; else the largest squared spectral
+    norm of the drift's Jacobian J at the start's nodes, taken as the largest
+    eigenvalue of J^T J.  A Jacobian whose J^T J is not finite (not finite
+    itself, or past ~1e154) gives inf, so the band is not finite.
+    """
+    if field.lipschitz is None:
+        jac = field.jacobian_many(start.values)
+        gram = jac.transpose(0, 2, 1) @ jac  # under the band's errstate
+        if not np.isfinite(gram).all():
+            return math.inf
+        return float(np.linalg.eigvalsh(gram)[:, -1].max())
+    rate = float(field.lipschitz)
     try:
         return rate ** 2
     except OverflowError:  # a rate past ~1e154; the band is then not finite
@@ -340,6 +355,9 @@ _FLAPACK = _load_flapack()
 # LAPACK's float64 banded Cholesky solve, the routine behind scipy's
 # cho_solve_banded; the factor is cholesky_banded's pbtrf from the same module
 _PBTRS = _FLAPACK.dpbtrs
+# LAPACK's float64 symmetric positive definite tridiagonal solve; the factor
+# is tridiagonal_ldl's pttrf from the same module
+_PTTRS = _FLAPACK.dpttrs
 
 
 def cholesky_banded(ab, lower=False):
@@ -376,6 +394,56 @@ def cho_solve_banded(cb_and_lower, b):
     x, info = _PBTRS(cb, b, lower=lower)
     if info:
         raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+    return x
+
+
+def _off_diagonal(ab):
+    """The off-diagonal of a nonempty two-row band, as the wrappers of pttrf and pttrs take it.
+
+    That is ``ab[0, 1:]``, but they want one entry for a 1 x 1 matrix, whose
+    off-diagonal is empty: then the band's unused corner ``ab[0, :1]``, which
+    LAPACK does not read.
+    """
+    return ab[0, 1:] if ab.shape[1] > 1 else ab[0, :1]
+
+
+def tridiagonal_ldl(ab):
+    """LDL^T factor of the tridiagonal matrix whose upper band is ``ab``, by LAPACK ``pttrf``.
+
+    ``ab`` is a finite float64 band of two rows, as ``cholesky_banded``
+    takes it: the superdiagonal in ``ab[0, 1:]`` and the diagonal in
+    ``ab[1]``.  The factor is a new array in the same layout: D's diagonal
+    in row 1 and L's subdiagonal in ``[0, 1:]``, L unit lower bidiagonal.
+    A matrix that is not positive definite raises ``LinAlgError`` with
+    ``cholesky_banded``'s message.
+    """
+    ldl = np.zeros_like(ab)
+    if not ab.size:
+        return ldl  # no interior node; pttrf's wrapper rejects an empty matrix
+    d, e, info = _FLAPACK.dpttrf(ab[1], _off_diagonal(ab))
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal pttrf")
+    ldl[1] = d
+    _off_diagonal(ldl)[:] = e
+    return ldl
+
+
+def tridiagonal_solve(ldl, b):
+    """x with A x = ``b``, ``ldl`` = ``tridiagonal_ldl`` of A, by LAPACK ``pttrs``.
+
+    ``b`` is a float64 array with one right-hand side per column, checked as
+    ``cho_solve_banded`` checks it: an empty one is returned empty, and one
+    that is not finite raises scipy's ``ValueError``.
+    """
+    if not b.size:
+        return np.empty_like(b)
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _PTTRS(ldl[1], _off_diagonal(ldl), b)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal pttrs")
     return x
 
 
@@ -418,15 +486,20 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
 
     P is block tridiagonal with m x m blocks, so in the node-major order of
     the interior vector it is one upper band with 2m - 1 superdiagonals,
-    factored once by banded Cholesky.  If ``reduced`` and A is the field's,
+    factored once.  With m = 1 (every field without ``linear_matrix``, and a
+    1-D linear field) the band is tridiagonal: ``tridiagonal_ldl`` factors it
+    as L D L^T (LAPACK ``pttrf``), and each apply is one ``pttrs`` solve with
+    the n components as its right-hand sides.  With m >= 2 it is factored by
+    banded Cholesky (``pbtrf``), and each apply is one ``pbtrs`` solve of the
+    flat vector.  If ``reduced`` and A is the field's,
     the closure applies instead the inverse of the reduced Hessian
     P - c c^T / H_TT at the start path by Sherman-Morrison, with
     ``_t_coupling``'s c and H_TT, the mixed and second derivatives of the
     action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
     H_TT, where the reduced Hessian is not safely positive definite, and
-    when c or that difference is not finite.  A Hessian that banded
-    Cholesky rejects (the action is then not strictly convex in the path)
-    gives way to the kappa operator.  A band or factor that is not finite
+    when c or that difference is not finite.  A Hessian that its factor
+    rejects with ``LinAlgError`` (the action is then not strictly convex in
+    the path) gives way to the kappa operator.  A band or factor that is not finite
     raises ``ActionError``.
     """
     n = start.dim
@@ -461,17 +534,20 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
     if not np.isfinite(band).all():
         raise ActionError("preconditioner is not finite at this horizon")
     try:
-        factor = cholesky_banded(band, lower=False)
+        factor = tridiagonal_ldl(band) if m == 1 else cholesky_banded(band, lower=False)
     except LinAlgError:
         if not linear:
             raise
         return _preconditioner(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
     if not np.isfinite(factor).all():
         raise ActionError("preconditioner is not finite at this horizon")
-    rhs = n // m  # right-hand sides: the components, or one flat vector
 
-    def apply(vec):
-        return cho_solve_banded((factor, False), vec.reshape(-1, rhs)).ravel()
+    if m == 1:  # the components are the right-hand sides
+        def apply(vec):
+            return tridiagonal_solve(factor, vec.reshape(-1, n)).ravel()
+    else:  # one flat right-hand side
+        def apply(vec):
+            return cho_solve_banded((factor, False), vec.reshape(-1, 1)).ravel()
 
     if not (linear and reduced):
         return apply

@@ -218,6 +218,24 @@ class TestSolve:
         assert result["error"] == "ActionError"
         assert "not finite" in result["message"]
 
+    @pytest.mark.parametrize("x1", [1e308, 1e200])
+    def test_overflowing_drift_jacobian_is_solver_error_without_warning(self, tmp_path, x1):
+        # the Maier-Stein Jacobian at the start node x1 is not finite, or
+        # J^T J overflows; an SVD of it did not converge, which exited 1 with
+        # "config error: SVD did not converge" and named no key
+        payload = solve_config(mode={"kind": "fixed_t", "T": 4}, mesh={"N": 8})
+        payload["problem"] = {"field": {"type": "maier_stein", "gamma": 10},
+                              "x1": [x1, 0], "x2": [0, 0]}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert [str(w.message) for w in caught] == []
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result == {"error": "ActionError",
+                          "message": "preconditioner is not finite at this horizon"}
+
     def test_start_overflow_is_solver_error_without_warning(self, tmp_path):
         # at a tiny horizon the preconditioner stays finite and the start
         # action overflows
