@@ -18,10 +18,10 @@ stiffness-plus-scaled-mass operator per state component (a Sobolev-type
 gradient), which keeps iteration counts roughly mesh- and
 horizon-independent.  That operator is one symmetric positive definite
 tridiagonal matrix for all components, factored as L D L^T by LAPACK's
-tridiagonal routines; a linear field's block band with n >= 2 by banded
-Cholesky.  A ``linear_matrix`` that is not the field's own
-changes only the preconditioner, never the action: the solve may take more
-iterations or stop short of ``tol_grad``.  Endpoints are never touched.
+tridiagonal routines; the block band of a linear field with n >= 2 is
+factored by banded Cholesky.  A ``linear_matrix`` that is not the field's
+own changes only the preconditioner, never the action: the solve may take
+more iterations or stop short of ``tol_grad``.  Endpoints are never touched.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -247,7 +247,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
                 continue
             if not grad_mode:
                 if not np.isfinite(g_try).all():
-                    continue  # rejected as for an ActionError; the norm tests below reject it too
+                    continue  # as for an ActionError; the norm tests below fail on it
                 accepted = True
                 break
             try_gn2 = _norm2(g_try)
@@ -491,16 +491,15 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
     as L D L^T (LAPACK ``pttrf``), and each apply is one ``pttrs`` solve with
     the n components as its right-hand sides.  With m >= 2 it is factored by
     banded Cholesky (``pbtrf``), and each apply is one ``pbtrs`` solve of the
-    flat vector.  If ``reduced`` and A is the field's,
-    the closure applies instead the inverse of the reduced Hessian
-    P - c c^T / H_TT at the start path by Sherman-Morrison, with
-    ``_t_coupling``'s c and H_TT, the mixed and second derivatives of the
-    action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
-    H_TT, where the reduced Hessian is not safely positive definite, and
-    when c or that difference is not finite.  A Hessian that its factor
-    rejects with ``LinAlgError`` (the action is then not strictly convex in
-    the path) gives way to the kappa operator.  A band or factor that is not finite
-    raises ``ActionError``.
+    flat vector.  If ``reduced`` and A is the field's, the closure applies
+    instead the inverse of the reduced Hessian P - c c^T / H_TT at the start
+    path by Sherman-Morrison, with ``_t_coupling``'s c and H_TT, the mixed
+    and second derivatives of the action in T.  The downdate is left out
+    when H_TT - c^T P^-1 c <= 1e-8 H_TT, where the reduced Hessian is not
+    safely positive definite, and when c or that difference is not finite.
+    A Hessian that its factorization rejects with ``LinAlgError`` (the
+    action is then not strictly convex in the path) gives way to the kappa
+    operator.  A band or factor that is not finite raises ``ActionError``.
     """
     n = start.dim
     h = start.mesh.widths

@@ -867,8 +867,8 @@ def test_banded_solve_is_scipys_float64_pbtrs():
 
 
 def test_tridiagonal_routines_are_scipys_float64_pttrf_and_pttrs():
-    assert optimize._PTTRS is scipy.linalg.get_lapack_funcs(("pttrs",), (np.empty(0),))[0]
-    assert optimize._FLAPACK.dpttrs is optimize._PTTRS
+    pttrs = scipy.linalg.get_lapack_funcs(("pttrs",), (np.empty(0),))[0]
+    assert optimize._PTTRS is optimize._FLAPACK.dpttrs is pttrs
     assert optimize._FLAPACK.dpttrf is scipy.linalg.get_lapack_funcs(("pttrf",), (np.empty(0),))[0]
 
 
