@@ -328,17 +328,18 @@ def _norms_over_components(planes: np.ndarray) -> np.ndarray:
 
 
 def _norm2(vec: np.ndarray) -> float:
-    """2-norm of a contiguous float array, with the bits of numpy's ``norm`` where that is finite.
+    """2-norm of a contiguous float array, with the bits of numpy's ``norm`` where that is finite and not 0.
 
     The sum of squares is one ``np.vdot``, as in ``norm``, but free of
-    numpy's overflow warning.  Only where it overflows while every entry is
-    finite is the norm taken again of the array divided by its largest
-    magnitude, and then multiplied back: a finite norm is not reported as inf.
+    numpy's overflow warning.  Only where it overflows or underflows to 0
+    while some entry is finite and nonzero is the norm taken again of the
+    array divided by its largest magnitude, and then multiplied back: a
+    finite norm is not reported as inf, nor a nonzero one as 0.
     """
     sq = np.vdot(vec, vec)
-    if sq == math.inf:
+    if (sq == math.inf or sq == 0.0) and vec.size:
         scale = float(np.abs(vec).max())
-        if scale < math.inf:
+        if 0.0 < scale < math.inf:
             unit = vec / scale
             return scale * math.sqrt(np.vdot(unit, unit))
     return math.sqrt(sq)

@@ -34,9 +34,11 @@ is rejected like one whose value raises.  Near the minimizer the search
 accepts by gradient-norm descent instead of Armijo's test: a trial must shrink
 the gradient's 2-norm below 0.999 of the current one, so every such trial
 takes its gradient.  Such a search also fails at its first rejected trial
-whose gradient differs from the current one by at most 0.001 of its norm: by
-the triangle inequality that trial keeps 0.999 of the norm, and a smaller step
-moves the gradient less still, so no later trial could pass.
+with a finite gradient whose linear model rules out every smaller step.  The
+premise is that the gradient is affine in the step over that range: the
+trial's gradient g + delta then gives g + t delta at t times its step, and
+when the least norm of that over t in [0, 1/2] is at least 0.999 of |g|, no
+later trial could pass (Nocedal & Wright, Numerical Optimization, ch. 3).
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ _STEPS = tuple(0.5**k for k in range(67))
 
 # A gradient-norm trial is accepted only if it shrinks the gradient's 2-norm
 # below this fraction of the current one; any step that does counts as progress.
+# A search fails once the gradient's linear model, taken as exact, keeps the
+# norm at or above this fraction at every smaller step.
 _GRAD_SHRINK = 0.999
 
 # Roundoff noise of a value v is taken as _NOISE * max(1, |v|).
@@ -167,6 +171,32 @@ def _evaluate_start(evaluate, z0):
     return value, grad, t_hat
 
 
+def _no_smaller_step_shrinks(grad, g_try, grad_norm):
+    """Whether the gradient's linear model rules out every smaller step of a gradient-norm search.
+
+    A rejected trial at the step s with the finite gradient ``g_try`` gives
+    delta = g_try - g, and the model g + t delta of the gradient at the
+    steps t s left to try, t in (0, 1/2].  Its squared norm is |g|^2 times
+    1 + 2 a t + b t^2, with a = g.delta / |g|^2 and b = |delta|^2 / |g|^2,
+    whose least value over [0, 1/2] is 1 if a >= 0, 1 + a + b / 4 if the
+    vertex -a / b is at or past 1/2, and 1 - a^2 / b otherwise.  No smaller
+    step passes when that least value is at least _GRAD_SHRINK^2.  The model
+    is taken in ratios to ``grad_norm`` = |g|, so gradients near either end
+    of the float range give no warning; where a or b is still not finite it
+    rules out nothing, and the search halves on.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = (g_try - grad) / grad_norm  # delta / |g|
+        a = grad.dot(rel) / grad_norm
+        b = rel.dot(rel)
+    if not (math.isfinite(a) and b < math.inf):
+        return False
+    if a >= 0.0:
+        return True  # also for delta = 0, with no division by b
+    least = 1.0 + a + 0.25 * b if -2.0 * a >= b else 1.0 - a * a / b
+    return least >= _GRAD_SHRINK * _GRAD_SHRINK
+
+
 def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     """Core L-BFGS iteration.
 
@@ -180,9 +210,10 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     already, else None, and the loop evaluates the start itself.  A line
     search ends accepted at its first accepted trial, and fails after its
     last step (2**-66) or at its first trial that equals ``z`` bitwise,
-    which is not evaluated.  A gradient-norm search also fails at its first rejected
-    trial whose gradient moved by at most 1 - _GRAD_SHRINK times the current
-    gradient's 2-norm, since no smaller step could then pass.
+    which is not evaluated.  A gradient-norm search also fails at its first
+    rejected trial with a finite gradient for which
+    ``_no_smaller_step_shrinks``: if the gradient is affine in the step, no
+    smaller step could then pass.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -245,19 +276,17 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
                 g_try = grad_of()
             except ActionError:
                 continue
+            if not np.isfinite(g_try).all():
+                continue  # rejected as for an ActionError
             if not grad_mode:
-                if not np.isfinite(g_try).all():
-                    continue  # as for an ActionError; the norm tests below fail on it
                 accepted = True
                 break
             try_gn2 = _norm2(g_try)
             if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
                 accepted = True
                 break
-            if _norm2(g_try - grad) <= (1.0 - _GRAD_SHRINK) * cur_gn2:
-                # |g_try| >= 0.999 |g| here, and a smaller step moves the
-                # gradient less still: the search has failed
-                break
+            if _no_smaller_step_shrinks(grad, g_try, cur_gn2):
+                break  # the search has failed
 
         if not accepted:
             if history:

@@ -322,7 +322,7 @@ class TestLineSearchAtTheIterate:
     """A line search ends at its first trial that rounds to the iterate.
 
     A gradient-norm search ends sooner, at its first rejected trial whose
-    gradient has stopped moving.
+    gradient's linear model keeps 0.999 of the norm at every smaller step.
     """
 
     Z0 = np.array([1.0, -3.0, 0.5])
@@ -360,9 +360,10 @@ class TestLineSearchAtTheIterate:
     def test_failed_search_ends_at_first_trial_at_the_iterate(self):
         # the short direction puts Armijo's decrease below the noise floor, so
         # the gradient-norm test runs, and it cannot accept the iterate; the
-        # gradient of -2 off the start moves by more than 0.1% at every trial,
-        # so the search goes on until its trial rounds to the iterate
-        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40, off_grad=-2.0)
+        # gradient of -0.5 off the start halves the norm, so the gradient's
+        # model never rules out a smaller step, but every trial is rejected on
+        # its value, and the search goes on until its trial rounds to the iterate
+        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40, off_grad=-0.5)
         assert len(trials) == 1 + 14
         assert all(not np.array_equal(t, self.Z0) for t in trials[1:])
         assert np.array_equal(z, self.Z0)
@@ -381,6 +382,18 @@ class TestLineSearchAtTheIterate:
         assert np.array_equal(grad, np.full(3, -1.0))
         assert len(rows) == 1
 
+    def test_gradient_search_fails_once_the_norm_grows_along_the_step(self):
+        # the gradient of -2 off the start moves by its own norm, so the rule
+        # that waited for it to stop moving walked down to the iterate (1 + 14
+        # trials); it moves along g, so the model g + t delta grows in norm
+        # from t = 0 and the search fails after one trial
+        (z, value, grad, t_hat, iters, ok, rows), trials = self.run(2.0**-40, off_grad=-2.0)
+        assert len(trials) == 1 + 1
+        assert np.array_equal(trials[1], self.Z0 + 2.0**-40)
+        assert np.array_equal(z, self.Z0)
+        assert (value, t_hat, iters, ok) == (1.0, 2.0, 0, False)
+        assert len(rows) == 1
+
     def test_armijo_search_fails_at_the_iterate(self):
         # the Armijo bound value + c1*step*slope rounds to the value itself at
         # step 2**-54, so the iterate would pass it; a search that returns
@@ -391,6 +404,81 @@ class TestLineSearchAtTheIterate:
         assert len(rows) == 1
         assert len(trials) == 1 + 54
         assert np.array_equal(z, self.Z0) and value == 1.0 and not ok
+
+
+def _gradient_search(grad_at, scale=1.0, rejected=()):
+    """(steps tried, loop output) of one gradient-norm line search on a synthetic oracle.
+
+    The start's gradient is scale * (1, 0) and the trial at the step s has
+    scale * grad_at(s).  Every value is max(1, scale)**1.5, whose roundoff
+    noise dwarfs Armijo's decrease, so the search tests gradient norms; a
+    step in ``rejected`` has twice that value and is rejected on it.  The
+    preconditioner keeps the direction at -2**-40 (1, 0) at every scale.
+    """
+    value = max(1.0, scale) ** 1.5
+    steps = []
+
+    def evaluate(z):
+        if not np.any(z):
+            return value, lambda: scale * np.array([1.0, 0.0]), 1.0
+        step = 0.5 ** len(steps)
+        steps.append(step)
+        return (2.0 * value if step in rejected else value), lambda: scale * grad_at(step), 1.0
+
+    cfg = OptimConfig(tol_grad=1e-300, max_iters=1)
+    out = _lbfgs_loop(evaluate, np.zeros(2), cfg, lambda vec: vec * (2.0**-40 / scale))
+    return steps, out
+
+
+# (D, steps rejected on their value, steps tried, accepted step or None) of a
+# search whose trial gradient at the step s is g + s D, g = (1, 0).  With
+# a = g.D and b = |D|^2, the least squared norm of the model over the steps
+# below a rejected s is 1 if a >= 0, 1 + a s + b s^2 / 4 if the vertex
+# -a / (b s) is past 1/2, else 1 - a^2 / b, and the search fails once it is
+# at least 0.999^2.
+GRADIENT_MODELS = {
+    # the norm grows from the start: the first trial ends the search
+    "norm_grows": ((0.5, 1.0), (), [1.0], None),
+    # vertex 1/6 inside, least 1/2: trials 1 and 1/2 are rejected on their
+    # norms and 1/4 passes with |g|^2 = 0.625
+    "vertex_inside": ((-3.0, 3.0), (), [1.0, 0.5, 0.25], 0.25),
+    # D almost orthogonal to g: vertex 0.01 inside, least 0.9999...
+    "vertex_inside_too_high": ((-0.01, 1.0), (), [1.0], None),
+    # vertex 2 beyond 1/2, least 0.5625; step 1 is rejected on its value
+    "vertex_beyond": ((-0.5, 0.0), (1.0,), [1.0, 0.5], 0.5),
+    # vertex 0.75 beyond 1/2, least 0.999; the rule that waited for |delta| to
+    # fall below 0.001 |g| tried the steps down to 2**-6
+    "vertex_beyond_too_high": ((-0.0015, math.sqrt(0.002 - 0.0015**2)), (), [1.0], None),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("name", GRADIENT_MODELS)
+def test_gradient_search_ends_where_the_gradients_model_says_no_step_passes(name, scale):
+    # the model is taken in ratios to |g|, so gradients whose squares overflow
+    # or underflow end each search as at scale 1, without a warning
+    d_vec, rejected, tried, accepted = GRADIENT_MODELS[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        steps, (z, _, grad, _, iters, _, _) = _gradient_search(
+            lambda s: np.array([1.0, 0.0]) + s * np.array(d_vec), scale, rejected)
+    assert [str(w.message) for w in caught] == []
+    assert steps == tried
+    if accepted is None:
+        assert iters == 0 and not np.any(z)
+    else:
+        assert iters == 1
+        assert np.array_equal(grad, scale * (np.array([1.0, 0.0]) + accepted * np.array(d_vec)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gradient_search_halves_past_a_trial_gradient_that_is_not_finite(bad):
+    # the trial at the step 1 gives no model of the gradient: the search halves
+    # on, and the step 1/2 passes with the gradient (1/2, 0)
+    steps, (z, _, grad, _, iters, _, _) = _gradient_search(
+        lambda s: np.array([bad, 0.0]) if s == 1.0 else np.array([1.0 - s, 0.0]))
+    assert steps == [1.0, 0.5]
+    assert iters == 1 and np.array_equal(grad, [0.5, 0.0])
 
 
 def test_trial_that_raises_is_rejected_by_halving():
@@ -554,6 +642,9 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # grad_norm 0x1.7064340000000p-31, 100 iterations, converged True, 127
     # calls and path sha256
     # ee1fbf83854a2cc761b369b41b2cdf04711ba1c30048bd463d543f232863f60f.
+    # Its 164 calls fell to 119, with every field below unchanged, when a
+    # gradient-norm search came to fail at its first rejected trial whose
+    # gradient's linear model keeps 0.999 of the norm at every smaller step.
     calls = []
     inner = optimize._tmam_staged
 
@@ -573,7 +664,34 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
         "b230c9fe16c3dd6708467b51d6baa07047e9c6d4222f61f645f3466f6f581559"
     )
     assert 0 < len(calls) < 315
-    assert len(calls) == 164
+    assert len(calls) == 119
+
+
+def test_pinned_converging_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatch):
+    # gamma=10 from the bulged start at N=16, default config: a converging
+    # solve whose gradient-norm searches fail by the gradient's linear model.
+    # The rule that waited for the trial gradient to stop moving gave the
+    # same fields with 588 calls.
+    calls = []
+    inner = optimize._tmam_staged
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(optimize, "_tmam_staged", counted)
+    mesh = uniform_mesh(16)
+    start = FePath(mesh, np.column_stack([-1.0 + mesh.nodes, 0.3 * np.sin(np.pi * mesh.nodes)]))
+    res = minimize_tmam(start, maier_stein_field(10.0))
+    assert res.value.hex() == "0x1.5ebf4f8936a91p-2"
+    assert res.t_hat.hex() == "0x1.ae8ac39c74caap+2"
+    assert res.grad_norm.hex() == "0x1.2356960000000p-31"
+    assert (res.iterations, res.converged) == (116, True)
+    path_bytes = np.ascontiguousarray(res.path.values, dtype="<f8").tobytes()
+    assert hashlib.sha256(path_bytes).hexdigest() == (
+        "a05868a2ec9052d862befc2bdf783c9e70c471f368d66716682d5455f413d26f"
+    )
+    assert len(calls) == 328
 
 
 def test_norm2_has_the_bits_of_numpy_norm():
@@ -582,6 +700,15 @@ def test_norm2_has_the_bits_of_numpy_norm():
         for scale in (1e-160, 1e-3, 1.0, 1e140):
             vec = scale * rng.standard_normal(size)
             assert _norm2(vec).hex() == float(np.linalg.norm(vec)).hex()
+
+
+def test_norm2_is_nonzero_where_the_sum_of_squares_underflows():
+    # numpy's norm underflows to 0 here; _norm2 scales by the largest magnitude
+    vec = np.full(4, 1e-200)
+    assert np.linalg.norm(vec) == 0.0
+    assert _norm2(vec) == 2e-200
+    assert _norm2(np.array([3.0, 0.0, -4.0]) * 2.0**-700) == 5.0 * 2.0**-700
+    assert _norm2(np.zeros(3)) == 0.0
 
 
 def test_norm2_is_finite_where_the_sum_of_squares_overflows():
