@@ -446,9 +446,9 @@ GRADIENT_MODELS = {
     "vertex_inside_too_high": ((-0.01, 1.0), (), [1.0], None),
     # vertex 2 beyond 1/2, least 0.5625; step 1 is rejected on its value
     "vertex_beyond": ((-0.5, 0.0), (1.0,), [1.0, 0.5], 0.5),
-    # vertex 0.75 beyond 1/2, least 0.999; the rule that waited for |delta| to
-    # fall below 0.001 |g| tried the steps down to 2**-6
-    "vertex_beyond_too_high": ((-0.0015, math.sqrt(0.002 - 0.0015**2)), (), [1.0], None),
+    # vertex 0.73 beyond 1/2, least 0.998025 at s/2, though the vertex's
+    # 1 - a^2 / b = 0.9978 would pass
+    "vertex_beyond_too_high": ((-0.003, math.sqrt(0.0041 - 0.003**2)), (), [1.0], None),
 }
 
 
