@@ -30,7 +30,8 @@ from .linoracle import (
     exact_fixed_T_minimizer,
     trajectory_times_points,
 )
-from .optimize import OptimConfig, _nested_meshes, continuation_sweep, minimize_fixed_T, minimize_tmam
+from .optimize import (_LOG_HEADER, OptimConfig, _nested_meshes, continuation_sweep,
+                       minimize_fixed_T, minimize_tmam)
 from .pathcore import (
     FePath,
     _count_at_least,
@@ -41,6 +42,7 @@ from .pathcore import (
     _opened,
     _uniform_mesh,
     _write_samples_csv,
+    _write_table,
     linear_interpolant_path,
     read_path_csv,
     write_path_csv,
@@ -76,7 +78,7 @@ class ConfigError(ValueError):
 
 _SOLVER_KEYS = {
     # forwarded whole to the constructors, which check the values
-    *(f"optimizer.{f.name}" for f in dataclasses.fields(OptimConfig) if f.name != "log_path"),
+    *(f"optimizer.{f.name}" for f in dataclasses.fields(OptimConfig)),
     *(f"quadrature.{f.name}" for f in dataclasses.fields(Quadrature)),
 }
 _PROBLEM_KEYS = {"problem.field", "problem.x1", "problem.x2", "mode.kind", "mode.T"}
@@ -189,12 +191,28 @@ def _build_field(cfg: dict, linear_for: Optional[str] = None):
     return field
 
 
-def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
-    """The checked fixed-horizon problem of a linear field, x1, x2 and mode.T."""
-    field = _build_field(cfg, linear_for=purpose)
+def _problem(cfg: dict, linear_for: Optional[str] = None):
+    """The checked ``(field, x1, x2, T)`` of the problem and mode sections.
+
+    T is ``mode.T`` for ``kind: fixed_t`` and None for ``kind: tmam``.
+    """
+    field = _build_field(cfg, linear_for)
     x1 = _endpoint(cfg, "problem.x1", field.dim)
     x2 = _endpoint(cfg, "problem.x2", field.dim)
-    T = _mode_of(cfg)
+    mode = _require(cfg, "mode")
+    kind = mode.get("kind")
+    if kind not in ("tmam", "fixed_t"):
+        raise ConfigError("mode.kind must be 'tmam' or 'fixed_t'")
+    if kind == "fixed_t":
+        return field, x1, x2, _finite_positive(_require(cfg, "mode.T"), "mode.T")
+    if "T" in mode:
+        raise ConfigError("mode.T is not read in tmam mode, which optimizes the horizon")
+    return field, x1, x2, None
+
+
+def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
+    """The checked fixed-horizon problem of a linear field, x1, x2 and mode.T."""
+    field, x1, x2, T = _problem(cfg, linear_for=purpose)
     if T is None:
         raise ConfigError(f"mode.kind must be fixed_t for {purpose}")
     try:
@@ -203,10 +221,10 @@ def _linear_problem(cfg: dict, purpose: str) -> SpectralLinearProblem:
         raise ConfigError(f"problem.field: {err}") from err
 
 
-def _from_section(cls, cfg: dict, section: str, **fixed):
+def _from_section(cls, cfg: dict, section: str):
     """``cls`` built from a whole config section; its argument errors name the key."""
     try:
-        return cls(**fixed, **cfg.get(section, {}))
+        return cls(**cfg.get(section, {}))
     except ValueError as err:
         raise ConfigError(f"{section}.{err}") from err
 
@@ -220,28 +238,25 @@ def _out_path(outputs: dict, key: str, out_dir: str) -> Optional[str]:
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
-def _make_dirs(*paths: Optional[str]) -> None:
-    """Create the directories of the given output paths, once every config check has passed."""
-    for path in filter(None, paths):
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _make_dirs(*outputs: tuple[str, Optional[str]]) -> None:
+    """Create the directories of the ``(key, path)`` outputs, once every config check has passed.
+
+    A path that is a directory, or whose directory cannot be made, is a config error naming its key.
+    """
+    outputs = [(key, path) for key, path in outputs if path is not None]
+    for key, path in outputs:
+        if os.path.isdir(path):
+            raise ConfigError(f"outputs.{key} is a directory: {path}")
+    for key, path in outputs:
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"outputs.{key}: cannot make its directory: {err}") from err
 
 
 def _dump_json(payload: dict, path: Optional[str]) -> None:
     with _opened(sys.stdout if path is None else path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
-
-
-def _mode_of(cfg: dict) -> Optional[float]:
-    """The fixed horizon ``mode.T`` of ``kind: fixed_t``, or None for ``kind: tmam``."""
-    mode = _require(cfg, "mode")
-    kind = mode.get("kind")
-    if kind not in ("tmam", "fixed_t"):
-        raise ConfigError("mode.kind must be 'tmam' or 'fixed_t'")
-    if kind == "fixed_t":
-        return _finite_positive(_require(cfg, "mode.T"), "mode.T")
-    if "T" in mode:
-        raise ConfigError("mode.T is not read in tmam mode, which optimizes the horizon")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +267,13 @@ def _mode_of(cfg: dict) -> Optional[float]:
 def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     cfg = load_config(config_path, overrides)
     _reject_unread_keys(cfg, "solve command")
-    field = _build_field(cfg)
-    x1 = _endpoint(cfg, "problem.x1", field.dim)
-    x2 = _endpoint(cfg, "problem.x2", field.dim)
-    T = _mode_of(cfg)
+    field, x1, x2, T = _problem(cfg)
     num_elems = _int_at_least(_require(cfg, "mesh.N"), "mesh.N", 1)
     outputs = cfg.get("outputs", {})
     iteration_log = _out_path(outputs, "iteration_log", out_dir)
     result_json = _out_path(outputs, "result_json", out_dir)
     path_csv = _out_path(outputs, "path_csv", out_dir)
-    opt_cfg = _from_section(OptimConfig, cfg, "optimizer", log_path=iteration_log)
+    opt_cfg = _from_section(OptimConfig, cfg, "optimizer")
     quad = _from_section(Quadrature, cfg, "quadrature")
 
     start_csv = cfg.get("problem", {}).get("start_csv")
@@ -278,7 +290,8 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
             raise ConfigError("problem.start_csv endpoints do not match problem.x1/x2")
     else:
         start = linear_interpolant_path(x1, x2, _uniform_mesh(num_elems, "mesh.N"))
-    _make_dirs(iteration_log, result_json, path_csv)
+    _make_dirs(("iteration_log", iteration_log), ("result_json", result_json),
+               ("path_csv", path_csv))
 
     try:
         if T is None:
@@ -301,6 +314,8 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
     _dump_json(payload, result_json)
     if path_csv is not None:
         write_path_csv(result.path, path_csv)
+    if iteration_log is not None:
+        _write_table(iteration_log, _LOG_HEADER, result.log)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -335,6 +350,10 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     quad = _from_section(Quadrature, cfg, "quadrature")
     study_csv = _out_path(outputs, "study_csv", out_dir)
     summary_json = _out_path(outputs, "summary_json", out_dir)
+    fixed_csv = None
+    if name == "case_ii" and study_csv is not None:
+        stem, ext = os.path.splitext(study_csv)
+        fixed_csv = stem + "_fixed" + (ext or ".csv")
     # the study's own checks, all before the first output directory is made
     n_list = _n_list(cfg, 3 if name in ("case_i", "case_ii") else 2)
     if name == "case_ii":
@@ -344,11 +363,8 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
     elif name == "linear_fixed_t":
         prob = SpectralLinearProblem([[-1.0]], [0.0], [1.0], T=1.0)
     elif name == "custom":
-        field = _build_field(cfg)
-        x1 = _endpoint(cfg, "problem.x1", field.dim)
-        x2 = _endpoint(cfg, "problem.x2", field.dim)
-        T = _mode_of(cfg)
-    _make_dirs(study_csv, summary_json)
+        field, x1, x2, T = _problem(cfg)
+    _make_dirs(("study_csv", study_csv), ("study_csv", fixed_csv), ("summary_json", summary_json))
 
     rates: dict = {}
     assertions: dict = {}
@@ -367,9 +383,7 @@ def cmd_study(config_path: str, overrides=None, out_dir: str = ".") -> int:
             extra["tmam_over_fixed_at_max_N"] = (
                 data.records_tmam[-1].action / data.records_fixed[-1].action
             )
-            if study_csv is not None:
-                stem, ext = os.path.splitext(study_csv)
-                fixed_csv = stem + "_fixed" + (ext or ".csv")
+            if fixed_csv is not None:
                 write_study_csv(data.records_fixed, fixed_csv)
                 extra["study_csv_fixed"] = fixed_csv
         elif name == "linear_fixed_t":
@@ -432,7 +446,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
         except ValueError as err:
             raise ConfigError(f"problem.field: {err}") from err
         target = _out_path(outputs, "trajectory_csv", out_dir)
-        _make_dirs(target)
+        _make_dirs(("trajectory_csv", target))
         _write_samples_csv(times, points, sys.stdout if target is None else target)
         return EXIT_OK
 
@@ -440,7 +454,7 @@ def cmd_oracle(config_path: str, overrides=None, out_dir: str = ".") -> int:
     mesh = _uniform_mesh(_require(cfg, "mesh.N"), "mesh.N")
     path = FePath(mesh, exact_fixed_T_minimizer(prob, mesh.nodes))
     target = _out_path(outputs, "minimizer_csv", out_dir)
-    _make_dirs(target)
+    _make_dirs(("minimizer_csv", target))
     write_path_csv(path, sys.stdout if target is None else target)
     return EXIT_OK
 

@@ -34,33 +34,24 @@ FD_JACOBIAN_STEP = 1e-6
 class DriftField:
     """Vector field b: R^n -> R^n with Jacobian db_i/dx_j.
 
-    Metadata (all optional): ``lipschitz`` is a Lipschitz constant K,
-    ``beta``/``r2`` parametrize the inward-drift condition
-    <b(x), x> <= -beta |x|^2 for |x| >= r2, and ``linear_matrix`` carries A
-    when b(x) = A x exactly.  Each given ``lipschitz``, ``beta`` and ``r2``
-    must be a finite real number, not a bool; another value raises a
-    ``ValueError`` that names it.  The solvers precondition with the
-    Hessian of the action for a linear drift b(x) = A x: an n x n
-    ``linear_matrix`` gives A, and a field without one gets A = K I (with
-    exact mass integrals), K from ``lipschitz`` or, if that is None, the
-    largest spectral norm of the Jacobian at the start path's nodes.  A
-    ``linear_matrix`` that is not the field's own matrix changes only the
-    preconditioner, never the action: the solve may take more iterations or
-    stop short of its tolerance.  ``check_inward_condition`` reads ``beta``
-    and ``r2``.
+    Metadata (all optional): ``beta``/``r2`` parametrize the inward-drift
+    condition <b(x), x> <= -beta |x|^2 for |x| >= r2, which
+    ``check_inward_condition`` reads, and ``linear_matrix`` carries A when
+    b(x) = A x exactly.  Each given ``beta`` and ``r2`` must be a finite
+    real number, not a bool; another value raises a ``ValueError`` that
+    names it.  ``jacobian_fd`` flags a finite-difference Jacobian.
     """
 
     dim: int
     _eval_many: Callable[[np.ndarray], np.ndarray]
     _jac_many: Callable[[np.ndarray], np.ndarray]
-    lipschitz: Optional[float] = None
     beta: Optional[float] = None
     r2: Optional[float] = None
     linear_matrix: Optional[np.ndarray] = None
     jacobian_fd: bool = False
 
     def __post_init__(self):
-        for key in ("lipschitz", "beta", "r2"):
+        for key in ("beta", "r2"):
             value = getattr(self, key)
             if value is not None and _finite_float(value) is None:
                 raise ValueError(f"{key} must be a finite real number")
@@ -98,10 +89,7 @@ class InwardReport:
 
 
 def linear_field(matrix, beta: Optional[float] = None, r2: Optional[float] = None) -> DriftField:
-    """Linear drift b(x) = A x for a square matrix A of either sign convention.
-
-    The Lipschitz constant is recorded as the spectral norm of A.
-    """
+    """Linear drift b(x) = A x for a square matrix A of either sign convention."""
     a_mat = np.asarray(matrix, dtype=float)
     if a_mat.ndim != 2 or a_mat.shape[0] != a_mat.shape[1]:
         raise ValueError("drift matrix must be square")
@@ -121,7 +109,6 @@ def linear_field(matrix, beta: Optional[float] = None, r2: Optional[float] = Non
         dim=n,
         _eval_many=eval_many,
         _jac_many=jac_many,
-        lipschitz=float(np.linalg.norm(a_mat, 2)),
         beta=beta,
         r2=r2,
         linear_matrix=a_mat,

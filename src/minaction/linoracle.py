@@ -43,10 +43,6 @@ class _SamplingError(ValueError):
     """A sampling input the oracle cannot use; the message starts with the input's name."""
 
 
-class _SampleCountError(_SamplingError):
-    """A sample count numpy cannot make a time array of; the message starts with ``samples``."""
-
-
 def _spectrum(matrix):
     """Checked eigendecomposition (A, eigenvalues, eigenvectors) of a symmetric A."""
     a_mat = np.asarray(matrix, dtype=float)
@@ -284,7 +280,7 @@ def trajectory_times_points(matrix, x, t_end: float, samples: int):
         try:
             grid = np.geomspace(t_lo, t_hi, samples - 1)
         except (ValueError, IndexError, MemoryError) as err:  # samples - 1 times numpy cannot hold
-            raise _SampleCountError(f"samples is too large for a time array: {err}") from err
+            raise _SamplingError(f"samples is too large for a time array: {err}") from err
         times = np.concatenate([[0.0], grid])
     pts = _finite_flow(eigvals, eigvecs, x, times)
     if infinite:

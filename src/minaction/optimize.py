@@ -13,15 +13,17 @@ nodes: the fixed-T Hessian of the action for a linear drift b(x) = A x,
 which does not depend on the path.  A field that carries ``linear_matrix``
 gives A, so the first fixed-T step is an exact Newton step and a reduced
 solve gets the inverse of the reduced Hessian at its start.  Every other
-field gets A = sqrt(kappa) I, kappa its squared Lipschitz rate: a
-stiffness-plus-scaled-mass operator per state component (a Sobolev-type
-gradient), which keeps iteration counts roughly mesh- and
-horizon-independent.  That operator is one symmetric positive definite
-tridiagonal matrix for all components, factored as L D L^T by LAPACK's
-tridiagonal routines; the block band of a linear field with n >= 2 is
-factored by banded Cholesky.  A ``linear_matrix`` that is not the field's
-own changes only the preconditioner, never the action: the solve may take
-more iterations or stop short of ``tol_grad``.  Endpoints are never touched.
+field gets A = sqrt(kappa) I, kappa the largest squared spectral norm of
+the drift's Jacobian at the start path's nodes: a stiffness-plus-scaled-mass
+operator per state component (a Sobolev-type gradient), which keeps
+iteration counts roughly mesh- and horizon-independent.  That operator is
+one symmetric positive definite tridiagonal matrix for all components,
+factored as L D L^T by LAPACK's tridiagonal routines; the block band of a
+linear field with n >= 2 is factored by banded Cholesky.  A
+``linear_matrix`` that is not the field's own changes only the
+preconditioner, never the action: the solve may take more iterations or
+stop short of ``tol_grad``.  Endpoints are never touched.  A solve writes no
+file: its per-iteration rows ride on ``OptimResult.log``.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -81,7 +83,6 @@ from .pathcore import (
     _finite_positive,
     _int_at_least,
     _uniform_mesh,
-    _write_table,
     linear_interpolant_path,
     resample_path,
 )
@@ -116,15 +117,13 @@ class OptimConfig:
     ``tol_grad`` stops the iteration once the gradient max-norm falls below
     tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
     ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
-    scaled preconditioner); ``log_path`` names an optional per-iteration CSV
-    log.  The preconditioner is always on, and the line search's
-    Armijo constant (1e-4) and backtracking factor (0.5) are fixed.
+    scaled preconditioner).  The preconditioner is always on, and the line
+    search's Armijo constant (1e-4) and backtracking factor (0.5) are fixed.
     """
 
     tol_grad: float = 1e-9
     max_iters: int = 100_000
     memory: int = 10
-    log_path: Optional[str] = None
 
     def __post_init__(self):
         _finite_positive(self.tol_grad, "tol_grad")
@@ -134,7 +133,11 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Minimizer path plus value, optimal time, and stationarity diagnostics."""
+    """Minimizer path plus value, optimal time, stationarity diagnostics and iteration log.
+
+    ``log`` holds one row of ``_LOG_HEADER`` per accepted iterate, the start
+    first; a fixed-T solve's rows hold its horizon as given.
+    """
 
     path: FePath
     value: float
@@ -144,6 +147,11 @@ class OptimResult:
     grad_norm: float
     el_residual: float
     hamiltonian_violation: float
+    log: tuple
+
+
+# The column names of the rows of ``OptimResult.log``, as the CLI writes them
+_LOG_HEADER = ("iteration", "value", "grad_norm", "t_hat")
 
 
 def _max_norm(vec: np.ndarray) -> float:
@@ -329,24 +337,18 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
 
 
 def _drift_rate_sq(field: DriftField, start: FePath) -> float:
-    """Squared Lipschitz-rate estimate kappa for the reaction term of the preconditioner.
+    """Squared drift rate kappa for the reaction term of the preconditioner.
 
-    ``field.lipschitz`` squared if given; else the largest squared spectral
-    norm of the drift's Jacobian J at the start's nodes, taken as the largest
-    eigenvalue of J^T J.  A Jacobian whose J^T J is not finite (not finite
-    itself, or past ~1e154) gives inf, so the band is not finite.
+    The largest squared spectral norm of the drift's Jacobian J at the
+    start's nodes, taken as the largest eigenvalue of J^T J.  A Jacobian
+    whose J^T J is not finite (not finite itself, or past ~1e154) gives inf,
+    so the band is not finite.
     """
-    if field.lipschitz is None:
-        jac = field.jacobian_many(start.values)
-        gram = jac.transpose(0, 2, 1) @ jac  # under the band's errstate
-        if not np.isfinite(gram).all():
-            return math.inf
-        return float(np.linalg.eigvalsh(gram)[:, -1].max())
-    rate = float(field.lipschitz)
-    try:
-        return rate ** 2
-    except OverflowError:  # a rate past ~1e154; the band is then not finite
+    jac = field.jacobian_many(start.values)
+    gram = jac.transpose(0, 2, 1) @ jac  # under the band's errstate
+    if not np.isfinite(gram).all():
         return math.inf
+    return float(np.linalg.eigvalsh(gram)[:, -1].max())
 
 
 def _load_flapack():
@@ -602,7 +604,7 @@ def _minimize(
     staged,
     t_ref: Optional[float] = None,
 ) -> OptimResult:
-    """Shared solve: L-BFGS over the interior of ``start``, log, package.
+    """Shared solve: L-BFGS over the interior of ``start``, packaged with its iteration log.
 
     ``staged(path) -> (value, grad_of, t_hat)`` is the functional, its
     gradient computed by ``grad_of()`` only when the loop asks, and
@@ -628,8 +630,6 @@ def _minimize(
         t_ref = first[2]
     precond = _preconditioner(start, field, quad, t_ref, reduced)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(evaluate, z0, cfg, precond, first)
-    if cfg.log_path is not None:
-        _write_table(cfg.log_path, ("iteration", "value", "grad_norm", "t_hat"), rows)
     path = start.replace_interior(z.reshape(-1, n))
     t_hat = float(t_hat)
     return OptimResult(
@@ -641,6 +641,7 @@ def _minimize(
         grad_norm=rows[-1][2],
         el_residual=_el_residual_at(path, grad, t_hat),
         hamiltonian_violation=hamiltonian_violation(path, field, t_hat, quad),
+        log=tuple(rows),
     )
 
 

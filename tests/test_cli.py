@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import minaction
+from minaction import cli
 from minaction.action import MAX_POINTS_PER_ELEMENT
 from minaction.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 
@@ -998,6 +999,75 @@ def test_rejected_configs_create_no_directories(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mesh.N_list" in err and "problem.start_csv" in err
     assert list(out.iterdir()) == []
+
+
+def _blocked_output(out, kind, name):
+    """An output path under ``out`` that cannot be written; ``kind`` says what is in the way."""
+    if kind == "file":  # a regular file where the output's directory should be
+        (out / "blocker").write_text("")
+        return f"blocker/{name}"
+    (out / name).mkdir()  # a directory at the output's own path
+    return name
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the output paths were checked")
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_unwritable_solve_output_is_config_error_before_the_solve(
+    tmp_path, monkeypatch, capsys, kind
+):
+    monkeypatch.setattr(cli, "minimize_tmam", _no_solve)
+    out = tmp_path / "out"
+    out.mkdir()
+    outputs = {"result_json": _blocked_output(out, kind, "r.json"), "path_csv": "p.csv"}
+    cfg = write_config(tmp_path, solve_config(outputs=outputs))
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: outputs.result_json")
+    assert not (out / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+@pytest.mark.parametrize(
+    "name,runner,key,blocked",
+    [
+        ("case_i", "run_case_i", "summary_json", "s.json"),
+        # case_ii also writes its fixed-horizon table, at study_csv's stem plus _fixed
+        ("case_ii", "run_case_ii_full", "study_csv", "s_fixed.csv"),
+    ],
+)
+def test_unwritable_study_output_is_config_error_before_the_solve(
+    tmp_path, monkeypatch, capsys, kind, name, runner, key, blocked
+):
+    monkeypatch.setattr(cli, runner, _no_solve)
+    out = tmp_path / "out"
+    out.mkdir()
+    target = _blocked_output(out, kind, blocked).replace("_fixed", "")
+    cfg = write_config(tmp_path, {
+        "study": {"name": name},
+        "mesh": {"N_list": [8, 16, 32]},
+        "outputs": {key: target},
+    })
+    assert main(["study", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: outputs.{key}")
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+@pytest.mark.parametrize("oracle", ["trajectory", "exact_minimizer"])
+def test_unwritable_oracle_output_is_config_error(tmp_path, capsys, kind, oracle):
+    out = tmp_path / "out"
+    out.mkdir()
+    key = "trajectory_csv" if oracle == "trajectory" else "minimizer_csv"
+    problem = {"field": {"type": "two_scale"}, "x1": [1.0, 1.0]}
+    cfg = {"problem": problem, "oracle": {"kind": oracle}}
+    if oracle == "exact_minimizer":
+        problem["x2"] = [0.0, 0.0]
+        cfg |= {"mode": {"kind": "fixed_t", "T": 2.0}, "mesh": {"N": 8}}
+    cfg["outputs"] = {key: _blocked_output(out, kind, "o.csv")}
+    path = write_config(tmp_path, cfg)
+    assert main(["oracle", "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: outputs.{key}")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

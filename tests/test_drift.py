@@ -52,10 +52,6 @@ class TestLinearField:
             rhs = a * field(x) + b * field(y)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
-    def test_lipschitz_is_spectral_norm(self):
-        mat = np.array([[-1.0, 0.5], [-0.3, -2.0]])
-        assert linear_field(mat).lipschitz == pytest.approx(np.linalg.norm(mat, 2), abs=1e-14)
-
     def test_jacobian_is_the_matrix(self):
         mat = np.array([[-1.0, 0.5], [-0.3, -2.0]])
         field = linear_field(mat)
@@ -374,12 +370,11 @@ class TestMetadata:
                                      "abc", "1.0", True, False, [1.0]],
                              ids=["nan", "inf", "-inf", "np_nan", "huge_int", "string",
                                   "numeric_string", "true", "false", "list"])
-    @pytest.mark.parametrize("key", ["lipschitz", "beta", "r2"])
+    @pytest.mark.parametrize("key", ["beta", "r2"])
     def test_bad_metadata_is_rejected_by_name(self, key, bad):
         with pytest.raises(ValueError, match=f"^{key} must be a finite real number$"):
             field_from_callable(1, lambda x: -x, **{key: bad})
 
     def test_finite_metadata_is_kept(self):
-        # 1e160 is finite although its square, the preconditioner's rate, overflows
-        field = field_from_callable(1, lambda x: -x, lipschitz=1e160, beta=np.float64(0.5), r2=2)
-        assert (field.lipschitz, field.beta, field.r2) == (1e160, 0.5, 2)
+        field = field_from_callable(1, lambda x: -x, beta=np.float64(0.5), r2=2)
+        assert (field.beta, field.r2) == (0.5, 2)

@@ -14,9 +14,9 @@ from minaction import (
     two_scale_field,
 )
 from minaction.linoracle import (
+    _SamplingError,
     _finite_flow,
     _flow,
-    _SampleCountError,
     _spectrum,
     trajectory_times_points,
 )
@@ -319,14 +319,14 @@ class TestInvalidInputs:
         # t_end * 1e-4 underflows to 0, where geomspace itself fails
         with pytest.raises(ValueError, match="too small for log-spaced samples") as caught:
             trajectory_times_points([[-1.0]], [1.0], 5e-324, 4)
-        assert not isinstance(caught.value, _SampleCountError)
+        assert not str(caught.value).startswith("samples")
 
     def test_unsizable_sample_count_names_samples(self, monkeypatch):
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 16.0 EiB")
 
         monkeypatch.setattr(np, "geomspace", fail)
-        with pytest.raises(_SampleCountError, match="^samples is too large for a time array: "):
+        with pytest.raises(_SamplingError, match="^samples is too large for a time array: "):
             trajectory_times_points([[-1.0]], [1.0], 1.0, 2**61)
 
     def test_infinite_horizon_off_the_neutral_eigenspace(self):

@@ -34,7 +34,8 @@ from minaction import (
     uniform_mesh,
 )
 from minaction import optimize
-from minaction.optimize import _DEAD_LIMIT, _lbfgs_loop, _norm2
+from minaction.optimize import _DEAD_LIMIT, _LOG_HEADER, _lbfgs_loop, _norm2
+from minaction.pathcore import _write_table
 
 QUAD = Quadrature(2)
 SCALAR = linear_field([[-1.0]])
@@ -80,14 +81,6 @@ class TestFixedTSolver:
         # field's Hessian band is not finite
         field = linear_field([[-1e160, 0.0], [0.0, -1.0]])
         start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
-        with pytest.raises(ActionError, match="preconditioner is not finite"):
-            minimize_fixed_T(start, field, 1.0, quad=QUAD)
-
-    def test_overflowing_lipschitz_rate_of_a_nonlinear_field_is_action_error(self):
-        # the squared Lipschitz rate 1e320 of a field without linear_matrix
-        # overflows a float; the scalar-rate band is not finite
-        field = field_from_callable(2, _callable_maier_stein, lipschitz=1e160)
-        start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))
         with pytest.raises(ActionError, match="preconditioner is not finite"):
             minimize_fixed_T(start, field, 1.0, quad=QUAD)
 
@@ -148,11 +141,13 @@ class TestFixedTSolver:
         ids=["float64", "int", "int64"],
     )
     def test_iteration_log_writes_the_horizon_as_a_number(self, tmp_path, T, cell):
-        log = tmp_path / "iters.csv"
         start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
-        minimize_fixed_T(start, two_scale_field(), T, OptimConfig(log_path=str(log)), QUAD)
+        res = minimize_fixed_T(start, two_scale_field(), T, quad=QUAD)
+        assert len(res.log) >= 2
+        assert all(row[3] is T for row in res.log)
+        log = tmp_path / "iters.csv"
+        _write_table(str(log), _LOG_HEADER, res.log)
         rows = list(csv.reader(log.open()))
-        assert len(rows) >= 2
         assert {r[3] for r in rows[1:]} == {cell}
 
 
@@ -238,9 +233,13 @@ class TestTmamSolver:
 
     def test_iteration_log_written(self, tmp_path):
         field = two_scale_field()
-        log = tmp_path / "iters.csv"
         start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(16))
-        minimize_tmam(start, field, OptimConfig(log_path=str(log)), QUAD)
+        res = minimize_tmam(start, field, quad=QUAD)
+        assert [row[0] for row in res.log] == list(range(res.iterations + 1))
+        last = res.log[-1]
+        assert (last[1], last[2], last[3]) == (res.value, res.grad_norm, res.t_hat)
+        log = tmp_path / "iters.csv"
+        _write_table(str(log), _LOG_HEADER, res.log)
         rows = list(csv.reader(log.open()))
         assert rows[0] == ["iteration", "value", "grad_norm", "t_hat"]
         assert len(rows) >= 3
@@ -787,7 +786,7 @@ def test_tmam_solve_evaluates_its_start_once_and_no_optimal_time(monkeypatch):
 
 
 def _scalar_rate_field(kappa: float):
-    """A 1-D field without ``linear_matrix`` whose Lipschitz rate squared is ``kappa``."""
+    """A 1-D field without ``linear_matrix`` whose constant Jacobian -sqrt(kappa) gives ``kappa``."""
     return dataclasses.replace(linear_field([[-math.sqrt(kappa)]]), linear_matrix=None)
 
 
@@ -858,9 +857,9 @@ def test_banded_solve_has_the_bits_of_scipy():
 def test_preconditioner_apply_has_the_bits_of_scipy():
     rng = np.random.default_rng(3)
     mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
-    band = _scalar_rate_band(mesh, t_ref=2.5, kappa=100.0)
     start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], mesh)
-    field = dataclasses.replace(two_scale_field(), linear_matrix=None)  # Lipschitz rate 10
+    field = dataclasses.replace(two_scale_field(), linear_matrix=None)  # kappa about 100
+    band = _recorded_bands(start, field, QUAD, 2.5)[0][0]
     apply = optimize._preconditioner(start, field, QUAD, 2.5, False)
     vec = rng.standard_normal(2 * 40)
     # the scalar-rate band is tridiagonal: one pttrs solve for both components
@@ -891,9 +890,9 @@ def test_scalar_rate_band_has_the_bits_of_its_formula():
     mesh = Mesh(np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]]))
     h, t_ref, kappa = mesh.widths, 40.0, 90.0
     start = linear_interpolant_path([0.0, 1.0], [1.0, 0.0], mesh)
-    field = dataclasses.replace(two_scale_field(), linear_matrix=None, lipschitz=math.sqrt(kappa))
+    field = dataclasses.replace(linear_field(-math.sqrt(kappa) * np.eye(2)), linear_matrix=None)
     band = _recorded_bands(start, field, Quadrature(3), t_ref)[0][0]
-    reaction = t_ref * math.sqrt(kappa) ** 2
+    reaction = t_ref * optimize._drift_rate_sq(field, start)
     ref = np.zeros((2, 40))
     ref[1] = (1.0 / h[:-1] + 1.0 / h[1:]) / t_ref + reaction * ((h[:-1] + h[1:]) / 3.0)
     ref[0, 1:] = -1.0 / h[1:-1] / t_ref + reaction * (h[1:-1] / 6.0)
@@ -1125,7 +1124,6 @@ def test_drift_rate_is_the_largest_squared_spectral_norm_at_the_start_nodes():
     field = field_from_callable(2, _callable_maier_stein)
     norms = np.linalg.norm(field.jacobian_many(start.values), 2, axis=(1, 2))
     assert optimize._drift_rate_sq(field, start) == pytest.approx(np.max(norms) ** 2, rel=1e-14)
-    assert optimize._drift_rate_sq(dataclasses.replace(field, lipschitz=3.0), start) == 9.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])

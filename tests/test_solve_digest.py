@@ -8,7 +8,7 @@ HEX = r"-?0x[01]\.[0-9a-f]+p[+-]\d+"
 LINE = re.compile(
     rf"^(\w+) (\d+) path_sha256=[0-9a-f]{{64}} value={HEX} t_hat={HEX} iterations=\d+ "
     rf"converged=(True|False) grad_norm={HEX} el_residual={HEX} hamiltonian_violation={HEX} "
-    rf"value_grad_calls=[1-9]\d*$"
+    rf"log_sha256=[0-9a-f]{{64}} value_grad_calls=[1-9]\d*$"
 )
 # the first line of the CLI runs that follow the solves
 EXIT = re.compile(r"^\w+ exit=\d+$")

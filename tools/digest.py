@@ -17,7 +17,7 @@ them up, and each workload runs one pass (``--smoke``: the harness test's tiny
 meshes).  Every solve prints the workload, its index in it, then each
 ``OptimResult`` field in order as ``name=value``: floats with ``float.hex``,
 the path as ``path_sha256=`` of its little-endian float64 nodal values, the
-rest with ``repr``.  A solve that raises prints ``error=<code>``.  Either
+iteration log as ``log_sha256=`` of its ``repr``, the rest with ``repr``.  A solve that raises prints ``error=<code>``.  Either
 line ends with ``value_grad_calls=<n>``, the number of action evaluations
 the solve made: its calls to whichever of ``tmam_value_grad``,
 ``fixed_t_value_grad`` and the staged ``_tmam_staged`` and
@@ -132,6 +132,8 @@ def _digest(result) -> str:
         if f.name == "path":
             raw = value.values.astype("<f8", order="C").tobytes()
             fields.append(f"path_sha256={hashlib.sha256(raw).hexdigest()}")
+        elif f.name == "log":
+            fields.append(f"log_sha256={hashlib.sha256(repr(value).encode()).hexdigest()}")
         elif isinstance(value, float):
             fields.append(f"{f.name}={value.hex()}")
         else:
