@@ -17,6 +17,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
+from minaction import optimize
 from minaction.drift import _fd_jacobian_many
 
 
@@ -51,6 +52,13 @@ class TestLinearField:
             lhs = field(a * x + b * y)
             rhs = a * field(x) + b * field(y)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_lipschitz_is_spectral_norm(self):
+        # the preconditioner takes the Lipschitz rate from the Jacobian
+        mat = np.array([[-1.0, 0.5], [-0.3, -2.0]])
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(4))
+        rate = math.sqrt(optimize._drift_rate_sq(linear_field(mat), start))
+        assert rate == pytest.approx(np.linalg.norm(mat, 2), abs=1e-14)
 
     def test_jacobian_is_the_matrix(self):
         mat = np.array([[-1.0, 0.5], [-0.3, -2.0]])

@@ -84,6 +84,16 @@ class TestFixedTSolver:
         with pytest.raises(ActionError, match="preconditioner is not finite"):
             minimize_fixed_T(start, field, 1.0, quad=QUAD)
 
+    def test_overflowing_lipschitz_rate_of_a_nonlinear_field_is_action_error(self):
+        # the Jacobian's entry -1e160 is finite at every start node, but the
+        # squared Lipschitz rate 1e320 of this field without linear_matrix
+        # overflows a float; the scalar-rate band is not finite
+        field = field_from_callable(2, lambda x: np.array([-1e160 * x[0], -(1.0 + x[0] ** 2) * x[1]]))
+        start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(8))
+        assert np.isfinite(field.jacobian_many(start.values)).all()
+        with pytest.raises(ActionError, match="preconditioner is not finite"):
+            minimize_fixed_T(start, field, 1.0, quad=QUAD)
+
     def test_tiny_horizon_of_a_nonlinear_field_is_action_error_without_warning(self):
         # 1/T overflows in the scalar-rate band of a field without
         # linear_matrix; the band is built under errstate and checked
@@ -149,6 +159,14 @@ class TestFixedTSolver:
         _write_table(str(log), _LOG_HEADER, res.log)
         rows = list(csv.reader(log.open()))
         assert {r[3] for r in rows[1:]} == {cell}
+
+    def test_iteration_log_starts_at_the_start_path(self):
+        field = two_scale_field()
+        start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(8))
+        res = minimize_fixed_T(start, field, 2.0, quad=QUAD)
+        value, grad, _ = fixed_t_value_grad(start, field, 2.0, QUAD)
+        assert res.log[0] == (0, value, np.max(np.abs(grad)), 2.0)
+        assert [row[0] for row in res.log] == list(range(res.iterations + 1))
 
 
 class TestTmamSolver:
