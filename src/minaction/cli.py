@@ -242,11 +242,19 @@ def _make_dirs(*outputs: tuple[str, Optional[str]]) -> None:
     """Create the directories of the ``(key, path)`` outputs, once every config check has passed.
 
     A path that is a directory, or whose directory cannot be made, is a config error naming its key.
+    Every path is checked before any directory is made: the nearest existing ancestor of each
+    output's directory must be a directory, so a rejected config leaves no directory behind.
     """
     outputs = [(key, path) for key, path in outputs if path is not None]
     for key, path in outputs:
         if os.path.isdir(path):
             raise ConfigError(f"outputs.{key} is a directory: {path}")
+        ancestor = os.path.dirname(path)
+        while ancestor and not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if ancestor and not os.path.isdir(ancestor):
+            raise ConfigError(
+                f"outputs.{key}: cannot make its directory: {ancestor} is not a directory")
     for key, path in outputs:
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

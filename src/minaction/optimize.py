@@ -1,9 +1,10 @@
 """Minimization of the discrete action functionals over interior nodal values.
 
-Both the fixed-horizon functional and the reduced (optimal-horizon) functional
-are smooth in the (N-1)*n interior unknowns, so both are minimized by one
-shared routine: a limited-memory quasi-Newton iteration with a backtracking
-line search.  The two public solvers differ only in the value/gradient call
+Both the fixed-horizon functional and the reduced (optimal-horizon)
+functional are smooth in the (N-1)*n interior unknowns, so both are
+minimized by one shared routine: a limited-memory quasi-Newton iteration
+with a backtracking line search, or a damped Newton iteration in the same
+loop (below).  The two public solvers differ only in the value/gradient call
 and the reference horizon of the preconditioner.  The discrete reduced
 functional has a finite optimal horizon at every mesh, so the horizon needs
 no cap.  Because the stationarity system is elliptic, raw nodal gradients
@@ -13,17 +14,27 @@ nodes: the fixed-T Hessian of the action for a linear drift b(x) = A x,
 which does not depend on the path.  A field that carries ``linear_matrix``
 gives A, so the first fixed-T step is an exact Newton step and a reduced
 solve gets the inverse of the reduced Hessian at its start.  Every other
-field gets A = sqrt(kappa) I, kappa the largest squared spectral norm of
-the drift's Jacobian at the start path's nodes: a stiffness-plus-scaled-mass
+field gets A = sqrt(kappa) I, kappa the largest squared spectral norm of the
+drift's Jacobian at the start path's nodes: a stiffness-plus-scaled-mass
 operator per state component (a Sobolev-type gradient), which keeps
 iteration counts roughly mesh- and horizon-independent.  That operator is
 one symmetric positive definite tridiagonal matrix for all components,
 factored as L D L^T by LAPACK's tridiagonal routines; the block band of a
 linear field with n >= 2 is factored by banded Cholesky.  A
 ``linear_matrix`` that is not the field's own changes only the
-preconditioner, never the action: the solve may take more iterations or
-stop short of ``tol_grad``.  Endpoints are never touched.  A solve writes no
+preconditioner, never the action: the solve may take more iterations or stop
+short of ``tol_grad``.  Endpoints are never touched.  A solve writes no
 file: its per-iteration rows ride on ``OptimResult.log``.
+
+For a linear drift the reduced Hessian is exact in closed form: P at t_hat
+downdated by c c^T / H_TT, both of which move with the path and t_hat.  So
+a reduced solve whose field's Jacobian at the start nodes equals its
+``linear_matrix``, and whose band at the start factors, is damped Newton
+(Nocedal & Wright, ch. 3.4 and 6): after each accepted iterate that does
+not end the loop, the operator is rebuilt there, and the loop keeps no
+curvature pairs.  If a rebuild fails, the solve goes on as L-BFGS on the
+last operator.  Every other solve, fixed-T ones included (a linear
+field's first fixed-T step is already exact), is L-BFGS.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -117,8 +128,10 @@ class OptimConfig:
     ``tol_grad`` stops the iteration once the gradient max-norm falls below
     tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
     ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
-    scaled preconditioner).  The preconditioner is always on, and the line
-    search's Armijo constant (1e-4) and backtracking factor (0.5) are fixed.
+    scaled preconditioner); a reduced Newton solve keeps none, and reads
+    ``memory`` only once a rebuild fails.  The preconditioner is always on,
+    and the line search's Armijo constant (1e-4) and backtracking factor
+    (0.5) are fixed.
     """
 
     tol_grad: float = 1e-9
@@ -205,8 +218,8 @@ def _no_smaller_step_shrinks(grad, g_try, grad_norm):
     return least >= _GRAD_SHRINK * _GRAD_SHRINK
 
 
-def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
-    """Core L-BFGS iteration.
+def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebuild=None):
+    """Core L-BFGS iteration, or damped Newton with ``rebuild``.
 
     ``evaluate(z) -> (value, grad_of, t_hat)`` gives the value at once and
     the gradient only when ``grad_of()`` is called; the loop calls it for
@@ -222,6 +235,11 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
     rejected trial with a finite gradient for which
     ``_no_smaller_step_shrinks``: if the gradient is affine in the step, no
     smaller step could then pass.
+    ``rebuild(z, t_hat)``, if given, makes the loop Newton's: it keeps no
+    curvature pairs and makes no gamma-scaling solve, and after each accepted
+    iterate that does not end the loop ``precond_apply`` becomes the
+    operator that ``rebuild`` returns at that iterate.  Once ``rebuild``
+    returns None the loop is L-BFGS, with the last operator.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -311,13 +329,14 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
             or (try_gn2 if grad_mode else _norm2(g_try)) < _GRAD_SHRINK * cur_gn2
         )
 
-        s_vec = z_try - z
-        y_vec = g_try - grad
-        sy = s_vec.dot(y_vec)
-        if sy > 1e-12 * _norm2(s_vec) * _norm2(y_vec):
-            py = precond_apply(y_vec)
-            gamma = sy / y_vec.dot(py)
-            history.append((s_vec, y_vec, 1.0 / sy))
+        if rebuild is None:
+            s_vec = z_try - z
+            y_vec = g_try - grad
+            sy = s_vec.dot(y_vec)
+            if sy > 1e-12 * _norm2(s_vec) * _norm2(y_vec):
+                py = precond_apply(y_vec)
+                gamma = sy / y_vec.dot(py)
+                history.append((s_vec, y_vec, 1.0 / sy))
 
         z, value, grad, t_hat = z_try, f_try, g_try, t_try
         grad_max = _max_norm(grad)
@@ -332,6 +351,14 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None):
             dead += 1
             if dead >= _DEAD_LIMIT:
                 break
+        if rebuild is not None and it < cfg.max_iters:
+            # Newton: the exact operator at the new iterate; if it cannot be
+            # made, L-BFGS from here on, with the last one
+            operator = rebuild(z, t_hat)
+            if operator is None:
+                rebuild = None
+            else:
+                precond_apply = operator
 
     return z, value, grad, t_hat, iterations, converged_now(), log_rows
 
@@ -497,6 +524,112 @@ def _t_coupling(start: FePath, gram: np.ndarray, same: float, t_ref: float):
     return (mass @ gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
 
 
+class _Band:
+    """The fixed-T Hessian band of the action for a linear drift b(x) = A x, at any horizon.
+
+    The band of ``_preconditioner``'s P at T is stiff / T + (skew + (T gram)
+    mass), elementwise: this holds the four T-independent arrays, built once
+    per solve, so that P at another horizon costs five array operations.
+    ``linear`` says whether A is the field's ``linear_matrix`` (then ``gram``
+    is A^T A and ``same`` the rule's moment) or sqrt(kappa) I.
+    """
+
+    def __init__(self, start: FePath, field: DriftField, quad: Quadrature, linear: bool):
+        n = start.dim
+        h = start.mesh.widths
+        self.linear, self.n = linear, n
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if linear:
+                a_mat = np.asarray(field.linear_matrix, dtype=float)
+                gram, skew = a_mat.T @ a_mat, 0.5 * (a_mat - a_mat.T)
+                self.same = quad.w.dot(quad.xi * quad.xi)
+                mass_diag, mass_off = self.same * (h[:-1] + h[1:]), (0.5 - self.same) * h[1:-1]
+            else:
+                gram, skew = np.array([[_drift_rate_sq(field, start)]]), np.zeros((1, 1))
+                mass_diag, mass_off = (h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0
+            stiff_diag, stiff_off = 1.0 / h[:-1] + 1.0 / h[1:], -1.0 / h[1:-1]
+        self.gram = gram
+        m = self.m = gram.shape[0]
+        upper = 2 * m - 1
+        shape = (2 * m, (h.size - 1) * m)               # band[upper + row - col, col]
+        self.stiff, self.reaction, self.mass, self.skew = (np.zeros(shape) for _ in range(4))
+
+        def put(row, cols, stiff, mass, skew_rc):
+            self.stiff[row, cols], self.reaction[row, cols] = stiff, gram[r, c]
+            self.mass[row, cols], self.skew[row, cols] = mass, skew_rc
+
+        # The diagonal block of interior node i sums element i-1's right-node
+        # and element i's left-node parts, whose A + A^T terms cancel by the
+        # rule's symmetry; the off-diagonal block of nodes i and i + 1 is
+        # element i's cross part.  Only the (r, r) entries of either block
+        # carry stiffness, and only the off-diagonal block the skew part.
+        for r in range(m):
+            for c in range(m):
+                if c >= r:
+                    put(upper + r - c, slice(c, None, m), stiff_diag if r == c else 0.0,
+                        mass_diag, 0.0)
+                put(upper + r - c - m, slice(m + c, None, m), stiff_off if r == c else 0.0,
+                    mass_off, skew[r, c])
+
+    def inverse(self, t_ref: float):
+        """Apply closure of P^-1 at T = ``t_ref``.
+
+        The factor routine's ``LinAlgError`` passes through; a band or factor
+        that is not finite raises ``ActionError``.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
+        if not np.isfinite(band).all():
+            raise ActionError("preconditioner is not finite at this horizon")
+        factor = tridiagonal_ldl(band) if self.m == 1 else cholesky_banded(band, lower=False)
+        if not np.isfinite(factor).all():
+            raise ActionError("preconditioner is not finite at this horizon")
+        n = self.n
+        if self.m == 1:  # the components are the right-hand sides
+            def apply(vec):
+                return tridiagonal_solve(factor, vec.reshape(-1, n)).ravel()
+        else:  # one flat right-hand side
+            def apply(vec):
+                return cho_solve_banded((factor, False), vec.reshape(-1, 1)).ravel()
+        return apply
+
+    def reduced(self, apply, path: FePath, t_ref: float):
+        """``apply`` of P^-1 at ``t_ref`` downdated to the inverse of P - c c^T / H_TT at ``path``.
+
+        By Sherman-Morrison, with ``_t_coupling``'s c and H_TT.  ``apply``
+        itself is returned when c or H_TT - c^T P^-1 c is not finite, or the
+        difference is at most 1e-8 H_TT.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_vec, h_tt = _t_coupling(path, self.gram, self.same, t_ref)
+            if not np.isfinite(c_vec).all():
+                return apply
+            u_vec = apply(c_vec)
+            schur = h_tt - c_vec.dot(u_vec)
+        if not 1e-8 * h_tt < schur < math.inf:
+            return apply
+
+        def apply_reduced(vec):
+            return apply(vec) + u_vec * (u_vec.dot(vec) / schur)
+
+        return apply_reduced
+
+
+def _operator(start: FePath, field: DriftField, quad: Quadrature, t_ref: float, reduced: bool):
+    """``(apply, band)``: ``_preconditioner``'s closure and the ``_Band`` it factored."""
+    linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
+    band = _Band(start, field, quad, linear)
+    try:
+        apply = band.inverse(t_ref)
+    except LinAlgError:
+        if not linear:
+            raise
+        return _operator(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
+    if linear and reduced:
+        apply = band.reduced(apply, start, t_ref)
+    return apply, band
+
+
 def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
                     reduced: bool):
     """Apply closure of P^-1, P the fixed-T Hessian of the action for a linear drift b(x) = A x.
@@ -516,84 +649,32 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
     1 x 1 blocks give one factor for every state component.
 
     P is block tridiagonal with m x m blocks, so in the node-major order of
-    the interior vector it is one upper band with 2m - 1 superdiagonals,
-    factored once.  With m = 1 (every field without ``linear_matrix``, and a
-    1-D linear field) the band is tridiagonal: ``tridiagonal_ldl`` factors it
-    as L D L^T (LAPACK ``pttrf``), and each apply is one ``pttrs`` solve with
-    the n components as its right-hand sides.  With m >= 2 it is factored by
-    banded Cholesky (``pbtrf``), and each apply is one ``pbtrs`` solve of the
-    flat vector.  If ``reduced`` and A is the field's, the closure applies
-    instead the inverse of the reduced Hessian P - c c^T / H_TT at the start
-    path by Sherman-Morrison, with ``_t_coupling``'s c and H_TT, the mixed
-    and second derivatives of the action in T.  The downdate is left out
-    when H_TT - c^T P^-1 c <= 1e-8 H_TT, where the reduced Hessian is not
-    safely positive definite, and when c or that difference is not finite.
-    A Hessian that its factorization rejects with ``LinAlgError`` (the
-    action is then not strictly convex in the path) gives way to the kappa
-    operator.  A band or factor that is not finite raises ``ActionError``.
+    the interior vector it is one upper band with 2m - 1 superdiagonals
+    (``_Band``, whose T-independent parts a reduced Newton solve reuses at
+    every iterate).  With m = 1 (every field without ``linear_matrix``, and
+    a 1-D linear field) the band is tridiagonal: ``tridiagonal_ldl`` factors
+    it as L D L^T (LAPACK ``pttrf``), and each apply is one ``pttrs`` solve
+    with the n components as its right-hand sides.  With m >= 2 it is
+    factored by banded Cholesky (``pbtrf``), and each apply is one ``pbtrs``
+    solve of the flat vector.  If ``reduced`` and A is the field's, the
+    closure applies instead the inverse of the reduced Hessian
+    P - c c^T / H_TT at the start path by Sherman-Morrison, with
+    ``_t_coupling``'s c and H_TT, the mixed and second derivatives of the
+    action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
+    H_TT, where the reduced Hessian is not safely positive definite, and
+    when c or that difference is not finite.  A Hessian that its
+    factorization rejects with ``LinAlgError`` (the action is then not
+    strictly convex in the path) gives way to the kappa operator.  A band or
+    factor that is not finite raises ``ActionError``.
     """
-    n = start.dim
-    h = start.mesh.widths
-    linear = np.shape(field.linear_matrix) == (n, n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if linear:
-            a_mat = np.asarray(field.linear_matrix, dtype=float)
-            gram, skew = a_mat.T @ a_mat, 0.5 * (a_mat - a_mat.T)
-            same = quad.w.dot(quad.xi * quad.xi)
-            mass_diag, mass_off = same * (h[:-1] + h[1:]), (0.5 - same) * h[1:-1]
-        else:
-            gram, skew = np.array([[_drift_rate_sq(field, start)]]), np.zeros((1, 1))
-            mass_diag, mass_off = (h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0
-        m = gram.shape[0]
-        stiff_diag = (1.0 / h[:-1] + 1.0 / h[1:]) / t_ref
-        stiff_off = -1.0 / h[1:-1] / t_ref
-        upper = 2 * m - 1
-        band = np.zeros((2 * m, (h.size - 1) * m))     # band[upper + row - col, col]
-        # The diagonal block of interior node i sums element i-1's right-node
-        # and element i's left-node parts, whose A + A^T terms cancel by the
-        # rule's symmetry; the off-diagonal block of nodes i and i + 1 is
-        # element i's cross part.
-        for r in range(m):
-            for c in range(m):
-                reaction = t_ref * gram[r, c]
-                if c >= r:
-                    entry = reaction * mass_diag
-                    band[upper + r - c, c::m] = stiff_diag + entry if r == c else entry
-                entry = skew[r, c] + reaction * mass_off
-                band[upper + r - c - m, m + c::m] = stiff_off + entry if r == c else entry
-    if not np.isfinite(band).all():
-        raise ActionError("preconditioner is not finite at this horizon")
-    try:
-        factor = tridiagonal_ldl(band) if m == 1 else cholesky_banded(band, lower=False)
-    except LinAlgError:
-        if not linear:
-            raise
-        return _preconditioner(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
-    if not np.isfinite(factor).all():
-        raise ActionError("preconditioner is not finite at this horizon")
+    return _operator(start, field, quad, t_ref, reduced)[0]
 
-    if m == 1:  # the components are the right-hand sides
-        def apply(vec):
-            return tridiagonal_solve(factor, vec.reshape(-1, n)).ravel()
-    else:  # one flat right-hand side
-        def apply(vec):
-            return cho_solve_banded((factor, False), vec.reshape(-1, 1)).ravel()
 
-    if not (linear and reduced):
-        return apply
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_vec, h_tt = _t_coupling(start, gram, same, t_ref)
-        if not np.isfinite(c_vec).all():
-            return apply
-        u_vec = apply(c_vec)
-        schur = h_tt - c_vec.dot(u_vec)
-    if not 1e-8 * h_tt < schur < math.inf:
-        return apply
-
-    def apply_reduced(vec):
-        return apply(vec) + u_vec * (u_vec.dot(vec) / schur)
-
-    return apply_reduced
+def _jacobian_is_linear_matrix(field: DriftField, start: FePath) -> bool:
+    """Whether the field's Jacobian at every node of ``start`` equals its ``linear_matrix``."""
+    jac = field.jacobian_many(start.values)
+    return np.shape(jac) == (start.values.shape[0], start.dim, start.dim) and bool(
+        (jac == field.linear_matrix).all())
 
 
 def _minimize(
@@ -604,17 +685,21 @@ def _minimize(
     staged,
     t_ref: Optional[float] = None,
 ) -> OptimResult:
-    """Shared solve: L-BFGS over the interior of ``start``, packaged with its iteration log.
+    """Shared solve over the interior of ``start``, packaged with its iteration log.
 
     ``staged(path) -> (value, grad_of, t_hat)`` is the functional, its
     gradient computed by ``grad_of()`` only when the loop asks, and
     ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
     is evaluated first, its t_hat is the horizon and the solve is a reduced
     one; else the preconditioner is built first.  Either way the start is
-    evaluated once.  The diagnostics are evaluated at the final t_hat: the
-    Euler-Lagrange residual from the loop's last gradient, which is the
-    fixed-T gradient there, and the Hamiltonian violation from one drift
-    evaluation.
+    evaluated once.  A reduced solve whose preconditioner is the factored
+    band of the field's ``linear_matrix``, and whose field's Jacobian at the
+    start nodes equals that matrix, is Newton's: it passes the loop a
+    ``rebuild`` of the exact reduced Hessian at an iterate and its t_hat,
+    the same band's factor at t_hat downdated there.  The diagnostics are
+    evaluated at the final t_hat: the Euler-Lagrange residual from the
+    loop's last gradient, which is the fixed-T gradient there, and the
+    Hamiltonian violation from one drift evaluation.
     """
     n = start.dim
 
@@ -628,8 +713,18 @@ def _minimize(
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond = _preconditioner(start, field, quad, t_ref, reduced)
-    z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(evaluate, z0, cfg, precond, first)
+    precond, band = _operator(start, field, quad, t_ref, reduced)
+    rebuild = None
+    if reduced and band.linear and _jacobian_is_linear_matrix(field, start):
+        def rebuild(z, t_hat):
+            try:
+                apply = band.inverse(t_hat)
+            except (LinAlgError, ActionError):
+                return None
+            return band.reduced(apply, start.replace_interior(z.reshape(-1, n)), t_hat)
+
+    z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
+        evaluate, z0, cfg, precond, first, rebuild)
     path = start.replace_interior(z.reshape(-1, n))
     t_hat = float(t_hat)
     return OptimResult(

@@ -966,6 +966,12 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # 8a500518227c39f1b441cf0c718e0aada4fc0e69280e1ccd8254470a75a9870c
     # and summary.json e2d70b27db885e0db78362acc6d3a29358690d582bfe44a9c1a7f66f1cb08abf
     # (study_fixed.csv did not move).
+    # Re-recorded again when reduced solves of linear fields became Newton
+    # solves, which moves last bits and the iteration counts (21, 11 and 12
+    # to 7, 5 and 6); before, the digests were study.csv
+    # f2d55f0a5db21c274bfe9d2c02497d29e4e1e0aba6737498240e7f4843557fba
+    # and summary.json 20b77f635fe92b9ad769bbd34f3b84bb05b4a215df4ffaeb2849a5ff6ded4779
+    # (study_fixed.csv did not move).
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {
         "study": {"name": "case_ii"},
@@ -976,9 +982,9 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "out").iterdir()}
     assert digests == {
-        "study.csv": "f2d55f0a5db21c274bfe9d2c02497d29e4e1e0aba6737498240e7f4843557fba",
+        "study.csv": "4cdd50b87e17bb05434bfe206a1de936568521ccef335d0e34120d09d86acf1d",
         "study_fixed.csv": "dbd55efe86b9a2d4efdfc2e175430f8d7084f312505402d34a9840e255b4d1b0",
-        "summary.json": "20b77f635fe92b9ad769bbd34f3b84bb05b4a215df4ffaeb2849a5ff6ded4779",
+        "summary.json": "9a3c892a30dff9e25d381995eb1d671f3a545add224bbdec938b2173657b5f0e",
     }
 
 
@@ -1026,6 +1032,19 @@ def test_unwritable_solve_output_is_config_error_before_the_solve(
     assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: outputs.result_json")
     assert not (out / "p.csv").exists()
+
+
+def test_blocked_later_output_leaves_no_directory_of_an_earlier_one(tmp_path, monkeypatch, capsys):
+    # iteration_log's directory comes first; result_json's cannot be made, so none is
+    monkeypatch.setattr(cli, "minimize_tmam", _no_solve)
+    out = tmp_path / "out"
+    out.mkdir()
+    blocked = _blocked_output(out, "file", "r.json")
+    outputs = {"iteration_log": "logs/i.csv", "result_json": blocked}
+    cfg = write_config(tmp_path, solve_config(outputs=outputs))
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: outputs.result_json")
+    assert not (out / "logs").exists()
 
 
 @pytest.mark.parametrize("kind", ["file", "directory"])

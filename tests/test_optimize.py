@@ -1343,3 +1343,67 @@ def test_linear_matrix_that_is_not_the_fields_changes_only_the_preconditioner(mo
     assert exact.converged and wrong.converged
     assert wrong.iterations > exact.iterations
     assert abs(wrong.value - exact.value) <= 1e-9 * exact.value
+
+
+# (field, x1, x2, N, value, parent iterations, iterations): reduced solves
+# from the straight line with Quadrature(2) that are Newton's.  The value and
+# the parent iterations are the parent L-BFGS solver's.
+NEWTON_SOLVES = {
+    "two_scale_16": (two_scale_field(), [1.0, 1.0], [0.0, 0.0], 16, 0.07011509732401366, 21, 7),
+    "two_scale_64": (two_scale_field(), [1.0, 1.0], [0.0, 0.0], 64, 0.008663958332626454, 35, 9),
+    "two_scale_256": (two_scale_field(), [1.0, 1.0], [0.0, 0.0], 256, 0.0009115492895399591,
+                      45, 13),
+    "one_d": (linear_field(LINEAR_MATRICES["scalar"]), [0.0], [1.0], 64, 1.5002514358103465,
+              19, 11),
+    "three_d": (linear_field(LINEAR_MATRICES["three_d"]), [0.0, 0.0, 0.0], [1.0, 0.5, -1.0], 64,
+                3.5965409349337616, 36, 10),
+}
+
+
+def _newton_solve(name):
+    field, x1, x2, N = NEWTON_SOLVES[name][:4]
+    return minimize_tmam(linear_interpolant_path(x1, x2, uniform_mesh(N)), field, quad=QUAD)
+
+
+def _within_last_bits(value, ref):
+    # the reduced value |p'| |b(p)| - <p', b(p)> is a difference of terms of
+    # order 1, so its last bits are absolute: two minimizers as good as each
+    # other give values 1e-13 apart relative to a small value (4.9e-13 at
+    # two_scale_256, where the fixed-T value at the Newton path is the lower)
+    return abs(value - ref) <= max(1e-13 * abs(ref), 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_SOLVES))
+def test_reduced_linear_solve_is_newton_with_fewer_iterations(name):
+    value, parent_iterations, iterations = NEWTON_SOLVES[name][4:]
+    res = _newton_solve(name)
+    assert res.converged and res.iterations == iterations < parent_iterations
+    assert _within_last_bits(res.value, value)
+
+
+def test_linear_matrix_that_is_not_the_jacobian_keeps_the_lbfgs_solve():
+    # the parent solver's bits: no Newton step is taken for this field
+    field = dataclasses.replace(two_scale_field(),
+                                linear_matrix=np.array(LINEAR_MATRICES["nonsymmetric"]))
+    res = _two_scale_solves("tmam", field)
+    assert (res.value.hex(), res.iterations) == ("0x1.3e93336c3a680p-5", 36)
+
+
+@pytest.mark.parametrize("name,routine", [("two_scale_64", "cholesky_banded"),
+                                          ("one_d", "tridiagonal_ldl")])
+def test_rejected_rebuild_keeps_the_last_operator_and_converges(monkeypatch, name, routine):
+    # the start's band factors and every rebuild's is rejected: the solve goes
+    # on as L-BFGS on the start's operator, and tries no further rebuild
+    real, calls = getattr(optimize, routine), []
+
+    def reject_after_the_first(band, **kwargs):
+        calls.append(band.copy())
+        if len(calls) > 1:
+            raise optimize.LinAlgError("2-th leading minor not positive definite")
+        return real(band, **kwargs)
+
+    monkeypatch.setattr(optimize, routine, reject_after_the_first)
+    res = _newton_solve(name)
+    assert res.converged and len(calls) == 2
+    assert res.iterations > NEWTON_SOLVES[name][6]
+    assert _within_last_bits(res.value, NEWTON_SOLVES[name][4])
