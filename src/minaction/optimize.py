@@ -554,8 +554,8 @@ class _Band:
         shape = (2 * m, (h.size - 1) * m)               # band[upper + row - col, col]
         self.stiff, self.reaction, self.mass, self.skew = (np.zeros(shape) for _ in range(4))
 
-        def put(row, cols, stiff, mass, skew_rc):
-            self.stiff[row, cols], self.reaction[row, cols] = stiff, gram[r, c]
+        def put(row, cols, stiff, gram_rc, mass, skew_rc):
+            self.stiff[row, cols], self.reaction[row, cols] = stiff, gram_rc
             self.mass[row, cols], self.skew[row, cols] = mass, skew_rc
 
         # The diagonal block of interior node i sums element i-1's right-node
@@ -567,9 +567,9 @@ class _Band:
             for c in range(m):
                 if c >= r:
                     put(upper + r - c, slice(c, None, m), stiff_diag if r == c else 0.0,
-                        mass_diag, 0.0)
+                        gram[r, c], mass_diag, 0.0)
                 put(upper + r - c - m, slice(m + c, None, m), stiff_off if r == c else 0.0,
-                    mass_off, skew[r, c])
+                    gram[r, c], mass_off, skew[r, c])
 
     def inverse(self, t_ref: float):
         """Apply closure of P^-1 at T = ``t_ref``.
