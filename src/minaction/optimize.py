@@ -18,9 +18,10 @@ field gets A = sqrt(kappa) I, kappa the largest squared spectral norm of the
 drift's Jacobian at the start path's nodes: a stiffness-plus-scaled-mass
 operator per state component (a Sobolev-type gradient), which keeps
 iteration counts roughly mesh- and horizon-independent.  That operator is
-one symmetric positive definite tridiagonal matrix for all components,
-factored as L D L^T by LAPACK's tridiagonal routines; the block band of a
-linear field with n >= 2 is factored by banded Cholesky.  A
+one symmetric positive definite tridiagonal matrix for all components.  One
+factor and one solve serve every band, picking LAPACK's routine by its
+width: L D L^T (``pttrf``) for a tridiagonal band, banded Cholesky
+(``pbtrf``) for the wider block band of a linear field with n >= 2.  A
 ``linear_matrix`` that is not the field's own changes only the
 preconditioner, never the action: the solve may take more iterations or stop
 short of ``tol_grad``.  Endpoints are never touched.  A solve writes no
@@ -382,7 +383,7 @@ def _load_flapack():
     """scipy's LAPACK extension module ``_flapack``, loaded from its file without ``scipy.linalg``.
 
     Importing the ``scipy.linalg`` package would take about two thirds of
-    ``import minaction``, for two of its routines.  CPython enters a
+    ``import minaction``, for four of its routines.  CPython enters a
     single-phase extension in ``sys.modules`` as it loads it; that entry is
     put back as it was, so a later ``import scipy.linalg`` imports the module
     as usual and gets the same routine objects from the interpreter's
@@ -410,98 +411,56 @@ def _load_flapack():
 
 
 _FLAPACK = _load_flapack()
-# LAPACK's float64 banded Cholesky solve, the routine behind scipy's
-# cho_solve_banded; the factor is cholesky_banded's pbtrf from the same module
-_PBTRS = _FLAPACK.dpbtrs
-# LAPACK's float64 symmetric positive definite tridiagonal solve; the factor
-# is tridiagonal_ldl's pttrf from the same module
-_PTTRS = _FLAPACK.dpttrs
 
 
-def cholesky_banded(ab, lower=False):
-    """``scipy.linalg.cholesky_banded(ab, lower=lower)`` for a float64 band: same checks, errors and bits.
+def cholesky_banded(band):
+    """Factor of the SPD matrix whose float64 upper band is ``band``, in a new array of its layout.
 
-    The band is checked finite (numpy's ``ValueError``) and factored by
-    LAPACK ``pbtrf`` into a new array.  A matrix that is not positive
-    definite raises ``LinAlgError`` with scipy's message.
+    This and ``cho_solve_banded`` are the solver's one LAPACK operation:
+    every factor and every solve goes through these two names, which
+    bench/layertrace.py wraps to time the preconditioner.  A two-row band is
+    tridiagonal and factored as L D L^T by ``pttrf``: D's diagonal in row 1
+    and L's subdiagonal in ``[0, 1:]``, L unit lower bidiagonal.  A wider one
+    is factored by banded Cholesky, ``pbtrf``.  A matrix that is not
+    positive definite raises ``LinAlgError("<k>-th leading minor not
+    positive definite")``, k the order of the first leading minor that
+    fails.  The band is not checked finite.
     """
-    ab = np.asarray_chkfinite(ab)
-    c, info = _FLAPACK.dpbtrf(ab, lower=lower, overwrite_ab=0)
+    if band.shape[0] != 2:
+        factor, info = _FLAPACK.dpbtrf(band, lower=0, overwrite_ab=0)
+    else:
+        factor = np.zeros_like(band)
+        if not band.size:
+            return factor  # no interior node; pttrf's wrapper rejects an empty matrix
+        # the off-diagonal is [0, 1:], but the wrappers of pttrf and pttrs take
+        # a 1 x 1 matrix's empty one as one entry: the unused corner [0, 0]
+        off = min(1, band.shape[1] - 1)
+        factor[1], factor[0, off:], info = _FLAPACK.dpttrf(band[1], band[0, off:])
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
-        raise ValueError(f"illegal value in {info}-th argument of internal pbtrf")
-    return c
+        raise ValueError(f"illegal value in {-info}-th argument of the LAPACK factor")
+    return factor
 
 
-def cho_solve_banded(cb_and_lower, b):
-    """``scipy.linalg.cho_solve_banded`` for a factor that was checked finite when made.
+def cho_solve_banded(factor, rhs):
+    """x with A x = ``rhs``, ``factor`` = ``cholesky_banded`` of A's band.
 
-    Same call form and bits, straight through the LAPACK ``pbtrs`` that
-    scipy calls (``_PBTRS``, from the module ``_load_flapack`` loads), with
-    neither the ``scipy.linalg`` package nor its wrapper; only the
-    right-hand side is checked, with scipy's ``ValueError`` if it is not
-    finite.  ``b`` is a float64 array; an empty one is returned as scipy
-    returns it, since ``pbtrs`` rejects an empty 2-D right-hand side.
+    ``rhs`` holds one right-hand side per column.  An empty one is returned
+    empty, since LAPACK rejects an empty 2-D one, and one that is not finite
+    raises ``ValueError``.
     """
-    cb, lower = cb_and_lower
-    if not b.size:
-        return np.empty_like(b)
-    if not np.isfinite(b).all():
+    if not rhs.size:
+        return np.empty_like(rhs)
+    if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = _PBTRS(cb, b, lower=lower)
+    if factor.shape[0] != 2:
+        x, info = _FLAPACK.dpbtrs(factor, rhs, lower=0)
+    else:
+        off = min(1, factor.shape[1] - 1)
+        x, info = _FLAPACK.dpttrs(factor[1], factor[0, off:], rhs)
     if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
-    return x
-
-
-def _off_diagonal(ab):
-    """The off-diagonal of a nonempty two-row band, as the wrappers of pttrf and pttrs take it.
-
-    That is ``ab[0, 1:]``, but they want one entry for a 1 x 1 matrix, whose
-    off-diagonal is empty: then the band's unused corner ``ab[0, :1]``, which
-    LAPACK does not read.
-    """
-    return ab[0, 1:] if ab.shape[1] > 1 else ab[0, :1]
-
-
-def tridiagonal_ldl(ab):
-    """LDL^T factor of the tridiagonal matrix whose upper band is ``ab``, by LAPACK ``pttrf``.
-
-    ``ab`` is a finite float64 band of two rows, as ``cholesky_banded``
-    takes it: the superdiagonal in ``ab[0, 1:]`` and the diagonal in
-    ``ab[1]``.  The factor is a new array in the same layout: D's diagonal
-    in row 1 and L's subdiagonal in ``[0, 1:]``, L unit lower bidiagonal.
-    A matrix that is not positive definite raises ``LinAlgError`` with
-    ``cholesky_banded``'s message.
-    """
-    ldl = np.zeros_like(ab)
-    if not ab.size:
-        return ldl  # no interior node; pttrf's wrapper rejects an empty matrix
-    d, e, info = _FLAPACK.dpttrf(ab[1], _off_diagonal(ab))
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal pttrf")
-    ldl[1] = d
-    _off_diagonal(ldl)[:] = e
-    return ldl
-
-
-def tridiagonal_solve(ldl, b):
-    """x with A x = ``b``, ``ldl`` = ``tridiagonal_ldl`` of A, by LAPACK ``pttrs``.
-
-    ``b`` is a float64 array with one right-hand side per column, checked as
-    ``cho_solve_banded`` checks it: an empty one is returned empty, and one
-    that is not finite raises scipy's ``ValueError``.
-    """
-    if not b.size:
-        return np.empty_like(b)
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = _PTTRS(ldl[1], _off_diagonal(ldl), b)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal pttrs")
+        raise ValueError(f"illegal value in {-info}-th argument of the LAPACK solve")
     return x
 
 
@@ -581,16 +540,16 @@ class _Band:
             band = self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
         if not np.isfinite(band).all():
             raise ActionError("preconditioner is not finite at this horizon")
-        factor = tridiagonal_ldl(band) if self.m == 1 else cholesky_banded(band, lower=False)
+        factor = cholesky_banded(band)
         if not np.isfinite(factor).all():
             raise ActionError("preconditioner is not finite at this horizon")
-        n = self.n
-        if self.m == 1:  # the components are the right-hand sides
-            def apply(vec):
-                return tridiagonal_solve(factor, vec.reshape(-1, n)).ravel()
-        else:  # one flat right-hand side
-            def apply(vec):
-                return cho_solve_banded((factor, False), vec.reshape(-1, 1)).ravel()
+        # one column per state component for a tridiagonal band (m = 1),
+        # else one flat column
+        cols = self.n // self.m
+
+        def apply(vec):
+            return cho_solve_banded(factor, vec.reshape(-1, cols)).ravel()
+
         return apply
 
     def reduced(self, apply, path: FePath, t_ref: float):
@@ -615,25 +574,11 @@ class _Band:
         return apply_reduced
 
 
-def _operator(start: FePath, field: DriftField, quad: Quadrature, t_ref: float, reduced: bool):
-    """``(apply, band)``: ``_preconditioner``'s closure and the ``_Band`` it factored."""
-    linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
-    band = _Band(start, field, quad, linear)
-    try:
-        apply = band.inverse(t_ref)
-    except LinAlgError:
-        if not linear:
-            raise
-        return _operator(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
-    if linear and reduced:
-        apply = band.reduced(apply, start, t_ref)
-    return apply, band
-
-
 def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
                     reduced: bool):
-    """Apply closure of P^-1, P the fixed-T Hessian of the action for a linear drift b(x) = A x.
+    """``(apply, band)``: the apply closure of P^-1 and the ``_Band`` it factored.
 
+    P is the fixed-T Hessian of the action for a linear drift b(x) = A x.
     At T = ``t_ref``, P = T sum_e h_e sum_k w_k A_ek^T A_ek, whose element
     rows A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
     derivatives of the residual at point k of element e by its two nodes:
@@ -651,23 +596,33 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
     P is block tridiagonal with m x m blocks, so in the node-major order of
     the interior vector it is one upper band with 2m - 1 superdiagonals
     (``_Band``, whose T-independent parts a reduced Newton solve reuses at
-    every iterate).  With m = 1 (every field without ``linear_matrix``, and
-    a 1-D linear field) the band is tridiagonal: ``tridiagonal_ldl`` factors
-    it as L D L^T (LAPACK ``pttrf``), and each apply is one ``pttrs`` solve
-    with the n components as its right-hand sides.  With m >= 2 it is
-    factored by banded Cholesky (``pbtrf``), and each apply is one ``pbtrs``
-    solve of the flat vector.  If ``reduced`` and A is the field's, the
-    closure applies instead the inverse of the reduced Hessian
-    P - c c^T / H_TT at the start path by Sherman-Morrison, with
-    ``_t_coupling``'s c and H_TT, the mixed and second derivatives of the
-    action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
+    every iterate).  ``cholesky_banded`` factors it once and each apply is
+    one ``cho_solve_banded`` solve.  With m = 1 (every field without
+    ``linear_matrix``, and a 1-D linear field) the band is tridiagonal, so
+    that is L D L^T (LAPACK ``pttrf``) and one ``pttrs`` solve with the n
+    components as its right-hand sides.  With m >= 2 it is banded Cholesky
+    (``pbtrf``) and one ``pbtrs`` solve of the flat vector.  If ``reduced``
+    and A is the field's, the closure applies instead the inverse of the
+    reduced Hessian P - c c^T / H_TT at the start path by Sherman-Morrison,
+    with ``_t_coupling``'s c and H_TT, the mixed and second derivatives of
+    the action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
     H_TT, where the reduced Hessian is not safely positive definite, and
     when c or that difference is not finite.  A Hessian that its
     factorization rejects with ``LinAlgError`` (the action is then not
     strictly convex in the path) gives way to the kappa operator.  A band or
     factor that is not finite raises ``ActionError``.
     """
-    return _operator(start, field, quad, t_ref, reduced)[0]
+    linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
+    band = _Band(start, field, quad, linear)
+    try:
+        apply = band.inverse(t_ref)
+    except LinAlgError:
+        if not linear:
+            raise
+        return _preconditioner(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
+    if linear and reduced:
+        apply = band.reduced(apply, start, t_ref)
+    return apply, band
 
 
 def _jacobian_is_linear_matrix(field: DriftField, start: FePath) -> bool:
@@ -713,7 +668,7 @@ def _minimize(
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond, band = _operator(start, field, quad, t_ref, reduced)
+    precond, band = _preconditioner(start, field, quad, t_ref, reduced)
     rebuild = None
     if reduced and band.linear and _jacobian_is_linear_matrix(field, start):
         def rebuild(z, t_hat):

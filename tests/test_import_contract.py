@@ -53,14 +53,19 @@ import sys
 import numpy as np
 from minaction import optimize
 rng = np.random.default_rng(2)
-band = np.vstack([rng.uniform(-1.0, 1.0, (1, 2046)), rng.uniform(4.0, 5.0, (1, 2046))])
-band[0, 0] = 0.0
+# a band of four rows goes to banded Cholesky, as in scipy; two rows would go to L D L^T
+band = np.vstack([rng.uniform(-1.0, 1.0, (3, 2046)), rng.uniform(8.0, 9.0, (1, 2046))])
+for row in range(3):
+    band[row, :3 - row] = 0.0
+rhs = rng.standard_normal((2046, 2))
 before = optimize.cholesky_banded(band)
+solved = optimize.cho_solve_banded(before, rhs)
 import scipy.linalg
 assert scipy.linalg.cholesky_banded(band).tobytes() == before.tobytes()
 assert optimize.cholesky_banded(band).tobytes() == before.tobytes()
+assert scipy.linalg.cho_solve_banded((before, False), rhs).tobytes() == solved.tobytes()
 assert optimize._FLAPACK.dpbtrf is scipy.linalg._flapack.dpbtrf
-assert optimize._PBTRS is scipy.linalg.get_lapack_funcs(("pbtrs",), (band,))[0]
+assert optimize._FLAPACK.dpbtrs is scipy.linalg.get_lapack_funcs(("pbtrs",), (band,))[0]
 print("ok")
 """
     out, _ = run_child("-c", code)

@@ -809,27 +809,24 @@ def _scalar_rate_field(kappa: float):
 
 
 def _recorded_bands(start, field, quad, t_ref, reduced=False):
-    """(bands, factors) that ``optimize._preconditioner`` passes to and gets from its factor routine.
+    """(bands, factors) that ``optimize._preconditioner`` passes to and gets from its factor.
 
-    A band with 1 x 1 blocks goes to ``tridiagonal_ldl``, any other to
-    ``cholesky_banded``; both are recorded, in the order of the calls.
+    Every band, tridiagonal or wider, goes to that one factor; all are
+    recorded, in the order of the calls.
     """
     bands, factors = [], []
+    real = optimize.cholesky_banded
 
-    def recording(real):
-        def factor(band, **kwargs):
-            bands.append(band.copy())
-            factors.append(real(band, **kwargs))
-            return factors[-1]
+    def recording(band):
+        bands.append(band.copy())
+        factors.append(real(band))
+        return factors[-1]
 
-        return factor
-
-    originals = optimize.cholesky_banded, optimize.tridiagonal_ldl
-    optimize.cholesky_banded, optimize.tridiagonal_ldl = map(recording, originals)
+    optimize.cholesky_banded = recording
     try:
         optimize._preconditioner(start, field, quad, t_ref, reduced)
     finally:
-        optimize.cholesky_banded, optimize.tridiagonal_ldl = originals
+        optimize.cholesky_banded = real
     return bands, factors
 
 
@@ -839,37 +836,90 @@ def _scalar_rate_band(mesh: Mesh, t_ref: float, kappa: float) -> np.ndarray:
     return _recorded_bands(start, _scalar_rate_field(kappa), QUAD, t_ref)[0][0]
 
 
-def _band_factor(mesh: Mesh, t_ref: float, kappa: float) -> np.ndarray:
-    """scipy's upper banded Cholesky factor of the scalar-rate preconditioner band."""
-    return scipy.linalg.cholesky_banded(_scalar_rate_band(mesh, t_ref, kappa), lower=False)
+def _hessian_band(mesh: Mesh, t_ref: float) -> np.ndarray:
+    """The 4-row upper band of the two-scale field's fixed-T Hessian, from the preconditioner."""
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], mesh)
+    return _recorded_bands(start, two_scale_field(), QUAD, t_ref)[0][0]
 
 
-def _scipy_pttrs(band, b):
-    """scipy's ``dpttrs`` solve with scipy's ``dpttrf`` factor of the upper tridiagonal ``band``."""
+def _scipy_pttrf(band):
+    """scipy's ``dpttrf`` (d, e) of the upper tridiagonal ``band``; e is never empty."""
     # scipy's wrappers take one off-diagonal entry for a 1 x 1 matrix
     e = band[0, 1:] if band.shape[1] > 1 else np.zeros(1)
     d, e, info = scipy.linalg.lapack.dpttrf(band[1], e)
     assert info == 0
-    x, info = scipy.linalg.lapack.dpttrs(d, e, b)
-    assert info == 0
-    return x
+    return d, e
 
 
-def test_banded_solve_has_the_bits_of_scipy():
+def _scipy_solver(band):
+    """scipy's solve with ``band``: ``dpttrf``/``dpttrs`` for two rows, else banded Cholesky."""
+    if band.shape[0] != 2:
+        cholesky = scipy.linalg.cholesky_banded(band, lower=False)
+        return lambda b: scipy.linalg.cho_solve_banded((cholesky, False), b)
+    d, e = _scipy_pttrf(band)
+
+    def solve(b):
+        x, info = scipy.linalg.lapack.dpttrs(d, e, b)
+        assert info == 0
+        return x
+
+    return solve
+
+
+def _assert_factor_is_scipys(band, factor):
+    """``factor`` is scipy's: ``dpttrf`` in the band layout for two rows, else banded Cholesky."""
+    assert factor.shape == band.shape and factor.dtype == np.float64
+    if band.shape[0] != 2:
+        assert factor.tobytes() == scipy.linalg.cholesky_banded(band, lower=False).tobytes()
+        return
+    d, e = _scipy_pttrf(band)
+    assert factor[1].tobytes() == d.tobytes()
+    assert factor[0, 1:].tobytes() == e[:band.shape[1] - 1].tobytes() and factor[0, 0] == 0.0
+
+
+def test_banded_factor_and_solve_have_the_bits_of_scipy_for_both_band_kinds():
+    # the two kinds of band the preconditioner factors, on one sweep of
+    # meshes: the tridiagonal scalar-rate band against scipy's dpttrf/dpttrs,
+    # and the 4-row Hessian band of a 2-D linear field against scipy's banded
+    # Cholesky.  The tridiagonal solve is backward stable; on the uniform
+    # meshes, which are well conditioned, it agrees with banded Cholesky of
+    # the same band to about 1e-12
     rng = np.random.default_rng(14)
+    worst_backward = worst_uniform = 0.0
     for N in range(2, 1026):
         interior = np.sort(rng.random(N - 1))
         meshes = [uniform_mesh(N)]
         if np.min(np.diff(np.concatenate([[0.0], interior, [1.0]]))) > 0.0:
             meshes.append(Mesh(np.concatenate([[0.0], interior, [1.0]])))
-        for mesh in meshes:
-            factor = _band_factor(mesh, t_ref=float(rng.uniform(0.1, 20.0)), kappa=4.0)
-            for n in (1, 2, 3):
-                b = rng.standard_normal((N - 1, n)) * 10.0 ** rng.integers(-8, 9)
-                got = optimize.cho_solve_banded((factor, False), b)
-                ref = scipy.linalg.cho_solve_banded((factor, False), b)
-                assert got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes(), (N, n)
+        for uniform, mesh in zip((True, False), meshes):
+            t_ref = float(rng.uniform(0.1, 20.0))
+            band = _scalar_rate_band(mesh, t_ref, kappa=4.0)
+            off = np.abs(band[0, 1:])
+            band_norm = np.max(band[1] + np.append(off, 0.0) + np.insert(off, 0, 0.0))
+            cholesky = scipy.linalg.cholesky_banded(band, lower=False)
+            for kind in (band, _hessian_band(mesh, t_ref)):
+                factor = optimize.cholesky_banded(kind)
+                _assert_factor_is_scipys(kind, factor)
+                scipy_solve = _scipy_solver(kind)
+                for n in (1, 2, 3):
+                    b = rng.standard_normal((kind.shape[1], n)) * 10.0 ** rng.integers(-8, 9)
+                    got = optimize.cho_solve_banded(factor, b)
+                    ref = scipy_solve(b)
+                    assert got.shape == ref.shape == b.shape
+                    assert got.tobytes() == ref.tobytes(), (N, kind.shape[0], n)
+                    if kind is not band:
+                        continue
+                    residual = band[1][:, None] * got - b
+                    residual[:-1] += band[0, 1:, None] * got[1:]
+                    residual[1:] += band[0, 1:, None] * got[:-1]
+                    worst_backward = max(worst_backward, float(
+                        np.max(np.abs(residual)) / (band_norm * np.max(np.abs(got)))))
+                    if uniform:
+                        ref = scipy.linalg.cho_solve_banded((cholesky, False), b)
+                        worst_uniform = max(worst_uniform, float(
+                            np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    assert worst_backward <= 4.0 * np.finfo(float).eps
+    assert worst_uniform <= 2e-12
 
 
 def test_preconditioner_apply_has_the_bits_of_scipy():
@@ -878,26 +928,32 @@ def test_preconditioner_apply_has_the_bits_of_scipy():
     start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], mesh)
     field = dataclasses.replace(two_scale_field(), linear_matrix=None)  # kappa about 100
     band = _recorded_bands(start, field, QUAD, 2.5)[0][0]
-    apply = optimize._preconditioner(start, field, QUAD, 2.5, False)
+    apply = optimize._preconditioner(start, field, QUAD, 2.5, False)[0]
     vec = rng.standard_normal(2 * 40)
     # the scalar-rate band is tridiagonal: one pttrs solve for both components
-    assert apply(vec).tobytes() == _scipy_pttrs(band, vec.reshape(-1, 2)).ravel().tobytes()
-    ref = scipy.linalg.cho_solve_banded((_band_factor(mesh, 2.5, 100.0), False), vec.reshape(-1, 2))
+    assert apply(vec).tobytes() == _scipy_solver(band)(vec.reshape(-1, 2)).ravel().tobytes()
+    cholesky = scipy.linalg.cholesky_banded(_scalar_rate_band(mesh, 2.5, 100.0), lower=False)
+    ref = scipy.linalg.cho_solve_banded((cholesky, False), vec.reshape(-1, 2))
     assert np.max(np.abs(apply(vec) - ref.ravel())) <= 1e-12 * np.max(np.abs(ref))
     # the Hessian band of a linear field solves for the flat vector at once
     hessian = _recorded_bands(start, two_scale_field(), QUAD, 2.5)[1][0]
-    apply = optimize._preconditioner(start, two_scale_field(), QUAD, 2.5, False)
+    apply = optimize._preconditioner(start, two_scale_field(), QUAD, 2.5, False)[0]
     assert apply(vec).tobytes() == scipy.linalg.cho_solve_banded((hessian, False), vec).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 2)])
-def test_banded_solve_of_an_empty_right_hand_side_is_scipys(shape):
-    # N=1 has no interior node; LAPACK pbtrs itself rejects an empty 2-D right-hand side
-    factor = _band_factor(uniform_mesh(1), t_ref=1.0, kappa=1.0)
-    b = np.empty(shape)
-    ref = scipy.linalg.cho_solve_banded((factor, False), b)
-    got = optimize.cho_solve_banded((factor, False), b)
-    assert got.shape == ref.shape == shape and got.dtype == ref.dtype
+@pytest.mark.parametrize("rows", [2, 4])
+def test_banded_solve_of_an_empty_right_hand_side_is_empty(rows, shape):
+    # N=1 has no interior node; LAPACK itself rejects an empty 2-D right-hand side
+    band = (_scalar_rate_band(uniform_mesh(1), t_ref=1.0, kappa=1.0) if rows == 2
+            else _hessian_band(uniform_mesh(1), t_ref=1.0))
+    factor = optimize.cholesky_banded(band)
+    assert factor.shape == band.shape == (rows, 0)
+    got = optimize.cho_solve_banded(factor, np.empty(shape))
+    assert got.shape == shape and got.dtype == np.float64
+    if rows != 2:
+        ref = scipy.linalg.cho_solve_banded((factor, False), np.empty(shape))
+        assert ref.shape == shape and ref.dtype == np.float64
 
 
 def test_scalar_rate_band_has_the_bits_of_its_formula():
@@ -933,14 +989,17 @@ def test_scalar_rate_band_is_the_hessian_band_of_an_isotropic_linear_drift(q):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_banded_solve_of_a_nonfinite_vector_is_scipys_value_error(bad):
-    factor = _band_factor(uniform_mesh(8), t_ref=1.0, kappa=1.0)
-    b = np.ones((7, 2))
+@pytest.mark.parametrize("rows", [2, 4])
+def test_banded_solve_of_a_nonfinite_vector_is_scipys_value_error(rows, bad):
+    band = (_scalar_rate_band(uniform_mesh(8), t_ref=1.0, kappa=1.0) if rows == 2
+            else _hessian_band(uniform_mesh(8), t_ref=1.0))
+    factor = optimize.cholesky_banded(band)
+    b = np.ones((band.shape[1], 2))
     b[3, 1] = bad
     with pytest.raises(ValueError) as ref:
-        scipy.linalg.cho_solve_banded((factor, False), b)
+        scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), b)
     with pytest.raises(ValueError) as got:
-        optimize.cho_solve_banded((factor, False), b)
+        optimize.cho_solve_banded(factor, b)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"
 
@@ -973,10 +1032,7 @@ def test_banded_factor_has_the_bits_of_scipy(tier1_bands, name):
     # a Fortran-ordered band is one LAPACK could factor in place; it must not
     for band in (tier1_bands[name], np.asfortranarray(tier1_bands[name])):
         kept = band.copy()
-        ref = scipy.linalg.cholesky_banded(band, lower=False)
-        got = optimize.cholesky_banded(band, lower=False)
-        assert got.shape == ref.shape == band.shape and got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
+        _assert_factor_is_scipys(band, optimize.cholesky_banded(band))
         assert band.tobytes() == kept.tobytes()
 
 
@@ -987,124 +1043,42 @@ def test_rejected_band_raises_scipys_lin_alg_error(tier1_bands):
     with pytest.raises(scipy.linalg.LinAlgError) as ref:
         scipy.linalg.cholesky_banded(band, lower=False)
     with pytest.raises(optimize.LinAlgError) as got:
-        optimize.cholesky_banded(band, lower=False)
+        optimize.cholesky_banded(band)
     assert optimize.LinAlgError is scipy.linalg.LinAlgError is np.linalg.LinAlgError
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value) == "1-th leading minor not positive definite"
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonfinite_band_raises_scipys_value_error(tier1_bands, bad):
-    band = tier1_bands["scalar_rate_n1"].copy()
-    band[1, 7] = bad
-    with pytest.raises(ValueError) as ref:
-        scipy.linalg.cholesky_banded(band, lower=False)
-    with pytest.raises(ValueError) as got:
-        optimize.cholesky_banded(band, lower=False)
-    assert type(got.value) is type(ref.value)
-    assert str(got.value) == str(ref.value) == "array must not contain infs or NaNs"
-
-
-def test_banded_solve_is_scipys_float64_pbtrs():
-    assert optimize._PBTRS is scipy.linalg.get_lapack_funcs(("pbtrs",), (np.empty(0),))[0]
-    assert optimize._FLAPACK.dpbtrf is scipy.linalg.get_lapack_funcs(("pbtrf",), (np.empty(0),))[0]
-
-
-def test_tridiagonal_routines_are_scipys_float64_pttrf_and_pttrs():
-    pttrs = scipy.linalg.get_lapack_funcs(("pttrs",), (np.empty(0),))[0]
-    assert optimize._PTTRS is optimize._FLAPACK.dpttrs is pttrs
-    assert optimize._FLAPACK.dpttrf is scipy.linalg.get_lapack_funcs(("pttrf",), (np.empty(0),))[0]
-
-
-def test_tridiagonal_solve_has_the_bits_of_scipys_pttrs():
-    # the sweep of the banded solve above, through the preconditioner's own
-    # factor.  Both solves are backward stable; on the uniform meshes, which
-    # are well conditioned, the banded Cholesky solve agrees to about 1e-12
-    rng = np.random.default_rng(14)
-    worst_backward = worst_uniform = 0.0
-    for N in range(2, 1026):
-        interior = np.sort(rng.random(N - 1))
-        meshes = [uniform_mesh(N)]
-        if np.min(np.diff(np.concatenate([[0.0], interior, [1.0]]))) > 0.0:
-            meshes.append(Mesh(np.concatenate([[0.0], interior, [1.0]])))
-        for uniform, mesh in zip((True, False), meshes):
-            t_ref = float(rng.uniform(0.1, 20.0))
-            band = _scalar_rate_band(mesh, t_ref, kappa=4.0)
-            ldl = optimize.tridiagonal_ldl(band)
-            cholesky = scipy.linalg.cholesky_banded(band, lower=False)
-            off = np.abs(band[0, 1:])
-            band_norm = np.max(band[1] + np.append(off, 0.0) + np.insert(off, 0, 0.0))
-            for n in (1, 2, 3):
-                b = rng.standard_normal((N - 1, n)) * 10.0 ** rng.integers(-8, 9)
-                got = optimize.tridiagonal_solve(ldl, b)
-                ref = _scipy_pttrs(band, b)
-                assert got.shape == ref.shape == b.shape
-                assert got.tobytes() == ref.tobytes(), (N, n)
-                residual = band[1][:, None] * got - b
-                residual[:-1] += band[0, 1:, None] * got[1:]
-                residual[1:] += band[0, 1:, None] * got[:-1]
-                worst_backward = max(worst_backward, float(
-                    np.max(np.abs(residual)) / (band_norm * np.max(np.abs(got)))))
-                if uniform:
-                    banded = scipy.linalg.cho_solve_banded((cholesky, False), b)
-                    worst_uniform = max(worst_uniform, float(
-                        np.max(np.abs(got - banded)) / np.max(np.abs(banded))))
-    assert worst_backward <= 4.0 * np.finfo(float).eps
-    assert worst_uniform <= 2e-12
-
-
-def test_tridiagonal_factor_has_the_bits_of_scipys_pttrf(tier1_bands):
-    for name in ("scalar_rate_n1", "scalar_rate_n2", "nonuniform"):
-        band = tier1_bands[name]
-        kept = band.copy()
-        d, e, info = scipy.linalg.lapack.dpttrf(band[1], band[0, 1:])
-        ldl = optimize.tridiagonal_ldl(band)
-        assert info == 0 and ldl.shape == band.shape
-        assert ldl[1].tobytes() == d.tobytes() and ldl[0, 1:].tobytes() == e.tobytes()
-        assert ldl[0, 0] == 0.0
-        assert band.tobytes() == kept.tobytes()
+def test_band_routines_are_scipys_float64_lapack():
+    for name in ("pbtrf", "pbtrs", "pttrf", "pttrs"):
+        routine = scipy.linalg.get_lapack_funcs((name,), (np.empty(0),))[0]
+        assert getattr(optimize._FLAPACK, "d" + name) is routine
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_tridiagonal_routines_take_the_smallest_bands(N):
+@pytest.mark.parametrize("rows", [2, 4])
+def test_banded_factor_and_solve_take_the_smallest_bands(rows, N):
     # N=1 has no interior node and N=2 one, whose empty off-diagonal the
-    # LAPACK wrappers take as one entry
-    band = _scalar_rate_band(uniform_mesh(N), t_ref=1.0, kappa=1.0)
-    ldl = optimize.tridiagonal_ldl(band)
-    assert ldl.shape == band.shape == (2, N - 1)
-    b = np.arange(1.0, 2.0 * (N - 1) + 1.0).reshape(N - 1, 2)
+    # LAPACK wrappers of the tridiagonal routines take as one entry
+    band = (_scalar_rate_band(uniform_mesh(N), t_ref=1.0, kappa=1.0) if rows == 2
+            else _hessian_band(uniform_mesh(N), t_ref=1.0))
+    factor = optimize.cholesky_banded(band)
+    assert factor.shape == band.shape == (rows, (N - 1) * rows // 2)
+    b = np.arange(1.0, 2.0 * band.shape[1] + 1.0).reshape(-1, 2)
     ref = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), b)
-    assert np.allclose(optimize.tridiagonal_solve(ldl, b), ref, rtol=1e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 2)])
-def test_tridiagonal_solve_of_an_empty_right_hand_side_is_empty(shape):
-    ldl = optimize.tridiagonal_ldl(_scalar_rate_band(uniform_mesh(1), t_ref=1.0, kappa=1.0))
-    got = optimize.tridiagonal_solve(ldl, np.empty(shape))
-    assert got.shape == shape and got.dtype == np.float64
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_tridiagonal_solve_of_a_nonfinite_vector_is_scipys_value_error(bad):
-    ldl = optimize.tridiagonal_ldl(_scalar_rate_band(uniform_mesh(8), t_ref=1.0, kappa=1.0))
-    b = np.ones((7, 2))
-    b[3, 1] = bad
-    with pytest.raises(ValueError) as got:
-        optimize.tridiagonal_solve(ldl, b)
-    assert type(got.value) is ValueError
-    assert str(got.value) == "array must not contain infs or NaNs"
+    assert np.allclose(optimize.cho_solve_banded(factor, b), ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("flip", [0, 5])
-def test_rejected_tridiagonal_band_raises_cholesky_banded_lin_alg_error(tier1_bands, flip):
+def test_rejected_tridiagonal_band_raises_scipys_lin_alg_error(tier1_bands, flip):
     # the band negated from row ``flip`` on: the leading minor of order
-    # flip + 1 is the first that fails, in both factorizations
+    # flip + 1 is the first that fails, in L D L^T as in scipy's Cholesky
     band = tier1_bands["scalar_rate_n1"].copy()
     band[1, flip:] *= -1.0
-    with pytest.raises(optimize.LinAlgError) as ref:
-        optimize.cholesky_banded(band, lower=False)
+    with pytest.raises(scipy.linalg.LinAlgError) as ref:
+        scipy.linalg.cholesky_banded(band, lower=False)
     with pytest.raises(optimize.LinAlgError) as got:
-        optimize.tridiagonal_ldl(band)
+        optimize.cholesky_banded(band)
     assert type(got.value) is type(ref.value) is np.linalg.LinAlgError
     assert str(got.value) == str(ref.value) == f"{flip + 1}-th leading minor not positive definite"
 
@@ -1123,17 +1097,53 @@ def test_rejected_one_d_hessian_falls_back_to_the_scalar_rate_band(monkeypatch, 
         return minimize_fixed_T(start, f, 5.0, quad=quad)
 
     ref = solve(dataclasses.replace(field, linear_matrix=None))
-    real, calls = optimize.tridiagonal_ldl, []
+    real, calls = optimize.cholesky_banded, []
 
     def reject_the_hessian(band):
+        # both bands have two rows: the Hessian's is the first factored
         calls.append(band.copy())
         if len(calls) == 1:
             raise optimize.LinAlgError("3-th leading minor not positive definite")
         return real(band)
 
-    monkeypatch.setattr(optimize, "tridiagonal_ldl", reject_the_hessian)
+    monkeypatch.setattr(optimize, "cholesky_banded", reject_the_hessian)
     assert _same_solve(solve(field), ref)
     assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+
+
+def _counted_band_calls(monkeypatch):
+    """Calls to ``optimize.cholesky_banded`` and ``optimize.cho_solve_banded``, counted by name.
+
+    The names are wrapped in the module, as bench/layertrace.py wraps them
+    to time the preconditioner's factor and solve.
+    """
+    counts = {"cholesky_banded": 0, "cho_solve_banded": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
+    return counts
+
+
+@pytest.mark.parametrize("field", [maier_stein_field(10.0),
+                                   field_from_callable(2, _callable_maier_stein)],
+                         ids=["maier_stein", "callable"])
+def test_every_band_factor_and_solve_goes_through_the_traced_names(monkeypatch, field):
+    # the scalar-rate band of a nonlinear field is tridiagonal: its factor and
+    # every apply of the preconditioner must still be seen under the two names
+    counts = _counted_band_calls(monkeypatch)
+    mesh = uniform_mesh(64)
+    start = FePath(mesh, np.column_stack([-1.0 + mesh.nodes, 0.3 * np.sin(np.pi * mesh.nodes)]))
+    res = minimize_tmam(start, field, OptimConfig(max_iters=200))
+    assert res.iterations > 0
+    assert counts["cholesky_banded"] >= 1
+    assert counts["cho_solve_banded"] >= res.iterations
 
 
 def test_drift_rate_is_the_largest_squared_spectral_norm_at_the_start_nodes():
@@ -1228,7 +1238,7 @@ def test_linear_preconditioner_inverts_the_fixed_t_hessian(name, q, nonuniform):
     quad = Quadrature(q)
     step = rng.standard_normal((11, field.dim))
     hv = _fixed_t_hessian_times(path, field, 1.7, quad, step)
-    apply = optimize._preconditioner(path, field, quad, 1.7, False)
+    apply = optimize._preconditioner(path, field, quad, 1.7, False)[0]
     assert np.linalg.norm(apply(hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
 
 
@@ -1273,8 +1283,8 @@ def test_reduced_linear_preconditioner_inverts_the_reduced_hessian(name, nonunif
              - tmam_value_grad(path.replace_interior(path.values[1:-1] - eps * step), field,
                                quad)[1]).ravel() / (2.0 * eps)
     assert np.linalg.norm(fd_hv - reduced_hv) <= 1e-6 * np.linalg.norm(reduced_hv)
-    apply = optimize._preconditioner(path, field, quad, t_hat, True)
-    plain = optimize._preconditioner(path, field, quad, t_hat, False)
+    apply = optimize._preconditioner(path, field, quad, t_hat, True)[0]
+    plain = optimize._preconditioner(path, field, quad, t_hat, False)[0]
     assert not np.array_equal(apply(reduced_hv), plain(reduced_hv))  # the downdate is on
     assert np.linalg.norm(apply(reduced_hv) - step.ravel()) <= 1e-9 * np.linalg.norm(step)
 
@@ -1317,10 +1327,10 @@ def test_hessian_cholesky_failure_falls_back_to_the_scalar_rate_preconditioner(m
     ref = _two_scale_solves(mode, dataclasses.replace(field, linear_matrix=None))
     real = optimize.cholesky_banded
 
-    def reject_the_hessian(band, lower):
+    def reject_the_hessian(band):
         if band.shape[0] > 2:  # the n = 2 Hessian band has 4 rows, the scalar-rate band 2
             raise scipy.linalg.LinAlgError("3-th leading minor not positive definite")
-        return real(band, lower=lower)
+        return real(band)
 
     monkeypatch.setattr(optimize, "cholesky_banded", reject_the_hessian)
     assert _same_solve(_two_scale_solves(mode, field), ref)
@@ -1389,20 +1399,19 @@ def test_linear_matrix_that_is_not_the_jacobian_keeps_the_lbfgs_solve():
     assert (res.value.hex(), res.iterations) == ("0x1.3e93336c3a680p-5", 36)
 
 
-@pytest.mark.parametrize("name,routine", [("two_scale_64", "cholesky_banded"),
-                                          ("one_d", "tridiagonal_ldl")])
-def test_rejected_rebuild_keeps_the_last_operator_and_converges(monkeypatch, name, routine):
+@pytest.mark.parametrize("name", ["two_scale_64", "one_d"])
+def test_rejected_rebuild_keeps_the_last_operator_and_converges(monkeypatch, name):
     # the start's band factors and every rebuild's is rejected: the solve goes
     # on as L-BFGS on the start's operator, and tries no further rebuild
-    real, calls = getattr(optimize, routine), []
+    real, calls = optimize.cholesky_banded, []
 
-    def reject_after_the_first(band, **kwargs):
+    def reject_after_the_first(band):
         calls.append(band.copy())
         if len(calls) > 1:
             raise optimize.LinAlgError("2-th leading minor not positive definite")
-        return real(band, **kwargs)
+        return real(band)
 
-    monkeypatch.setattr(optimize, routine, reject_after_the_first)
+    monkeypatch.setattr(optimize, "cholesky_banded", reject_after_the_first)
     res = _newton_solve(name)
     assert res.converged and len(calls) == 2
     assert res.iterations > NEWTON_SOLVES[name][6]
