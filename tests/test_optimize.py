@@ -1083,6 +1083,22 @@ def test_rejected_tridiagonal_band_raises_scipys_lin_alg_error(tier1_bands, flip
     assert str(got.value) == str(ref.value) == f"{flip + 1}-th leading minor not positive definite"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("linear", [False, True])
+def test_nonfinite_band_raises_action_error_before_the_factor(monkeypatch, linear, bad):
+    # the factor takes the band unchecked; ``_Band.inverse`` checks it first,
+    # for the tridiagonal scalar-rate band and the wider Hessian band alike
+    start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(24))
+    band = optimize._Band(start, two_scale_field(), QUAD, linear)
+    assert band.stiff.shape[0] == (4 if linear else 2)
+    band.stiff[1, 7] = bad
+    calls = []
+    monkeypatch.setattr(optimize, "cholesky_banded", lambda b: calls.append(b))
+    with pytest.raises(ActionError, match="^preconditioner is not finite at this horizon$"):
+        band.inverse(2.5)
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", ["tmam", "fixed_t"])
 def test_rejected_one_d_hessian_falls_back_to_the_scalar_rate_band(monkeypatch, mode):
     # a 1-D linear field's Hessian band is tridiagonal too; when pttrf rejects
