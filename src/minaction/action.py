@@ -9,33 +9,33 @@ For a fixed path shape, S(T, .) has a unique minimizer in T,
 
     T_opt(p) = |p'|_L2 / |b(p)|_L2,
 
-and substituting it gives the reduced, time-free functional
-
-    S_opt(p) = |p'|_L2 * |b(p)|_L2 - <p', b(p)>_L2,
-
+and the reduced, time-free functional is S_opt(p) = S(T_opt(p), p).
+Expanding the square gives S_opt(p) = |p'|_L2 |b(p)|_L2 - <p', b(p)>_L2,
 which is nonnegative by Cauchy-Schwarz and vanishes exactly when p' is a
 positive multiple of b(p) almost everywhere (a rescaled flow trajectory).
 
-The gradient of S_opt is the fixed-T gradient evaluated at T = T_opt(p)
-(envelope identity): S_opt(p) = S(T_opt(p), p) and dS/dT vanishes at T_opt,
-so the chain-rule term through T_opt drops out.  This holds exactly for the
-discrete functionals too, because the quadrature expands the squared residual
-term by term into |p'|^2 / (2T) - <p', b(p)> + (T/2) |b(p)|^2, whose minimizer
-in T is exactly |p'| / |b(p)|.  One residual-form gradient therefore serves
-both functionals.
+Both facts hold exactly for the discrete functionals too, because the
+quadrature expands the squared residual term by term into
+|p'|^2 / (2T) - <p', b(p)> + (T/2) |b(p)|^2, whose minimizer in T is exactly
+|p'| / |b(p)|.  So S_opt is evaluated as the fixed-T action at T_opt, (T/2)
+times a sum of squares, and not as the difference above, whose two O(1)
+terms cancel down to the small minimum.  Its gradient is the fixed-T
+gradient at T_opt (envelope identity): dS/dT vanishes there, so the
+chain-rule term through T_opt drops out.
 
 Everything here evaluates these quantities and their exact gradients with
 respect to the interior nodal values of a piecewise-linear path, using
 Gauss-Legendre quadrature per element (exact for linear drift when the rule
-has >= 2 points per element).  Each functional has one public call, which
-returns its value and gradient from one assembly: ``fixed_t_value_grad`` for
-S(T, .) and ``tmam_value_grad`` for S_opt.  Each is a thin wrapper of a
-staged evaluation, ``_fixed_t_staged`` and ``_tmam_staged``, which returns
-the value with a callable that finishes the gradient from the same assembly;
-only that call evaluates the drift's Jacobian, so the optimizer's line search
-skips it for a trial it rejects on the value.  The other public functions are
-post-solve diagnostics.  The assembly holds one length-N row per component
-and quadrature point, so its sums run over contiguous rows (``_Assembly``).
+has >= 2 points per element).  One staged evaluation, ``_staged``, serves
+both functionals: it returns the action at a given T, or at T_opt when none
+is given, with a callable that finishes the gradient from the same assembly
+and residual.  Only that call evaluates the drift's Jacobian, so the
+optimizer's line search skips it for a trial it rejects on the value.
+``fixed_t_value_grad`` (S(T, .)) and ``tmam_value_grad`` (S_opt) are its two
+public calls, each returning the value and gradient from one assembly; the
+other public functions are post-solve diagnostics.  The assembly holds one
+length-N row per component and quadrature point, so its sums run over
+contiguous rows (``_Assembly``).
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ def _assemble(path: FePath, field: DriftField, quad: Quadrature) -> _Assembly:
     return _Assembly(path.mesh, path.values, field, quad)
 
 
-def _horizon(asm: _Assembly):
-    """(t_hat, |p'|, |b(p)|) with degeneracy guards and t_hat = |p'| / |b(p)|.
+def _horizon(asm: _Assembly) -> float:
+    """t_hat = |p'| / |b(p)|, with degeneracy guards on both seminorms.
 
     A ratio that is not finite and positive, as when |b(p)|^2 overflows to
     inf and t_hat underflows to 0, raises a typed error.
@@ -226,7 +226,7 @@ def _horizon(asm: _Assembly):
     t_hat = alpha / beta
     if not 0.0 < t_hat < math.inf:
         raise ActionError(f"optimal horizon |p'|/|b(p)| = {t_hat!r} is not finite and positive")
-    return t_hat, alpha, beta
+    return t_hat
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +234,21 @@ def _horizon(asm: _Assembly):
 # ---------------------------------------------------------------------------
 
 
-def _fixed_t_staged(path: FePath, field: DriftField, T: float, quad: Quadrature):
-    """(value, gradient callable, T) of the fixed-T action, the gradient left for later.
+def _staged(path: FePath, field: DriftField, quad: Quadrature, T=None):
+    """(value, gradient callable, horizon) of the action at T, or at t_hat when T is None.
 
-    The callable returns the interior gradient of ``fixed_t_value_grad``
-    from the same assembly and residual, and is the only step that evaluates
-    the drift's Jacobian.
+    The value is the fixed-T action at the horizon, a sum of squares of one
+    residual.  The callable returns the interior gradient at the horizon from
+    the same assembly and residual, and is the only step that evaluates the
+    drift's Jacobian.  The horizon is T as given, so an int stays an int in
+    the iteration log, or t_hat.
     """
-    t_scale = _finite_positive(T, "T")
+    t_scale = None if T is None else _finite_positive(T, "T")
     asm = _assemble(path, field, quad)
+    if t_scale is None:
+        T = t_scale = _horizon(asm)
     resid = asm.residual(t_scale)
     return 0.5 * t_scale * asm.weighted_sq(resid), lambda: asm.fixed_t_grad(t_scale, resid), T
-
-
-def _tmam_staged(path: FePath, field: DriftField, quad: Quadrature):
-    """(value, gradient callable, t_hat) of the reduced action, the gradient left for later.
-
-    The callable returns the interior gradient of ``tmam_value_grad`` from
-    the same assembly, residual at t_hat included, and is the only step that
-    evaluates the drift's Jacobian.
-    """
-    asm = _assemble(path, field, quad)
-    t_hat, alpha, beta = _horizon(asm)
-    cross = float(np.vdot(asm.w * asm.delta[:, None, :], asm.b_quad))     # <p', b(p)>
-    return alpha * beta - cross, lambda: asm.fixed_t_grad(t_hat, asm.residual(t_hat)), t_hat
 
 
 def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):
@@ -268,19 +259,18 @@ def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadratu
     ``tmam_value_grad``'s t_hat, so an int horizon stays an int in the
     iteration log.
     """
-    value, grad, T = _fixed_t_staged(path, field, T, quad)
+    value, grad, T = _staged(path, field, quad, T)
     return value, grad(), T
 
 
 def tmam_value_grad(path: FePath, field: DriftField, quad: Quadrature):
     """(value, interior gradient, t_hat) of the reduced action from one assembly.
 
-    The value uses the rewrite form |p'| |b(p)| - <p', b(p)>, which equals the
-    fixed-T value at t_hat up to roundoff.  The gradient is the fixed-T
-    gradient at t_hat, which by the envelope identity (module docstring) is
-    the exact reduced gradient.
+    The value and gradient are those of the fixed-T action at t_hat, bit for
+    bit; by the envelope identity (module docstring) the gradient is the
+    exact reduced gradient.
     """
-    value, grad, t_hat = _tmam_staged(path, field, quad)
+    value, grad, t_hat = _staged(path, field, quad)
     return value, grad(), t_hat
 
 
@@ -291,7 +281,7 @@ def optimal_time(path: FePath, field: DriftField, quad: Quadrature) -> float:
     either seminorm falls below the degeneracy guard, and
     :class:`ActionError` when the ratio is not finite and positive.
     """
-    return _horizon(_assemble(path, field, quad))[0]
+    return _horizon(_assemble(path, field, quad))
 
 
 def hamiltonian_violation(path: FePath, field: DriftField, t_hat: float, quad: Quadrature) -> float:
@@ -366,6 +356,5 @@ def el_residual(path: FePath, field: DriftField, t_or_that: float, quad: Quadrat
     path's H1 seminorm.  One defensible norm choice among several; used as a
     stationarity diagnostic, not an error bound.
     """
-    t_scale = _finite_positive(t_or_that, "T")
-    asm = _assemble(path, field, quad)
-    return _el_residual_at(path, asm.fixed_t_grad(t_scale, asm.residual(t_scale)), t_scale)
+    _, grad, horizon = _staged(path, field, quad, t_or_that)
+    return _el_residual_at(path, grad(), float(horizon))

@@ -39,7 +39,7 @@ class DriftField:
     ``check_inward_condition`` reads, and ``linear_matrix`` carries A when
     b(x) = A x exactly.  Each given ``beta`` and ``r2`` must be a finite
     real number, not a bool; another value raises a ``ValueError`` that
-    names it.  ``jacobian_fd`` flags a finite-difference Jacobian.
+    names it.
     """
 
     dim: int
@@ -48,7 +48,6 @@ class DriftField:
     beta: Optional[float] = None
     r2: Optional[float] = None
     linear_matrix: Optional[np.ndarray] = None
-    jacobian_fd: bool = False
 
     def __post_init__(self):
         for key in ("beta", "r2"):
@@ -182,9 +181,8 @@ def field_from_callable(
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     **metadata,
 ) -> DriftField:
-    """Wrap a pointwise drift function; missing Jacobians fall back to
-    central finite differences with step 1e-6 * max(1, |x|), flagged as
-    approximate.
+    """Wrap a pointwise drift function; a missing Jacobian falls back to
+    central finite differences with step 1e-6 * max(1, |x|).
 
     ``func`` maps a single point to a single vector of ``dim`` entries, and
     ``jac`` to a ``dim`` x ``dim`` matrix; batching is added here.  A batch of
@@ -210,11 +208,9 @@ def field_from_callable(
     eval_many = batched(func, "func", (dim,))
     if jac is None:
         jac_many = lambda pts: _fd_jacobian_many(eval_many, pts)
-        fd = True
     else:
         jac_many = batched(jac, "jac", (dim, dim))
-        fd = False
-    return DriftField(dim=dim, _eval_many=eval_many, _jac_many=jac_many, jacobian_fd=fd, **metadata)
+    return DriftField(dim=dim, _eval_many=eval_many, _jac_many=jac_many, **metadata)
 
 
 def check_inward_condition(field: DriftField, samples: int, radius: float) -> InwardReport:

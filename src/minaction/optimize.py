@@ -4,28 +4,29 @@ Both the fixed-horizon functional and the reduced (optimal-horizon)
 functional are smooth in the (N-1)*n interior unknowns, so both are
 minimized by one shared routine: a limited-memory quasi-Newton iteration
 with a backtracking line search, or a damped Newton iteration in the same
-loop (below).  The two public solvers differ only in the value/gradient call
-and the reference horizon of the preconditioner.  The discrete reduced
-functional has a finite optimal horizon at every mesh, so the horizon needs
-no cap.  Because the stationarity system is elliptic, raw nodal gradients
-condition badly as the mesh or the horizon grows, so the initial
-inverse-Hessian guess is the inverse of one SPD operator on the interior
-nodes: the fixed-T Hessian of the action for a linear drift b(x) = A x,
-which does not depend on the path.  A field that carries ``linear_matrix``
-gives A, so the first fixed-T step is an exact Newton step and a reduced
-solve gets the inverse of the reduced Hessian at its start.  Every other
-field gets A = sqrt(kappa) I, kappa the largest squared spectral norm of the
-drift's Jacobian at the start path's nodes: a stiffness-plus-scaled-mass
-operator per state component (a Sobolev-type gradient), which keeps
-iteration counts roughly mesh- and horizon-independent.  That operator is
-one symmetric positive definite tridiagonal matrix for all components.  One
-factor and one solve serve every band, picking LAPACK's routine by its
-width: L D L^T (``pttrf``) for a tridiagonal band, banded Cholesky
-(``pbtrf``) for the wider block band of a linear field with n >= 2.  A
-``linear_matrix`` that is not the field's own changes only the
-preconditioner, never the action: the solve may take more iterations or stop
-short of ``tol_grad``.  Endpoints are never touched.  A solve writes no
-file: its per-iteration rows ride on ``OptimResult.log``.
+loop (below).  The two public solvers differ only in the horizon: a given T,
+or each path's optimal horizon t_hat, at which the reduced functional is the
+fixed-T action.  The preconditioner's reference horizon is T or the start's
+t_hat.  The discrete reduced functional has a finite optimal horizon at
+every mesh, so the horizon needs no cap.  Because the stationarity system is
+elliptic, raw nodal gradients condition badly as the mesh or the horizon
+grows, so the initial inverse-Hessian guess is the inverse of one SPD
+operator on the interior nodes: the fixed-T Hessian of the action for a
+linear drift b(x) = A x, which does not depend on the path.  A field that
+carries ``linear_matrix`` gives A, so the first fixed-T step is an exact
+Newton step and a reduced solve gets the inverse of the reduced Hessian at
+its start.  Every other field gets A = sqrt(kappa) I, kappa the largest
+squared spectral norm of the drift's Jacobian at the start path's nodes: a
+stiffness-plus-scaled-mass operator per state component (a Sobolev-type
+gradient), which keeps iteration counts roughly mesh- and
+horizon-independent.  That operator is one symmetric positive definite
+tridiagonal matrix for all components.  One factor and one solve serve every
+band, picking LAPACK's routine by its width: L D L^T (``pttrf``) for a
+tridiagonal band, banded Cholesky (``pbtrf``) for the wider block band of a
+linear field with n >= 2.  A ``linear_matrix`` that is not the field's own
+changes only the preconditioner, never the action: the solve may take more
+iterations or stop short of ``tol_grad``.  Endpoints are never touched.  A
+solve writes no file: its per-iteration rows ride on ``OptimResult.log``.
 
 For a linear drift the reduced Hessian is exact in closed form: P at t_hat
 downdated by c c^T / H_TT, both of which move with the path and t_hat.  So
@@ -78,9 +79,8 @@ from .action import (  # noqa: F401
     ActionError,
     Quadrature,
     _el_residual_at,
-    _fixed_t_staged,
     _norm2,
-    _tmam_staged,
+    _staged,
     el_residual,
     fixed_t_value_grad,
     hamiltonian_violation,
@@ -637,16 +637,16 @@ def _minimize(
     field: DriftField,
     cfg: OptimConfig,
     quad: Quadrature,
-    staged,
-    t_ref: Optional[float] = None,
+    T: Optional[float] = None,
 ) -> OptimResult:
     """Shared solve over the interior of ``start``, packaged with its iteration log.
 
-    ``staged(path) -> (value, grad_of, t_hat)`` is the functional, its
-    gradient computed by ``grad_of()`` only when the loop asks, and
-    ``t_ref`` the preconditioner's horizon.  If ``t_ref`` is None the start
-    is evaluated first, its t_hat is the horizon and the solve is a reduced
-    one; else the preconditioner is built first.  Either way the start is
+    The functional is the action at the horizon ``T``, or the reduced one if
+    ``T`` is None.  Each evaluation is ``_staged(path, field, quad, T)``,
+    looked up in this module at call time, and computes its gradient
+    ``grad_of()`` only when the loop asks.  A fixed-T solve checks ``T`` and
+    builds its preconditioner at ``T`` first; a reduced one evaluates the
+    start first and builds it at the start's t_hat.  Either way the start is
     evaluated once.  A reduced solve whose preconditioner is the factored
     band of the field's ``linear_matrix``, and whose field's Jacobian at the
     start nodes equals that matrix, is Newton's: it passes the loop a
@@ -656,15 +656,16 @@ def _minimize(
     loop's last gradient, which is the fixed-T gradient there, and the
     Hamiltonian violation from one drift evaluation.
     """
+    reduced = T is None
+    t_ref = None if reduced else _finite_positive(T, "T")
     n = start.dim
 
     def evaluate(z):
-        f, grad_of, th = staged(start.replace_interior(z.reshape(-1, n)))
+        f, grad_of, th = _staged(start.replace_interior(z.reshape(-1, n)), field, quad, T)
         return f, lambda: grad_of().ravel(), th
 
     z0 = start.values[1:-1].ravel()
     first = None
-    reduced = t_ref is None
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
@@ -707,12 +708,7 @@ def minimize_fixed_T(
     Non-convergence is reported through ``OptimResult.converged``; the best
     iterate found is always returned.
     """
-    t_ref = _finite_positive(T, "T")
-    cfg = cfg or OptimConfig()
-    quad = quad or Quadrature()
-    return _minimize(
-        start, field, cfg, quad, lambda p: _fixed_t_staged(p, field, T, quad), t_ref
-    )
+    return _minimize(start, field, cfg or OptimConfig(), quad or Quadrature(), T)
 
 
 def minimize_tmam(
@@ -729,9 +725,7 @@ def minimize_tmam(
     does a start whose optimal time is not finite and positive; every
     converged result carries a finite positive optimal time.
     """
-    cfg = cfg or OptimConfig()
-    quad = quad or Quadrature()
-    return _minimize(start, field, cfg, quad, lambda p: _tmam_staged(p, field, quad))
+    return _minimize(start, field, cfg or OptimConfig(), quad or Quadrature())
 
 
 def _nested_meshes(N_list) -> list[Mesh]:

@@ -219,8 +219,20 @@ class TestRewriteIdentity:
             field = fields[k % len(fields)]
             path = random_path(rng, field.dim, nonuniform=bool(k % 2))
             value, _, t_hat = tmam_value_grad(path, field, DEFAULT_QUAD)
-            direct = fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[0]
-            assert abs(value - direct) <= 1e-12 * abs(value)
+            assert value.hex() == fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[0].hex()
+
+    @pytest.mark.parametrize("T", [0.3, 1.0, 3.0])
+    def test_sampled_flow_value_is_the_fixed_action_at_optimal_time(self, T):
+        # p(s) = e^{sTA} x1 is a flow trajectory, so the reduced value (7e-7
+        # to 7e-5) is the small difference of the O(1) terms |p'| |b(p)| and
+        # <p', b(p)>; that difference is up to 1.1e-10 relative off the sum
+        # of squares
+        field, mesh = two_scale_field(), uniform_mesh(1024)
+        rates, vecs = np.linalg.eigh(field.linear_matrix)
+        nodes = (np.exp(np.outer(T * mesh.nodes, rates)) * (vecs.T @ [1.0, 1.0])) @ vecs.T
+        path = FePath(mesh, nodes)
+        value, _, t_hat = tmam_value_grad(path, field, DEFAULT_QUAD)
+        assert value.hex() == fixed_t_value_grad(path, field, t_hat, DEFAULT_QUAD)[0].hex()
 
     def test_nonnegativity(self):
         rng = np.random.default_rng(103)
@@ -280,8 +292,8 @@ class TestGradients:
     )
     def test_reduced_taylor_remainder_is_second_order(self, field, x1, x2):
         # |S(p + eps d) - S(p) - eps g.d| must fall 100x per decade of eps;
-        # this ties the rewrite-form value to the residual-form gradient, as
-        # an error in g.d adds a first-order term that flattens the drop
+        # this ties the reduced value to its gradient, as an error in g.d
+        # adds a first-order term that flattens the drop
         rng = np.random.default_rng(105)
         mesh = uniform_mesh(64)
         s = mesh.nodes[:, None]
@@ -454,7 +466,8 @@ def with_signed_zeros(rng, arr):
 def plane_reference(path, field, quad, T=None):
     """Reference: (value, interior gradient, horizon) in the plane order, from scratch.
 
-    T = None gives the reduced functional at t_hat, a number the fixed-T one.
+    T = None gives the reduced functional, which is the fixed-T one at t_hat;
+    a number gives the fixed-T one.
     Every weight is recomputed from ``np.diff(nodes)``.  Point k of element e
     is row k N + e of the batch the field sees, and each per-point quantity
     is a list over the component i of lists over k of length-N rows.  A sum
@@ -476,14 +489,11 @@ def plane_reference(path, field, quad, T=None):
     resid = lambda t: [[deriv[i] / t - b[i][k] for k in range(q)] for i in range(n)]
     if T is None:
         alpha = math.sqrt(float(np.dot(np.concatenate(delta), np.concatenate(deriv))))
-        beta = math.sqrt(weighted_sq(b))
-        t_scale = alpha / beta
-        cross = float(np.dot(flat([[w[k] * delta[i] for k in range(q)] for i in range(n)]), flat(b)))
-        value = alpha * beta - cross
+        t_scale = alpha / math.sqrt(weighted_sq(b))
     else:
         t_scale = float(T)
-        value = 0.5 * t_scale * weighted_sq(resid(t_scale))
     r = resid(t_scale)
+    value = 0.5 * t_scale * weighted_sq(r)
     jac = lambda j, i, k: jac_rows[k * m:(k + 1) * m, j, i]
     jtr = [[sum_in_order([jac(j, i, k) * r[j][k] for j in range(n)]) for k in range(q)]
            for i in range(n)]

@@ -972,6 +972,13 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     # f2d55f0a5db21c274bfe9d2c02497d29e4e1e0aba6737498240e7f4843557fba
     # and summary.json 20b77f635fe92b9ad769bbd34f3b84bb05b4a215df4ffaeb2849a5ff6ded4779
     # (study_fixed.csv did not move).
+    # Re-recorded again when the reduced value became the fixed-T value at
+    # t_hat, a sum of squares in place of |p'| |b(p)| - <p', b(p)>, which moves
+    # the last bits of the values and of the fit on them, but no path, t_hat or
+    # iteration count; before, the digests were study.csv
+    # 4cdd50b87e17bb05434bfe206a1de936568521ccef335d0e34120d09d86acf1d
+    # and summary.json 9a3c892a30dff9e25d381995eb1d671f3a545add224bbdec938b2173657b5f0e
+    # (study_fixed.csv did not move).
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {
         "study": {"name": "case_ii"},
@@ -982,9 +989,9 @@ def test_case_ii_study_outputs_are_pinned(tmp_path, monkeypatch):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "out").iterdir()}
     assert digests == {
-        "study.csv": "4cdd50b87e17bb05434bfe206a1de936568521ccef335d0e34120d09d86acf1d",
+        "study.csv": "5911b1cea60bc07070152adf21a5b6421303cca2211d86b44efa31760b845808",
         "study_fixed.csv": "dbd55efe86b9a2d4efdfc2e175430f8d7084f312505402d34a9840e255b4d1b0",
-        "summary.json": "9a3c892a30dff9e25d381995eb1d671f3a545add224bbdec938b2173657b5f0e",
+        "summary.json": "512351a3513c7a7f71bdfef74abf59caac39f132d75277d59c7b18c34794c908",
     }
 
 

@@ -207,17 +207,15 @@ class TestJacobianConsistency:
 
 
 class TestFieldFromCallable:
-    def test_fd_jacobian_flagged(self):
+    def test_missing_jacobian_falls_back_to_finite_differences(self):
         field = field_from_callable(2, lambda x: np.array([x[1] ** 2, -x[0]]))
-        assert field.jacobian_fd
         jac = field.jacobian([1.0, 2.0])
         np.testing.assert_allclose(jac, [[0.0, 4.0], [-1.0, 0.0]], atol=1e-6)
 
-    def test_analytic_jacobian_not_flagged(self):
+    def test_given_jacobian_is_used(self):
         field = field_from_callable(
             1, lambda x: np.array([-x[0] ** 3]), jac=lambda x: np.array([[-3.0 * x[0] ** 2]])
         )
-        assert not field.jacobian_fd
         assert field.jacobian([2.0])[0, 0] == -12.0
 
 

@@ -585,7 +585,7 @@ def test_only_rejected_armijo_trials_skip_the_jacobian(monkeypatch):
     # did before its evaluations were staged, costs a Jacobian per
     # evaluation plus one for the preconditioner's rate; the staged solve
     # skips exactly the 8 rejected Armijo trials, with the same bits.
-    inner = optimize._tmam_staged
+    inner = optimize._staged
     start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(64))
     runs = {}
     for eager in (True, False):
@@ -599,7 +599,7 @@ def test_only_rejected_armijo_trials_skip_the_jacobian(monkeypatch):
                 return value, lambda: grad, t_hat
             return value, grad_of, t_hat
 
-        monkeypatch.setattr(optimize, "_tmam_staged", staged)
+        monkeypatch.setattr(optimize, "_staged", staged)
         field, jacobians = _jacobian_counted(maier_stein_field(10.0))
         res = minimize_tmam(start, field)
         runs[eager] = (res, len(evaluations), jacobians[0])
@@ -663,13 +663,13 @@ def test_pinned_maier_stein_solve_is_unchanged_with_fewer_evaluations(monkeypatc
     # gradient-norm search came to fail at its first rejected trial whose
     # gradient's linear model keeps 0.999 of the norm at every smaller step.
     calls = []
-    inner = optimize._tmam_staged
+    inner = optimize._staged
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(optimize, "_tmam_staged", counted)
+    monkeypatch.setattr(optimize, "_staged", counted)
     start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(256))
     res = minimize_tmam(start, maier_stein_field(1.0))
     assert res.value.hex() == "0x1.00014fb75fcf0p-1"
@@ -690,13 +690,13 @@ def test_pinned_converging_maier_stein_solve_is_unchanged_with_fewer_evaluations
     # The rule that waited for the trial gradient to stop moving gave the
     # same fields with 588 calls.
     calls = []
-    inner = optimize._tmam_staged
+    inner = optimize._staged
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(optimize, "_tmam_staged", counted)
+    monkeypatch.setattr(optimize, "_staged", counted)
     mesh = uniform_mesh(16)
     start = FePath(mesh, np.column_stack([-1.0 + mesh.nodes, 0.3 * np.sin(np.pi * mesh.nodes)]))
     res = minimize_tmam(start, maier_stein_field(10.0))
@@ -785,13 +785,13 @@ def test_diagnostics_have_the_bits_of_the_public_functions(name, mode):
 
 def test_tmam_solve_evaluates_its_start_once_and_no_optimal_time(monkeypatch):
     calls, horizons = [], []
-    inner = optimize._tmam_staged
+    inner = optimize._staged
 
     def counted(path, *args):
         calls.append(path.values.copy())
         return inner(path, *args)
 
-    monkeypatch.setattr(optimize, "_tmam_staged", counted)
+    monkeypatch.setattr(optimize, "_staged", counted)
     monkeypatch.setattr(optimize, "optimal_time", lambda *args: horizons.append(args))
     field = two_scale_field()
     start = linear_interpolant_path([1.0, 1.0], [0.0, 0.0], uniform_mesh(32))
@@ -1392,11 +1392,7 @@ def _newton_solve(name):
 
 
 def _within_last_bits(value, ref):
-    # the reduced value |p'| |b(p)| - <p', b(p)> is a difference of terms of
-    # order 1, so its last bits are absolute: two minimizers as good as each
-    # other give values 1e-13 apart relative to a small value (4.9e-13 at
-    # two_scale_256, where the fixed-T value at the Newton path is the lower)
-    return abs(value - ref) <= max(1e-13 * abs(ref), 1e-15)
+    return abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("name", sorted(NEWTON_SOLVES))
@@ -1408,11 +1404,11 @@ def test_reduced_linear_solve_is_newton_with_fewer_iterations(name):
 
 
 def test_linear_matrix_that_is_not_the_jacobian_keeps_the_lbfgs_solve():
-    # the parent solver's bits: no Newton step is taken for this field
+    # the L-BFGS solve's bits: no Newton step is taken for this field
     field = dataclasses.replace(two_scale_field(),
                                 linear_matrix=np.array(LINEAR_MATRICES["nonsymmetric"]))
     res = _two_scale_solves("tmam", field)
-    assert (res.value.hex(), res.iterations) == ("0x1.3e93336c3a680p-5", 36)
+    assert (res.value.hex(), res.iterations) == ("0x1.3e93336c3a692p-5", 36)
 
 
 @pytest.mark.parametrize("name", ["two_scale_64", "one_d"])

@@ -20,12 +20,11 @@ the path as ``path_sha256=`` of its little-endian float64 nodal values, the
 iteration log as ``log_sha256=`` of its ``repr``, the rest with ``repr``.  A solve that raises prints ``error=<code>``.  Either
 line ends with ``value_grad_calls=<n>``, the number of action evaluations
 the solve made: its calls to whichever of ``tmam_value_grad``,
-``fixed_t_value_grad`` and the staged ``_tmam_staged`` and
-``_fixed_t_staged`` the checkout's ``minaction.optimize`` holds, counted
-where the solvers look them up.  A solver calls one of the four per
-evaluation, so equal lines also mean equal evaluation counts, also between a
-checkout that evaluates through the first two and one that evaluates through
-the staged pair.
+``fixed_t_value_grad``, the staged ``_tmam_staged`` and ``_fixed_t_staged``,
+and the one staged ``_staged`` the checkout's ``minaction.optimize`` holds,
+counted where the solvers look them up.  A solver calls one of the five per
+evaluation, so equal lines also mean equal evaluation counts, also between
+checkouts that evaluate through different ones of these names.
 
 CLI runs (full size, also under ``--smoke``).  Each run writes its config into
 a fresh temporary working directory and calls ``minaction.cli.main`` with
@@ -167,7 +166,8 @@ def solve_lines(workloads, name: str, smoke: bool) -> list[str]:
     lines: list[str] = []
     evals = [0]  # value/gradient calls of the current solve
     solvers = ("minimize_tmam", "minimize_fixed_T")
-    evaluations = ("tmam_value_grad", "fixed_t_value_grad", "_tmam_staged", "_fixed_t_staged")
+    evaluations = ("tmam_value_grad", "fixed_t_value_grad", "_tmam_staged", "_fixed_t_staged",
+                   "_staged")
     originals = {fn: getattr(optimize, fn) for fn in solvers + evaluations if hasattr(optimize, fn)}
     with tempfile.TemporaryDirectory(prefix="digest-") as work_root:
         load = workloads.build(name, smoke, work_root)
