@@ -294,7 +294,10 @@ def cmd_solve(config_path: str, overrides=None, out_dir: str = ".") -> int:
             raise ConfigError("problem.start_csv mesh does not match mesh.N")
         if start.dim != field.dim:
             raise ConfigError("problem.start_csv dimension does not match the field")
-        if not (np.allclose(start.left, x1, atol=1e-12) and np.allclose(start.right, x2, atol=1e-12)):
+        # absolute only: numpy's default rtol of 1e-5 would pass an endpoint of
+        # another problem
+        if not (np.allclose(start.left, x1, rtol=0.0, atol=1e-12)
+                and np.allclose(start.right, x2, rtol=0.0, atol=1e-12)):
             raise ConfigError("problem.start_csv endpoints do not match problem.x1/x2")
     else:
         start = linear_interpolant_path(x1, x2, _uniform_mesh(num_elems, "mesh.N"))

@@ -6,37 +6,26 @@ minimized by one shared routine: a limited-memory quasi-Newton iteration
 with a backtracking line search, or a damped Newton iteration in the same
 loop (below).  The two public solvers differ only in the horizon: a given T,
 or each path's optimal horizon t_hat, at which the reduced functional is the
-fixed-T action.  The preconditioner's reference horizon is T or the start's
-t_hat.  The discrete reduced functional has a finite optimal horizon at
-every mesh, so the horizon needs no cap.  Because the stationarity system is
-elliptic, raw nodal gradients condition badly as the mesh or the horizon
-grows, so the initial inverse-Hessian guess is the inverse of one SPD
-operator on the interior nodes: the fixed-T Hessian of the action for a
-linear drift b(x) = A x, which does not depend on the path.  A field that
-carries ``linear_matrix`` gives A, so the first fixed-T step is an exact
-Newton step and a reduced solve gets the inverse of the reduced Hessian at
-its start.  Every other field gets A = sqrt(kappa) I, kappa the largest
-squared spectral norm of the drift's Jacobian at the start path's nodes: a
-stiffness-plus-scaled-mass operator per state component (a Sobolev-type
-gradient), which keeps iteration counts roughly mesh- and
-horizon-independent.  That operator is one symmetric positive definite
-tridiagonal matrix for all components.  One factor and one solve serve every
-band, picking LAPACK's routine by its width: L D L^T (``pttrf``) for a
-tridiagonal band, banded Cholesky (``pbtrf``) for the wider block band of a
-linear field with n >= 2.  A ``linear_matrix`` that is not the field's own
-changes only the preconditioner, never the action: the solve may take more
-iterations or stop short of ``tol_grad``.  Endpoints are never touched.  A
-solve writes no file: its per-iteration rows ride on ``OptimResult.log``.
+fixed-T action.  The discrete reduced functional has a finite optimal
+horizon at every mesh, so the horizon needs no cap.  Because the
+stationarity system is elliptic, raw nodal gradients condition badly as the
+mesh or the horizon grows, so the initial inverse-Hessian guess is the
+inverse of one SPD operator on the interior nodes, at T or the start's
+t_hat: the fixed-T Hessian of the action for a linear drift b(x) = A x
+(``_Band``).  A field that carries ``linear_matrix`` gives A, so the first
+fixed-T step is an exact Newton step.  Every other field gets a Sobolev-type
+stiffness-plus-scaled-mass operator, which keeps iteration counts roughly
+mesh- and horizon-independent.  A ``linear_matrix`` that is not the field's
+own changes only the preconditioner, never the action: the solve may take
+more iterations or stop short of ``tol_grad``.  Endpoints are never touched.
+A solve writes no file: its per-iteration rows ride on ``OptimResult.log``.
 
-For a linear drift the reduced Hessian is exact in closed form: P at t_hat
-downdated by c c^T / H_TT, both of which move with the path and t_hat.  So
-a reduced solve whose field's Jacobian at the start nodes equals its
-``linear_matrix``, and whose band at the start factors, is damped Newton
-(Nocedal & Wright, ch. 3.4 and 6): after each accepted iterate that does
-not end the loop, the operator is rebuilt there, and the loop keeps no
-curvature pairs.  If a rebuild fails, the solve goes on as L-BFGS on the
-last operator.  Every other solve, fixed-T ones included (a linear
-field's first fixed-T step is already exact), is L-BFGS.
+For a linear drift the reduced Hessian is exact in closed form, so a reduced
+solve of a field whose Jacobian is its ``linear_matrix`` is damped Newton
+(Nocedal & Wright, ch. 3.4 and 6; ``_preconditioner`` says when): the loop
+keeps no curvature pairs and takes the operator at each accepted iterate.
+Every other solve, fixed-T ones included (a linear field's first fixed-T
+step is already exact), is L-BFGS.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -64,29 +53,27 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
-# A solve takes its horizon and Euler-Lagrange residual from the loop's own
-# evaluations, which are staged (value first, gradient on demand), so
-# el_residual, optimal_time and the two value_grad functions are not called
-# here; they stay names of this module, where bench/layertrace.py wraps them
-from .action import (  # noqa: F401
+from .action import (
     ActionError,
     Quadrature,
     _el_residual_at,
     _norm2,
     _staged,
-    el_residual,
-    fixed_t_value_grad,
     hamiltonian_violation,
-    optimal_time,
-    tmam_value_grad,
 )
+
+# A solve takes its horizon and Euler-Lagrange residual from the loop's own
+# evaluations, which are staged (value first, gradient on demand), so these
+# are not called here; they stay names of this module, where
+# bench/layertrace.py wraps them
+from .action import el_residual, fixed_t_value_grad, optimal_time, tmam_value_grad  # noqa: F401
 from .drift import DriftField
 from .pathcore import (
     FePath,
@@ -464,33 +451,29 @@ def cho_solve_banded(factor, rhs):
     return x
 
 
-def _t_coupling(start: FePath, gram: np.ndarray, same: float, t_ref: float):
-    """(c, H_TT) of the fixed-T action for a linear drift with A^T A = ``gram``, at T = ``t_ref``.
-
-    c = grad |b(p)|^2 / 2 - grad |p'|^2 / (2 T^2) is the derivative in T of
-    the interior gradient, flat in node-major order, and H_TT = |p'|^2 / T^3
-    the second derivative of the action in T.  The quadrature sums of
-    grad |b(p)|^2 / 2 reduce to the rule's moment ``same`` = sum_k w_k xi_k^2
-    (see ``_preconditioner``).
-    """
-    h = start.mesh.widths
-    nodes = start.values
-    delta = np.diff(nodes, axis=0)
-    deriv = delta / h[:, None]
-    h_tt = float(np.vdot(delta, deriv)) / t_ref / t_ref / t_ref
-    mass = ((same * (h[:-1] + h[1:]))[:, None] * nodes[1:-1]
-            + (0.5 - same) * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
-    return (mass @ gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
-
-
 class _Band:
-    """The fixed-T Hessian band of the action for a linear drift b(x) = A x, at any horizon.
+    """The fixed-T Hessian P of the action for a linear drift b(x) = A x, as a band at any horizon.
 
-    The band of ``_preconditioner``'s P at T is stiff / T + (skew + (T gram)
-    mass), elementwise: this holds the four T-independent arrays, built once
-    per solve, so that P at another horizon costs five array operations.
-    ``linear`` says whether A is the field's ``linear_matrix`` (then ``gram``
-    is A^T A and ``same`` the rule's moment) or sqrt(kappa) I.
+    At T, P = T sum_e h_e sum_k w_k A_ek^T A_ek, whose element rows
+    A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
+    derivatives of the residual at point k of element e by its two nodes:
+    P = (1/T) K (x) I + T M (x) A^T A plus the skew part of A on the
+    off-diagonal blocks, K and M the stiffness and mass matrices of the
+    start path's mesh on its interior nodes.  P does not depend on the path.
+    ``linear`` says whether A is the field's ``linear_matrix``: then
+    ``gram`` is A^T A and, the rule being symmetric about 1/2, M takes its
+    moments ``same`` = sum_k w_k xi_k^2 (a node with itself) and 1/2 minus
+    that (a node with its neighbour).  Otherwise A = sqrt(kappa) I, kappa
+    from ``_drift_rate_sq``, with the exact P1 mass moments 1/3 and 1/6: a
+    Sobolev-type operator, the inverse Laplacian at small horizons and
+    aligned with the Hessian by its reaction term at large ones, whose 1 x 1
+    blocks give one factor for every state component.
+
+    P is block tridiagonal with m x m blocks, so in the node-major order of
+    the interior vector it is one upper band with 2m - 1 superdiagonals:
+    stiff / T + (skew + (T gram) mass), elementwise.  This holds those four
+    T-independent arrays, built once per solve, so that P at another horizon
+    costs five array operations.
     """
 
     def __init__(self, start: FePath, field: DriftField, quad: Quadrature, linear: bool):
@@ -530,11 +513,36 @@ class _Band:
                 put(upper + r - c - m, slice(m + c, None, m), stiff_off if r == c else 0.0,
                     gram[r, c], mass_off, skew[r, c])
 
-    def inverse(self, t_ref: float):
-        """Apply closure of P^-1 at T = ``t_ref``.
+    def t_coupling(self, path: FePath, t_ref: float):
+        """(c, H_TT) of the fixed-T action at ``path`` and T = ``t_ref``, for a linear band.
 
-        The factor routine's ``LinAlgError`` passes through; a band or factor
-        that is not finite raises ``ActionError``.
+        c = grad |b(p)|^2 / 2 - grad |p'|^2 / (2 T^2) is the derivative in T of
+        the interior gradient, flat in node-major order, and H_TT = |p'|^2 / T^3
+        the second derivative of the action in T.  The quadrature sums of
+        grad |b(p)|^2 / 2 reduce to the band's ``gram`` and the rule's moment
+        ``same``.
+        """
+        h = path.mesh.widths
+        nodes = path.values
+        delta = np.diff(nodes, axis=0)
+        deriv = delta / h[:, None]
+        h_tt = float(np.vdot(delta, deriv)) / t_ref / t_ref / t_ref
+        mass = ((self.same * (h[:-1] + h[1:]))[:, None] * nodes[1:-1]
+                + (0.5 - self.same) * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
+        return (mass @ self.gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
+
+    def inverse(self, t_ref: float, path: Optional[FePath] = None):
+        """Apply closure of P^-1 at T = ``t_ref``, downdated at ``path`` if given and linear.
+
+        ``cholesky_banded`` factors the band once and each apply is one
+        ``cho_solve_banded`` solve.  Given a ``path`` and a linear band, the
+        closure applies instead the inverse of the reduced Hessian
+        P - c c^T / H_TT there, by Sherman-Morrison, with ``t_coupling``'s c
+        and H_TT.  The plain P^-1 is returned when c is not finite, or when
+        H_TT - c^T P^-1 c is not finite or at most 1e-8 H_TT, where the
+        reduced Hessian is not safely positive definite.  The factor
+        routine's ``LinAlgError`` passes through; a band or factor that is
+        not finite raises ``ActionError``.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             band = self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
@@ -550,17 +558,10 @@ class _Band:
         def apply(vec):
             return cho_solve_banded(factor, vec.reshape(-1, cols)).ravel()
 
-        return apply
-
-    def reduced(self, apply, path: FePath, t_ref: float):
-        """``apply`` of P^-1 at ``t_ref`` downdated to the inverse of P - c c^T / H_TT at ``path``.
-
-        By Sherman-Morrison, with ``_t_coupling``'s c and H_TT.  ``apply``
-        itself is returned when c or H_TT - c^T P^-1 c is not finite, or the
-        difference is at most 1e-8 H_TT.
-        """
+        if path is None or not self.linear:
+            return apply
         with np.errstate(over="ignore", invalid="ignore"):
-            c_vec, h_tt = _t_coupling(path, self.gram, self.same, t_ref)
+            c_vec, h_tt = self.t_coupling(path, t_ref)
             if not np.isfinite(c_vec).all():
                 return apply
             u_vec = apply(c_vec)
@@ -576,53 +577,38 @@ class _Band:
 
 def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
                     reduced: bool):
-    """``(apply, band)``: the apply closure of P^-1 and the ``_Band`` it factored.
+    """``(apply, rebuild)``: the solver's operator at ``start`` and T = ``t_ref``, and its rebuild.
 
-    P is the fixed-T Hessian of the action for a linear drift b(x) = A x.
-    At T = ``t_ref``, P = T sum_e h_e sum_k w_k A_ek^T A_ek, whose element
-    rows A_ek = [-I/(T h_e) - (1 - xi_k) A, I/(T h_e) - xi_k A] are the
-    derivatives of the residual at point k of element e by its two nodes:
-    P = (1/T) K (x) I + T M (x) A^T A plus the skew part of A on the
-    off-diagonal blocks, K and M the stiffness and mass matrices of the
-    start path's mesh on its interior nodes.  The rule is symmetric about
-    1/2, so M takes its moments sum_k w_k xi_k^2 (a node with itself) and
-    1/2 minus that (a node with its neighbour).  A field with an n x n
-    ``linear_matrix`` gives A.  Every other field gets A = sqrt(kappa) I,
-    kappa from ``_drift_rate_sq``, with the exact P1 mass moments 1/3 and
-    1/6: a Sobolev-type operator, the inverse Laplacian at small horizons
-    and aligned with the Hessian by its reaction term at large ones, whose
-    1 x 1 blocks give one factor for every state component.
-
-    P is block tridiagonal with m x m blocks, so in the node-major order of
-    the interior vector it is one upper band with 2m - 1 superdiagonals
-    (``_Band``, whose T-independent parts a reduced Newton solve reuses at
-    every iterate).  ``cholesky_banded`` factors it once and each apply is
-    one ``cho_solve_banded`` solve.  With m = 1 (every field without
-    ``linear_matrix``, and a 1-D linear field) the band is tridiagonal, so
-    that is L D L^T (LAPACK ``pttrf``) and one ``pttrs`` solve with the n
-    components as its right-hand sides.  With m >= 2 it is banded Cholesky
-    (``pbtrf``) and one ``pbtrs`` solve of the flat vector.  If ``reduced``
-    and A is the field's, the closure applies instead the inverse of the
-    reduced Hessian P - c c^T / H_TT at the start path by Sherman-Morrison,
-    with ``_t_coupling``'s c and H_TT, the mixed and second derivatives of
-    the action in T.  The downdate is left out when H_TT - c^T P^-1 c <= 1e-8
-    H_TT, where the reduced Hessian is not safely positive definite, and
-    when c or that difference is not finite.  A Hessian that its
-    factorization rejects with ``LinAlgError`` (the action is then not
-    strictly convex in the path) gives way to the kappa operator.  A band or
-    factor that is not finite raises ``ActionError``.
+    ``apply`` is ``_Band.inverse`` at ``t_ref``, downdated at ``start`` if
+    ``reduced``.  A field with an n x n ``linear_matrix`` gives A; if the
+    factor rejects that band with ``LinAlgError`` (the action is then not
+    strictly convex in the path), A = sqrt(kappa) I serves instead, as for
+    every other field.  A reduced solve whose band is the ``linear_matrix``'s,
+    and whose field's Jacobian at the start nodes equals that matrix, is
+    Newton's: ``rebuild(z, t_hat)`` is the same band's inverse at an
+    iterate's interior ``z`` and its t_hat, the exact reduced Hessian's
+    there, or None when that band fails to factor or is not finite.  For
+    every other solve ``rebuild`` is None.
     """
     linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
     band = _Band(start, field, quad, linear)
     try:
-        apply = band.inverse(t_ref)
+        apply = band.inverse(t_ref, start if reduced else None)
     except LinAlgError:
         if not linear:
             raise
-        return _preconditioner(start, replace(field, linear_matrix=None), quad, t_ref, reduced)
-    if linear and reduced:
-        apply = band.reduced(apply, start, t_ref)
-    return apply, band
+        return _Band(start, field, quad, False).inverse(t_ref), None
+    if not (reduced and linear and _jacobian_is_linear_matrix(field, start)):
+        return apply, None
+    n = start.dim
+
+    def rebuild(z, t_hat):
+        try:
+            return band.inverse(t_hat, start.replace_interior(z.reshape(-1, n)))
+        except (LinAlgError, ActionError):
+            return None
+
+    return apply, rebuild
 
 
 def _jacobian_is_linear_matrix(field: DriftField, start: FePath) -> bool:
@@ -647,11 +633,8 @@ def _minimize(
     ``grad_of()`` only when the loop asks.  A fixed-T solve checks ``T`` and
     builds its preconditioner at ``T`` first; a reduced one evaluates the
     start first and builds it at the start's t_hat.  Either way the start is
-    evaluated once.  A reduced solve whose preconditioner is the factored
-    band of the field's ``linear_matrix``, and whose field's Jacobian at the
-    start nodes equals that matrix, is Newton's: it passes the loop a
-    ``rebuild`` of the exact reduced Hessian at an iterate and its t_hat,
-    the same band's factor at t_hat downdated there.  The diagnostics are
+    evaluated once.  ``_preconditioner`` gives the loop its operator and,
+    for a Newton solve, the rebuild of it at each iterate.  The diagnostics are
     evaluated at the final t_hat: the Euler-Lagrange residual from the
     loop's last gradient, which is the fixed-T gradient there, and the
     Hamiltonian violation from one drift evaluation.
@@ -669,16 +652,7 @@ def _minimize(
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond, band = _preconditioner(start, field, quad, t_ref, reduced)
-    rebuild = None
-    if reduced and band.linear and _jacobian_is_linear_matrix(field, start):
-        def rebuild(z, t_hat):
-            try:
-                apply = band.inverse(t_hat)
-            except (LinAlgError, ActionError):
-                return None
-            return band.reduced(apply, start.replace_interior(z.reshape(-1, n)), t_hat)
-
+    precond, rebuild = _preconditioner(start, field, quad, t_ref, reduced)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
         evaluate, z0, cfg, precond, first, rebuild)
     path = start.replace_interior(z.reshape(-1, n))

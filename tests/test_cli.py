@@ -334,8 +334,11 @@ class TestSolve:
             (24, [1.0], [0.0], "problem.start_csv dimension does not match the field"),
             (24, [1.0, 1.0], [0.0, 0.5],
              "problem.start_csv endpoints do not match problem.x1/x2"),
+            # off x1 by 9e-6, inside numpy's default relative tolerance of 1e-5
+            (24, [1.000009, 1.0], [0.0, 0.0],
+             "problem.start_csv endpoints do not match problem.x1/x2"),
         ],
-        ids=["mesh", "dimension", "endpoints"],
+        ids=["mesh", "dimension", "endpoints", "endpoint_within_relative_tolerance"],
     )
     def test_mismatched_start_csv_names_key(self, tmp_path, capsys, N, x1, x2, message):
         minaction.write_path_csv(

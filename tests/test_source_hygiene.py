@@ -2,6 +2,9 @@
 
 * Every name a module imports is used in it, listed in its ``__all__``, or
   imported by a statement that carries ``# noqa: F401``.
+* A ``# noqa: F401`` statement binds only names its module does not load,
+  each of them named, as a string or an attribute, by a file under ``bench``
+  or ``tools``: it keeps a name there for the benchmark tools to wrap.
 * Every ``__all__`` entry is an attribute of its module.
 * Every name in backticks in the function column of the README's "Key
   entry points" table is an attribute of the ``minaction`` package.
@@ -38,25 +41,45 @@ def _dunder_all(tree) -> list:
     return []
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by imports in ``source`` that nothing uses, exports or excuses."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set(_dunder_all(tree))
-    unused = []
+def _bound_imports(tree, lines):
+    """(bound name, excused) for every name an import in ``tree`` binds, ``__future__`` aside.
+
+    A name is excused when its statement carries ``# noqa: F401``.
+    """
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        excused = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if bound not in used and bound not in exported:
-                unused.append(bound)
-    return unused
+            yield alias.asname or alias.name.split(".")[0], excused
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by imports in ``source`` that nothing uses, exports or excuses."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(_dunder_all(tree))
+    return [bound for bound, excused in _bound_imports(tree, source.splitlines())
+            if not excused and bound not in used and bound not in exported]
+
+
+def misexcused_imports(source: str, named_by_tools: set) -> list:
+    """Names a ``# noqa: F401`` import in ``source`` binds that it loads or ``named_by_tools`` lacks."""
+    tree = ast.parse(source)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [bound for bound, excused in _bound_imports(tree, source.splitlines())
+            if excused and (bound in loaded or bound not in named_by_tools)]
+
+
+def strings_and_attributes(tree) -> set:
+    """String constants and attribute names in ``tree``: how a tool names a module's attribute."""
+    return {node.value if isinstance(node, ast.Constant) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -67,6 +90,25 @@ def test_every_import_is_used_exported_or_excused(path):
 def test_unused_import_is_found():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n__all__ = ['tau']\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+@pytest.fixture(scope="module")
+def named_by_tools():
+    tools = [p for p in SEARCHED if p.relative_to(ROOT).parts[0] in ("bench", "tools")]
+    return set().union(*(strings_and_attributes(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in tools))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_excused_import_is_unloaded_and_named_by_a_tool(path, named_by_tools):
+    assert misexcused_imports(path.read_text(encoding="utf-8"), named_by_tools) == []
+
+
+def test_misexcused_import_is_found():
+    source = ("import os  # noqa: F401\nfrom math import (  # noqa: F401\n    pi,\n    tau,\n"
+              "    e,\n)\nimport sys\nprint(pi, sys.path)\n")
+    tree = ast.parse('wrap(module, "os")\nwrap(module, "pi")\nmodule.e\n')
+    assert misexcused_imports(source, strings_and_attributes(tree)) == ["pi", "tau"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -19,12 +19,11 @@ meshes).  Every solve prints the workload, its index in it, then each
 the path as ``path_sha256=`` of its little-endian float64 nodal values, the
 iteration log as ``log_sha256=`` of its ``repr``, the rest with ``repr``.  A solve that raises prints ``error=<code>``.  Either
 line ends with ``value_grad_calls=<n>``, the number of action evaluations
-the solve made: its calls to whichever of ``tmam_value_grad``,
-``fixed_t_value_grad``, the staged ``_tmam_staged`` and ``_fixed_t_staged``,
-and the one staged ``_staged`` the checkout's ``minaction.optimize`` holds,
-counted where the solvers look them up.  A solver calls one of the five per
-evaluation, so equal lines also mean equal evaluation counts, also between
-checkouts that evaluate through different ones of these names.
+the solve made: its calls to ``minaction.optimize._staged``, counted where
+the solvers look it up.  A solver makes every evaluation through that one
+name, so equal lines also mean equal evaluation counts.  A checkout whose
+``minaction.optimize`` has no ``_staged`` (one that evaluates through other
+names) prints ``value_grad_calls=0`` on every solve line.
 
 CLI runs (full size, also under ``--smoke``).  Each run writes its config into
 a fresh temporary working directory and calls ``minaction.cli.main`` with
@@ -166,8 +165,7 @@ def solve_lines(workloads, name: str, smoke: bool) -> list[str]:
     lines: list[str] = []
     evals = [0]  # value/gradient calls of the current solve
     solvers = ("minimize_tmam", "minimize_fixed_T")
-    evaluations = ("tmam_value_grad", "fixed_t_value_grad", "_tmam_staged", "_fixed_t_staged",
-                   "_staged")
+    evaluations = ("_staged",)
     originals = {fn: getattr(optimize, fn) for fn in solvers + evaluations if hasattr(optimize, fn)}
     with tempfile.TemporaryDirectory(prefix="digest-") as work_root:
         load = workloads.build(name, smoke, work_root)
