@@ -157,10 +157,11 @@ class _Assembly:
     are (n, q, N) with point k of element e at [:, k, e].  The field gets
     the points as ``points``, their (q N, n) transposed view, so every sum
     below runs over contiguous length-N rows.  An array the field returns
-    is read, never written.
+    is read, never written.  ``jac`` holds the Jacobian planes of the last
+    ``fixed_t_grad``, which ``hessian`` reads.
     """
 
-    __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field")
+    __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field", "jac")
 
     def __init__(self, mesh: Mesh, values: np.ndarray, field: DriftField, quad: Quadrature):
         self.geo = _geometry(mesh, quad)
@@ -193,14 +194,105 @@ class _Assembly:
         to its right node, where wr_e = sum_k w_k r_ek and left_e, right_e
         are the hat-weighted sums over k of (Db^T r)_ek.
         """
-        jac = self.jac_quad()
-        jtr = jac[0] * resid[0]                      # (n, q, N): (Db^T r)_i
-        for j in range(1, resid.shape[0]):
-            jtr += jac[j] * resid[j]
+        jac = self.jac = self.jac_quad()
+        jtr = _jt_times(jac, resid)                  # (n, q, N): (Db^T r)_i
         wr = np.sum(self.w * resid, axis=1)          # (n, N)
         to_left = -wr - t_scale * np.sum(self.geo.left * jtr, axis=1)
         to_right = wr - t_scale * np.sum(self.geo.right * jtr, axis=1)
         return np.ascontiguousarray((to_left[:, 1:] + to_right[:, :-1]).T)
+
+    def hessian(self, t_scale: float, resid: np.ndarray):
+        """(band, c, H_TT): the fixed-T action's second derivatives at ``t_scale``, from ``resid``.
+
+        ``band`` is the upper band of the interior Hessian H in node-major
+        order (``_upper_band``).  Element e adds to the block of its nodes
+        a, b in {left, right} T h_e sum_k w_k [A_a^T A_b - phi_a phi_b Q_ek],
+        with A_a = sigma_a I / (T h_e) - phi_a J_ek, sigma = (-1, 1) and
+        phi = (1 - xi_k, xi_k): the Gauss-Newton part from the Jacobian that
+        ``fixed_t_grad`` took, and the second-order part from Q_ek, the
+        Hessian of r_ek . b at the point with r_ek held fixed.  Q is taken by
+        central second differences of the field's values, 2 n^2 batched
+        calls, at the step 1e-4 max(1, |x|_inf) per point.  c = dg/dT is
+        (p'_i - p'_{i-1}) / T^2 at node i plus the hat-weighted sums of
+        J^T b from its two elements, flat in node-major order, and
+        H_TT = sum_e |dp_e|^2 / (h_e T^3).  Nothing is checked finite.
+        """
+        geo, jac, n = self.geo, self.jac, self.delta.shape[0]
+        second = self._second_order(resid)
+        gram = np.stack([_jt_times(jac, jac[:, c]) for c in range(n)], axis=1)  # J^T J
+        curv = gram - second                                       # (n, n, q, N)
+        # hat-product weights h w phi_a phi_b of the element's two nodes
+        ll, lr, rr = (geo.left * geo.left / geo.hw, geo.left * geo.right / geo.hw,
+                      geo.right * geo.right / geo.hw)
+        stiff = np.eye(n)[:, :, None] / (t_scale * geo.h)          # (n, n, N)
+        w_left = np.sum(geo.left * jac, axis=2) / geo.h            # sum_k w_k phi_L J_k
+        w_right = np.sum(geo.right * jac, axis=2) / geo.h
+        left_left = (stiff + w_left + w_left.transpose(1, 0, 2)
+                     + t_scale * np.sum(ll * curv, axis=2))
+        right_right = (stiff - w_right - w_right.transpose(1, 0, 2)
+                       + t_scale * np.sum(rr * curv, axis=2))
+        left_right = (w_right - w_left.transpose(1, 0, 2) - stiff
+                      + t_scale * np.sum(lr * curv, axis=2))
+        band = _upper_band(n, geo.h.size - 1, left_left[:, :, 1:] + right_right[:, :, :-1],
+                           left_right[:, :, 1:-1])
+        jtb = _jt_times(jac, self.b_quad)
+        to_left = self.deriv / (t_scale * t_scale) + np.sum(geo.left * jtb, axis=1)
+        to_right = -self.deriv / (t_scale * t_scale) + np.sum(geo.right * jtb, axis=1)
+        c_vec = (to_left[:, 1:] + to_right[:, :-1]).T.ravel()
+        h_tt = float(np.vdot(self.delta, self.deriv)) / t_scale / t_scale / t_scale
+        return band, c_vec, h_tt
+
+    def _second_order(self, resid: np.ndarray) -> np.ndarray:
+        """(n, n, q, N) planes of Q, the Hessian of r . b at each point with ``resid`` r held fixed."""
+        n = resid.shape[0]
+        step = 1e-4 * np.maximum(1.0, np.abs(self.points).max(axis=1))   # (q N,)
+
+        def r_dot_b(*moves):
+            # r . b at the points moved by sign * step along each (component, sign)
+            pts = self.points.copy()
+            for i, sign in moves:
+                pts[:, i] += sign * step
+            b_planes = np.ascontiguousarray(self.field.eval_many(pts).T).reshape(resid.shape)
+            return np.sum(resid * b_planes, axis=0)
+
+        at_points = np.sum(resid * self.b_quad, axis=0)
+        step_sq = (step * step).reshape(at_points.shape)
+        second = np.empty((n, n) + at_points.shape)
+        for i in range(n):
+            second[i, i] = (r_dot_b((i, 1)) - 2.0 * at_points + r_dot_b((i, -1))) / step_sq
+            for j in range(i):
+                second[i, j] = second[j, i] = (
+                    r_dot_b((i, 1), (j, 1)) - r_dot_b((i, 1), (j, -1))
+                    - r_dot_b((i, -1), (j, 1)) + r_dot_b((i, -1), (j, -1))) / (4.0 * step_sq)
+        return second
+
+
+def _jt_times(jac: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """(n, q, N) planes of J^T f from the Jacobian planes ``jac`` and the (n, q, N) planes of f."""
+    out = jac[0] * planes[0]
+    for j in range(1, planes.shape[0]):
+        out += jac[j] * planes[j]
+    return out
+
+
+def _upper_band(m: int, nodes: int, diag, off) -> np.ndarray:
+    """Upper band of a symmetric block-tridiagonal matrix, in ``optimize.cholesky_banded``'s layout.
+
+    The matrix has ``nodes`` x ``nodes`` blocks of m x m.  Entry [r, c] of
+    ``diag`` holds that entry of every diagonal block, as one value or as
+    ``nodes`` values, and entry [r, c] of ``off`` that of the blocks above
+    them, block i coupling nodes i and i + 1.  In node-major order the
+    matrix has 2m - 1 superdiagonals, and entry (row, col) goes to
+    band[2m - 1 + row - col, col].
+    """
+    upper = 2 * m - 1
+    band = np.zeros((2 * m, nodes * m))
+    for r in range(m):
+        for c in range(m):
+            if c >= r:
+                band[upper + r - c, c::m] = diag[r, c]
+            band[upper + r - c - m, m + c::m] = off[r, c]
+    return band
 
 
 def _assemble(path: FePath, field: DriftField, quad: Quadrature) -> _Assembly:
@@ -234,21 +326,41 @@ def _horizon(asm: _Assembly) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Stage:
+    """The gradient of one staged evaluation, and then its second derivatives, on demand.
+
+    Calling it returns the interior gradient at the evaluation's horizon from
+    the evaluation's assembly and residual; ``hessian()``, once it has been
+    called, returns ``_Assembly.hessian`` there from the same Jacobian.
+    """
+
+    __slots__ = ("asm", "t_scale", "resid")
+
+    def __init__(self, asm: _Assembly, t_scale: float, resid: np.ndarray):
+        self.asm, self.t_scale, self.resid = asm, t_scale, resid
+
+    def __call__(self) -> np.ndarray:
+        return self.asm.fixed_t_grad(self.t_scale, self.resid)
+
+    def hessian(self):
+        return self.asm.hessian(self.t_scale, self.resid)
+
+
 def _staged(path: FePath, field: DriftField, quad: Quadrature, T=None):
     """(value, gradient callable, horizon) of the action at T, or at t_hat when T is None.
 
     The value is the fixed-T action at the horizon, a sum of squares of one
-    residual.  The callable returns the interior gradient at the horizon from
-    the same assembly and residual, and is the only step that evaluates the
-    drift's Jacobian.  The horizon is T as given, so an int stays an int in
-    the iteration log, or t_hat.
+    residual.  The callable, a ``_Stage``, returns the interior gradient at
+    the horizon from the same assembly and residual, and is the only step
+    that evaluates the drift's Jacobian.  The horizon is T as given, so an
+    int stays an int in the iteration log, or t_hat.
     """
     t_scale = None if T is None else _finite_positive(T, "T")
     asm = _assemble(path, field, quad)
     if t_scale is None:
         T = t_scale = _horizon(asm)
     resid = asm.residual(t_scale)
-    return 0.5 * t_scale * asm.weighted_sq(resid), lambda: asm.fixed_t_grad(t_scale, resid), T
+    return 0.5 * t_scale * asm.weighted_sq(resid), _Stage(asm, t_scale, resid), T
 
 
 def fixed_t_value_grad(path: FePath, field: DriftField, T: float, quad: Quadrature):

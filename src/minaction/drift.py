@@ -39,7 +39,11 @@ class DriftField:
     ``check_inward_condition`` reads, and ``linear_matrix`` carries A when
     b(x) = A x exactly.  Each given ``beta`` and ``r2`` must be a finite
     real number, not a bool; another value raises a ``ValueError`` that
-    names it.
+    names it.  ``fd_jacobian`` is True exactly when the Jacobian is the
+    central finite difference of the field's own values, as
+    ``field_from_callable`` makes it without ``jac``; the reduced solver
+    then takes Newton steps on a Hessian it differences itself
+    (``optimize._preconditioner``).  It must be a bool.
     """
 
     dim: int
@@ -48,12 +52,15 @@ class DriftField:
     beta: Optional[float] = None
     r2: Optional[float] = None
     linear_matrix: Optional[np.ndarray] = None
+    fd_jacobian: bool = False
 
     def __post_init__(self):
         for key in ("beta", "r2"):
             value = getattr(self, key)
             if value is not None and _finite_float(value) is None:
                 raise ValueError(f"{key} must be a finite real number")
+        if not isinstance(self.fd_jacobian, bool):
+            raise ValueError("fd_jacobian must be a bool")
 
     def __call__(self, x) -> np.ndarray:
         """b(x) at a single point."""
@@ -187,7 +194,8 @@ def field_from_callable(
     ``func`` maps a single point to a single vector of ``dim`` entries, and
     ``jac`` to a ``dim`` x ``dim`` matrix; batching is added here.  A batch of
     another shape raises ``ValueError``; an empty batch gives an empty array
-    of the right shape, as for the built-in fields.
+    of the right shape, as for the built-in fields.  Only the fallback sets
+    ``fd_jacobian``; passing it in ``metadata`` raises ``TypeError``.
     """
     dim = _int_at_least(dim, "dim", 1)
 
@@ -210,7 +218,8 @@ def field_from_callable(
         jac_many = lambda pts: _fd_jacobian_many(eval_many, pts)
     else:
         jac_many = batched(jac, "jac", (dim, dim))
-    return DriftField(dim=dim, _eval_many=eval_many, _jac_many=jac_many, **metadata)
+    return DriftField(dim=dim, _eval_many=eval_many, _jac_many=jac_many, fd_jacobian=jac is None,
+                      **metadata)
 
 
 def check_inward_condition(field: DriftField, samples: int, radius: float) -> InwardReport:

@@ -20,12 +20,17 @@ own changes only the preconditioner, never the action: the solve may take
 more iterations or stop short of ``tol_grad``.  Endpoints are never touched.
 A solve writes no file: its per-iteration rows ride on ``OptimResult.log``.
 
-For a linear drift the reduced Hessian is exact in closed form, so a reduced
-solve of a field whose Jacobian is its ``linear_matrix`` is damped Newton
-(Nocedal & Wright, ch. 3.4 and 6; ``_preconditioner`` says when): the loop
-keeps no curvature pairs and takes the operator at each accepted iterate.
-Every other solve, fixed-T ones included (a linear field's first fixed-T
-step is already exact), is L-BFGS.
+A reduced solve is damped Newton (Nocedal & Wright, ch. 3.4 and 6) when the
+exact reduced Hessian can be had at every accepted iterate and is positive
+definite at the start (``_preconditioner`` says when): in closed form for a
+field whose Jacobian is its ``linear_matrix``, and from each accepted
+evaluation's own assembly for a field whose Jacobian is a finite difference
+of its values (``fd_jacobian``), where a gradient costs 2n passes over the
+field.  The loop keeps no curvature pairs, takes the operator at each
+accepted iterate and skips the line search's gradient-model exit.  Every
+other solve is L-BFGS: fixed-T ones (a linear field's first fixed-T step is
+already exact), and those of fields with an analytic nonlinear Jacobian,
+whose Newton steps cost more than the iterations they save.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
@@ -37,12 +42,13 @@ test accepts it; a trial whose gradient raises a typed error or is not finite
 is rejected like one whose value raises.  Near the minimizer the search
 accepts by gradient-norm descent instead of Armijo's test: a trial must shrink
 the gradient's 2-norm below 0.999 of the current one, so every such trial
-takes its gradient.  Such a search also fails at its first rejected trial
-with a finite gradient whose linear model rules out every smaller step.  The
-premise is that the gradient is affine in the step over that range: the
-trial's gradient g + delta then gives g + t delta at t times its step, and
-when the least norm of that over t in [0, 1/2] is at least 0.999 of |g|, no
-later trial could pass (Nocedal & Wright, Numerical Optimization, ch. 3).
+takes its gradient.  Unless the solve is Newton's, such a search also fails
+at its first rejected trial with a finite gradient whose linear model rules
+out every smaller step.  The premise is that the gradient is affine in the
+step over that range: the trial's gradient g + delta then gives g + t delta
+at t times its step, and when the least norm of that over t in [0, 1/2] is
+at least 0.999 of |g|, no later trial could pass (Nocedal & Wright,
+Numerical Optimization, ch. 3).
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .action import (
     _el_residual_at,
     _norm2,
     _staged,
+    _upper_band,
     hamiltonian_violation,
 )
 
@@ -219,15 +226,17 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
     already, else None, and the loop evaluates the start itself.  A line
     search ends accepted at its first accepted trial, and fails after its
     last step (2**-66) or at its first trial that equals ``z`` bitwise,
-    which is not evaluated.  A gradient-norm search also fails at its first
-    rejected trial with a finite gradient for which
+    which is not evaluated.  An L-BFGS gradient-norm search also fails at
+    its first rejected trial with a finite gradient for which
     ``_no_smaller_step_shrinks``: if the gradient is affine in the step, no
     smaller step could then pass.
     ``rebuild(z, t_hat)``, if given, makes the loop Newton's: it keeps no
-    curvature pairs and makes no gamma-scaling solve, and after each accepted
-    iterate that does not end the loop ``precond_apply`` becomes the
-    operator that ``rebuild`` returns at that iterate.  Once ``rebuild``
-    returns None the loop is L-BFGS, with the last operator.
+    curvature pairs, makes no gamma-scaling solve and its searches skip that
+    exit, and after each accepted iterate that does not end the loop
+    ``precond_apply`` becomes the operator that ``rebuild`` returns at that
+    iterate.  The accepted trial is the search's last evaluation, so its
+    gradient is the last one taken when ``rebuild`` is called.  Once
+    ``rebuild`` returns None the loop is L-BFGS, with the last operator.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -299,7 +308,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
             if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
                 accepted = True
                 break
-            if _no_smaller_step_shrinks(grad, g_try, cur_gn2):
+            if rebuild is None and _no_smaller_step_shrinks(grad, g_try, cur_gn2):
                 break  # the search has failed
 
         if not accepted:
@@ -470,10 +479,10 @@ class _Band:
     blocks give one factor for every state component.
 
     P is block tridiagonal with m x m blocks, so in the node-major order of
-    the interior vector it is one upper band with 2m - 1 superdiagonals:
-    stiff / T + (skew + (T gram) mass), elementwise.  This holds those four
-    T-independent arrays, built once per solve, so that P at another horizon
-    costs five array operations.
+    the interior vector it is one upper band with 2m - 1 superdiagonals
+    (``_upper_band``): stiff / T + (skew + (T gram) mass), elementwise.
+    This holds those four T-independent arrays, built once per solve, so
+    that P at another horizon costs five array operations.
     """
 
     def __init__(self, start: FePath, field: DriftField, quad: Quadrature, linear: bool):
@@ -492,26 +501,19 @@ class _Band:
             stiff_diag, stiff_off = 1.0 / h[:-1] + 1.0 / h[1:], -1.0 / h[1:-1]
         self.gram = gram
         m = self.m = gram.shape[0]
-        upper = 2 * m - 1
-        shape = (2 * m, (h.size - 1) * m)               # band[upper + row - col, col]
-        self.stiff, self.reaction, self.mass, self.skew = (np.zeros(shape) for _ in range(4))
-
-        def put(row, cols, stiff, gram_rc, mass, skew_rc):
-            self.stiff[row, cols], self.reaction[row, cols] = stiff, gram_rc
-            self.mass[row, cols], self.skew[row, cols] = mass, skew_rc
-
+        nodes = h.size - 1
         # The diagonal block of interior node i sums element i-1's right-node
         # and element i's left-node parts, whose A + A^T terms cancel by the
         # rule's symmetry; the off-diagonal block of nodes i and i + 1 is
         # element i's cross part.  Only the (r, r) entries of either block
         # carry stiffness, and only the off-diagonal block the skew part.
-        for r in range(m):
-            for c in range(m):
-                if c >= r:
-                    put(upper + r - c, slice(c, None, m), stiff_diag if r == c else 0.0,
-                        gram[r, c], mass_diag, 0.0)
-                put(upper + r - c - m, slice(m + c, None, m), stiff_off if r == c else 0.0,
-                    gram[r, c], mass_off, skew[r, c])
+        eye = np.eye(m, dtype=bool)[:, :, None]
+        self.stiff = _upper_band(m, nodes, np.where(eye, stiff_diag, 0.0),
+                                 np.where(eye, stiff_off, 0.0))
+        self.reaction = _upper_band(m, nodes, gram, gram)
+        self.mass = _upper_band(m, nodes, np.broadcast_to(mass_diag, (m, m) + mass_diag.shape),
+                                np.broadcast_to(mass_off, (m, m) + mass_off.shape))
+        self.skew = _upper_band(m, nodes, np.zeros((m, m)), skew)
 
     def t_coupling(self, path: FePath, t_ref: float):
         """(c, H_TT) of the fixed-T action at ``path`` and T = ``t_ref``, for a linear band.
@@ -532,64 +534,121 @@ class _Band:
         return (mass @ self.gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
 
     def inverse(self, t_ref: float, path: Optional[FePath] = None):
-        """Apply closure of P^-1 at T = ``t_ref``, downdated at ``path`` if given and linear.
+        """``_inverse`` of P at T = ``t_ref``, downdated at ``path`` if given and linear.
 
-        ``cholesky_banded`` factors the band once and each apply is one
-        ``cho_solve_banded`` solve.  Given a ``path`` and a linear band, the
-        closure applies instead the inverse of the reduced Hessian
-        P - c c^T / H_TT there, by Sherman-Morrison, with ``t_coupling``'s c
-        and H_TT.  The plain P^-1 is returned when c is not finite, or when
-        H_TT - c^T P^-1 c is not finite or at most 1e-8 H_TT, where the
-        reduced Hessian is not safely positive definite.  The factor
-        routine's ``LinAlgError`` passes through; a band or factor that is
-        not finite raises ``ActionError``.
+        Given a ``path`` and a linear band, the downdate is by
+        ``t_coupling``'s c and H_TT there, so the closure applies the inverse
+        of the reduced Hessian.  A tridiagonal band (m = 1) is solved with
+        one column per state component, a wider one with one flat column.
         """
+        coupling = ()
         with np.errstate(over="ignore", invalid="ignore"):
             band = self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
-        if not np.isfinite(band).all():
-            raise ActionError("preconditioner is not finite at this horizon")
-        factor = cholesky_banded(band)
-        if not np.isfinite(factor).all():
-            raise ActionError("preconditioner is not finite at this horizon")
-        # one column per state component for a tridiagonal band (m = 1),
-        # else one flat column
-        cols = self.n // self.m
+            if path is not None and self.linear:
+                coupling = self.t_coupling(path, t_ref)
+        return _inverse(band, self.n // self.m, *coupling)
 
-        def apply(vec):
-            return cho_solve_banded(factor, vec.reshape(-1, cols)).ravel()
 
-        if path is None or not self.linear:
+def _inverse(band, cols: int, c_vec=None, h_tt=None):
+    """Apply closure of P^-1, P the SPD matrix whose upper band is ``band``, downdated if ``c_vec`` is given.
+
+    ``cholesky_banded`` factors the band once and each apply is one
+    ``cho_solve_banded`` solve, of the vector in ``cols`` columns.  Given c
+    and H_TT, the closure applies instead the inverse of the reduced Hessian
+    P - c c^T / H_TT, by Sherman-Morrison.  The plain P^-1 is returned when c
+    is not finite, or when H_TT - c^T P^-1 c is not finite or at most
+    1e-8 H_TT, where the reduced Hessian is not safely positive definite.
+    The factor routine's ``LinAlgError`` passes through; a band or factor
+    that is not finite raises ``ActionError``.
+    """
+    if not np.isfinite(band).all():
+        raise ActionError("preconditioner is not finite at this horizon")
+    factor = cholesky_banded(band)
+    if not np.isfinite(factor).all():
+        raise ActionError("preconditioner is not finite at this horizon")
+
+    def apply(vec):
+        return cho_solve_banded(factor, vec.reshape(-1, cols)).ravel()
+
+    if c_vec is None:
+        return apply
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(c_vec).all():
             return apply
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_vec, h_tt = self.t_coupling(path, t_ref)
-            if not np.isfinite(c_vec).all():
-                return apply
-            u_vec = apply(c_vec)
-            schur = h_tt - c_vec.dot(u_vec)
-        if not 1e-8 * h_tt < schur < math.inf:
-            return apply
+        u_vec = apply(c_vec)
+        schur = h_tt - c_vec.dot(u_vec)
+    if not 1e-8 * h_tt < schur < math.inf:
+        return apply
 
-        def apply_reduced(vec):
-            return apply(vec) + u_vec * (u_vec.dot(vec) / schur)
+    def apply_reduced(vec):
+        return apply(vec) + u_vec * (u_vec.dot(vec) / schur)
 
-        return apply_reduced
+    return apply_reduced
+
+
+# A Newton rebuild whose Hessian band does not factor tries the diagonal
+# shifts _SHIFT * max|diag| * 2**k for k = 0 .. _SHIFT_DOUBLINGS in turn.
+_SHIFT = 1e-10
+_SHIFT_DOUBLINGS = 80
+
+
+def _newton_inverse(stage, shift: bool):
+    """``_inverse`` of the exact reduced Hessian at a staged evaluation whose gradient was taken, or None.
+
+    The band, c and H_TT are ``stage.hessian()``.  If the band does not
+    factor, ``shift`` adds the smallest diagonal shift of ``_SHIFT`` *
+    max|diag| * 2**k, k = 0 .. ``_SHIFT_DOUBLINGS``, with which it does.  None
+    when the band or a factor is not finite, or when no band tried factors.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        band, c_vec, h_tt = stage.hessian()
+    try:
+        return _inverse(band, 1, c_vec, h_tt)
+    except LinAlgError:
+        if not shift:
+            return None
+    except ActionError:
+        return None
+    base = _SHIFT * float(np.abs(band[-1]).max())
+    for k in range(_SHIFT_DOUBLINGS + 1):
+        shifted = band.copy()
+        shifted[-1] += base * 2.0**k
+        try:
+            return _inverse(shifted, 1, c_vec, h_tt)
+        except LinAlgError:
+            continue
+        except ActionError:
+            return None
+    return None
 
 
 def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
-                    reduced: bool):
+                    reduced: bool, latest=()):
     """``(apply, rebuild)``: the solver's operator at ``start`` and T = ``t_ref``, and its rebuild.
 
-    ``apply`` is ``_Band.inverse`` at ``t_ref``, downdated at ``start`` if
-    ``reduced``.  A field with an n x n ``linear_matrix`` gives A; if the
-    factor rejects that band with ``LinAlgError`` (the action is then not
-    strictly convex in the path), A = sqrt(kappa) I serves instead, as for
-    every other field.  A reduced solve whose band is the ``linear_matrix``'s,
-    and whose field's Jacobian at the start nodes equals that matrix, is
-    Newton's: ``rebuild(z, t_hat)`` is the same band's inverse at an
-    iterate's interior ``z`` and its t_hat, the exact reduced Hessian's
-    there, or None when that band fails to factor or is not finite.  For
-    every other solve ``rebuild`` is None.
+    A reduced solve is Newton's, with ``rebuild(z, t_hat)`` the inverse of
+    the exact reduced Hessian at each accepted iterate, in two cases:
+    - the field's Jacobian is its own finite difference (``fd_jacobian``),
+      and the band of ``_Stage.hessian`` at the start factors without a
+      shift.  ``latest[-1]`` is the ``_Stage`` of the last evaluation whose
+      gradient was taken: the start's at this call, the accepted iterate's
+      at each rebuild, so no rebuild assembles or differences the Jacobian
+      again.  ``apply`` and each rebuild are ``_newton_inverse`` of that
+      stage, and a rebuild may shift the band's diagonal;
+    - the field has an n x n ``linear_matrix`` A that equals its Jacobian at
+      the start nodes, and A's band factors.  ``rebuild`` is that
+      ``_Band``'s inverse at the iterate's interior ``z`` and its t_hat.
+    A rebuild that fails returns None.  Every other solve gets ``rebuild``
+    None and ``apply`` = ``_Band.inverse`` at ``t_ref``, downdated at
+    ``start`` if ``reduced``.  A field with an n x n ``linear_matrix`` gives
+    A; if the factor rejects that band with ``LinAlgError`` (the action is
+    then not strictly convex in the path), A = sqrt(kappa) I serves instead,
+    as for every other field.
     """
+    if reduced and field.fd_jacobian and latest:
+        apply = _newton_inverse(latest[-1], shift=False)
+        if apply is not None:
+            return apply, lambda z, t_hat: _newton_inverse(latest[-1], shift=True)
     linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
     band = _Band(start, field, quad, linear)
     try:
@@ -643,16 +702,23 @@ def _minimize(
     t_ref = None if reduced else _finite_positive(T, "T")
     n = start.dim
 
+    latest = []  # the stage of the last evaluation whose gradient was taken
+
     def evaluate(z):
-        f, grad_of, th = _staged(start.replace_interior(z.reshape(-1, n)), field, quad, T)
-        return f, lambda: grad_of().ravel(), th
+        f, stage, th = _staged(start.replace_interior(z.reshape(-1, n)), field, quad, T)
+
+        def grad_of():
+            latest[:] = (stage,)
+            return stage().ravel()
+
+        return f, grad_of, th
 
     z0 = start.values[1:-1].ravel()
     first = None
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond, rebuild = _preconditioner(start, field, quad, t_ref, reduced)
+    precond, rebuild = _preconditioner(start, field, quad, t_ref, reduced, latest)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
         evaluate, z0, cfg, precond, first, rebuild)
     path = start.replace_interior(z.reshape(-1, n))

@@ -36,7 +36,14 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
-from minaction.action import MAX_POINTS_PER_ELEMENT, _geometry, _norms_over_components
+from minaction.action import (
+    MAX_POINTS_PER_ELEMENT,
+    _assemble,
+    _geometry,
+    _norms_over_components,
+    _staged,
+)
+from minaction.optimize import _Band
 
 SCALAR = linear_field([[-1.0]])
 ZERO2 = linear_field(np.zeros((2, 2)))
@@ -643,3 +650,111 @@ class TestFieldContract:
                            _jac_many=lambda pts: swapped(kept_jac))
         assert_same_bits(tmam_value_grad(path, other, quad), first[0])
         assert_same_bits(fixed_t_value_grad(path, other, 0.8, quad), first[1])
+
+
+def _callable_maier_stein(x):
+    u, v = x
+    return np.array([u - u**3 - 10.0 * u * v**2, -(1.0 + u**2) * v])
+
+
+# nonlinear fields of dimension 1 to 3, with a closed-form or a finite-difference Jacobian
+HESSIAN_FIELDS = {
+    "maier_stein": maier_stein_field(10.0),
+    "callable_maier_stein": field_from_callable(2, _callable_maier_stein),
+    "callable_1d": field_from_callable(1, lambda x: -x - x**3 + 0.5 * np.sin(2.0 * x)),
+    "callable_3d": field_from_callable(3, lambda x: np.array([
+        -x[0] + x[1] * x[2], -2.0 * x[1] - x[0] * x[2] + 0.3 * x[0] ** 2,
+        -x[2] + np.sin(x[0] * x[1])])),
+}
+
+
+def dense_from_band(band):
+    """The symmetric matrix whose upper band, in ``cholesky_banded``'s layout, is ``band``."""
+    rows, cols = band.shape
+    mat = np.zeros((cols, cols))
+    for d in range(rows):
+        k = rows - 1 - d
+        idx = np.arange(k, cols)
+        mat[idx - k, idx] = mat[idx, idx - k] = band[d, k:]
+    return mat
+
+
+class TestHessianBand:
+    """``_Assembly.hessian``: the fixed-T Hessian band, c = dg/dT and H_TT against differences."""
+
+    T = 3.7
+
+    def stage(self, name, nonuniform):
+        field = HESSIAN_FIELDS[name]
+        rng = np.random.default_rng(4 + nonuniform)
+        mesh = random_mesh(rng, n_lo=12, n_hi=12, nonuniform=nonuniform)
+        path = FePath(mesh, 0.5 * rng.standard_normal((13, field.dim)))
+        _, stage, _ = _staged(path, field, DEFAULT_QUAD, self.T)
+        stage()  # the gradient takes the Jacobian the Hessian reads
+        return field, path, stage
+
+    @staticmethod
+    def gradient(path, field, z, T):
+        return _staged(path.replace_interior(z.reshape(-1, field.dim)), field, DEFAULT_QUAD,
+                       T)[1]().ravel()
+
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_FIELDS))
+    def test_band_is_the_derivative_of_the_gradient(self, name, nonuniform):
+        # a finite-difference Jacobian carries ~1e-10 of roundoff, which the
+        # differenced gradient magnifies by 1/step
+        field, path, stage = self.stage(name, nonuniform)
+        band, _, _ = stage.hessian()
+        assert band.shape == (2 * field.dim, 11 * field.dim)
+        z, step = path.values[1:-1].ravel(), 1e-5
+        ref = np.column_stack([
+            (self.gradient(path, field, z + step * e, self.T)
+             - self.gradient(path, field, z - step * e, self.T)) / (2.0 * step)
+            for e in np.eye(z.size)])
+        err = np.max(np.abs(dense_from_band(band) - ref)) / np.max(np.abs(ref))
+        assert err <= (1e-8 if name == "maier_stein" else 1e-5)
+
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_FIELDS))
+    def test_horizon_coupling_is_the_derivative_in_t(self, name, nonuniform):
+        field, path, stage = self.stage(name, nonuniform)
+        _, c_vec, h_tt = stage.hessian()
+        z, step = path.values[1:-1].ravel(), 1e-5
+        ref = (self.gradient(path, field, z, self.T + step)
+               - self.gradient(path, field, z, self.T - step)) / (2.0 * step)
+        assert np.max(np.abs(c_vec - ref)) <= 1e-9 * np.max(np.abs(ref))
+        value = lambda T: _staged(path, field, DEFAULT_QUAD, T)[0]
+        step = 1e-3
+        ref = (value(self.T + step) - 2.0 * value(self.T) + value(self.T - step)) / step**2
+        assert h_tt == pytest.approx(ref, rel=1e-6)
+
+    def test_second_order_term_matches_the_closed_form(self):
+        # Q = r1 Hess(b1) + r2 Hess(b2) of Maier-Stein, from second differences of the values
+        gamma = 10.0
+        field, path, stage = self.stage("maier_stein", True)
+        asm = _assemble(path, field, DEFAULT_QUAD)
+        resid = asm.residual(self.T)
+        u, v = asm.points[:, 0].reshape(resid.shape[1:]), asm.points[:, 1].reshape(resid.shape[1:])
+        r1, r2 = resid
+        ref = np.array([[r1 * -6.0 * u + r2 * -2.0 * v, r1 * -2.0 * gamma * v + r2 * -2.0 * u],
+                        [r1 * -2.0 * gamma * v + r2 * -2.0 * u, r1 * -2.0 * gamma * u]])
+        got = asm._second_order(resid)
+        assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    def test_linear_field_gives_the_linear_band_and_coupling(self, nonuniform):
+        # J = A and Q = 0 up to the differences' roundoff: the band, c and H_TT
+        # of the linear-drift preconditioner
+        field = linear_field([[-1.0, 3.0], [-0.5, -2.0]])
+        rng = np.random.default_rng(9)
+        mesh = random_mesh(rng, n_lo=12, n_hi=12, nonuniform=nonuniform)
+        path = FePath(mesh, rng.standard_normal((13, 2)))
+        _, stage, _ = _staged(path, field, DEFAULT_QUAD, self.T)
+        stage()
+        band, c_vec, h_tt = stage.hessian()
+        linear = _Band(path, field, DEFAULT_QUAD, True)
+        ref = linear.stiff / self.T + (linear.skew + (self.T * linear.reaction) * linear.mass)
+        assert np.max(np.abs(band - ref)) <= 1e-7 * np.max(np.abs(ref))
+        ref_c, ref_h_tt = linear.t_coupling(path, self.T)
+        assert np.max(np.abs(c_vec - ref_c)) <= 1e-13 * np.max(np.abs(ref_c))
+        assert h_tt == pytest.approx(ref_h_tt, rel=1e-14)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -112,6 +113,34 @@ def test_different_harnesses_exit_before_any_run(tmp_path):
     assert proc.returncode == 1
     assert "bench/run.py" in proc.stderr
     assert not any((side / "ran").exists() for side in sides)
+
+
+def test_each_checkout_is_imported_before_its_first_timed_run(tmp_path):
+    # the runner reports whether its checkout's minaction had bytecode when it
+    # started; without the untimed import, pair 0 would compile it on both sides
+    sides = []
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "src" / "minaction").mkdir(parents=True)
+        (checkout / "src" / "minaction" / "__init__.py").write_text("")
+        (checkout / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+        ))
+        (checkout / "bench" / "run.py").write_text(
+            "import json, pathlib\n"
+            "warm = pathlib.Path('src/minaction/__pycache__').is_dir()\n"
+            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+            "                  'metrics': {'wall_s': {'value': 1.0 if warm else 2.0, 'unit': 's'}}}))\n"
+        )
+        sides.append(checkout)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run([sys.executable, str(TOOL), "--parent", str(sides[0]), "--change",
+                           str(sides[1]), "--workload", "case_i", "--pairs", "1", "--seconds", "0"],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for side in ("parent", "change"):
+        assert f"case_i pair 0 seed 1 {side}: wall_s=1.0\n" in proc.stdout
 
 
 def test_incorrect_run_exits_nonzero(tmp_path):

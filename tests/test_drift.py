@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -384,3 +385,16 @@ class TestMetadata:
     def test_finite_metadata_is_kept(self):
         field = field_from_callable(1, lambda x: -x, beta=np.float64(0.5), r2=2)
         assert (field.beta, field.r2) == (0.5, 2)
+
+    def test_only_the_finite_difference_fallback_sets_fd_jacobian(self):
+        assert field_from_callable(1, lambda x: -x).fd_jacobian is True
+        assert field_from_callable(1, lambda x: -x, lambda x: -np.eye(1)).fd_jacobian is False
+        for field in (linear_field([[-1.0]]), two_scale_field(), maier_stein_field(10.0)):
+            assert field.fd_jacobian is False
+        with pytest.raises(TypeError, match="fd_jacobian"):
+            field_from_callable(1, lambda x: -x, lambda x: -np.eye(1), fd_jacobian=True)
+
+    @pytest.mark.parametrize("bad", [1, 0, None, np.bool_(True), "yes"])
+    def test_fd_jacobian_must_be_a_bool(self, bad):
+        with pytest.raises(ValueError, match="^fd_jacobian must be a bool$"):
+            dataclasses.replace(linear_field([[-1.0]]), fd_jacobian=bad)

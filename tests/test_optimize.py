@@ -33,7 +33,7 @@ from minaction import (
     two_scale_field,
     uniform_mesh,
 )
-from minaction import optimize
+from minaction import action, optimize
 from minaction.optimize import _DEAD_LIMIT, _LOG_HEADER, _lbfgs_loop, _norm2
 from minaction.pathcore import _write_table
 
@@ -1491,3 +1491,130 @@ def test_rejected_rebuild_keeps_the_last_operator_and_converges(monkeypatch, nam
     assert res.converged and len(calls) == 2
     assert res.iterations > NEWTON_SOLVES[name][6]
     assert _within_last_bits(res.value, NEWTON_SOLVES[name][4])
+
+
+def _callable_maier_stein_jacobian(x):
+    u, v = x
+    return np.array([[1.0 - 3.0 * u**2 - 10.0 * v**2, -20.0 * u * v], [-2.0 * u * v, -(1.0 + u**2)]])
+
+
+def _bulged_start(N):
+    mesh = uniform_mesh(N)
+    return FePath(mesh, np.column_stack([-1.0 + mesh.nodes, 0.3 * np.sin(np.pi * mesh.nodes)]))
+
+
+# the gamma=10 minimum at N=64 from the bulged start: L-BFGS on maier_stein_field(10.0)
+# converges there in 73 iterations
+BULGED_64 = 0.3402892368354344
+FD_FIELD = field_from_callable(2, _callable_maier_stein)
+
+
+def _newton_inverses(monkeypatch):
+    """The ``optimize._newton_inverse`` calls of the solves that follow, by their ``shift``."""
+    calls, real = [], optimize._newton_inverse
+
+    def counted(stage, shift):
+        calls.append(shift)
+        return real(stage, shift)
+
+    monkeypatch.setattr(optimize, "_newton_inverse", counted)
+    return calls
+
+
+class TestFiniteDifferenceNewton:
+    """A reduced solve of a field with a finite-difference Jacobian is Newton's when its start allows."""
+
+    def test_bulged_start_converges_in_newton_steps(self, monkeypatch):
+        calls = _newton_inverses(monkeypatch)
+        res = minimize_tmam(_bulged_start(64), FD_FIELD)
+        assert res.converged and res.iterations <= 20
+        assert abs(res.value - BULGED_64) <= 1e-13
+        # the start's operator without a shift, then one rebuild per accepted
+        # iterate but the last
+        assert calls == [False] + [True] * (res.iterations - 1)
+
+    def test_saddle_start_keeps_the_lbfgs_solve(self, monkeypatch):
+        # from the straight line at gamma=10 the start's band does not factor:
+        # the solve is L-BFGS on the scalar-rate band, with the bits of the
+        # same field without the marker
+        calls = _newton_inverses(monkeypatch)
+        start = linear_interpolant_path([-1.0, 0.0], [0.0, 0.0], uniform_mesh(16))
+        res = minimize_tmam(start, FD_FIELD)
+        assert (res.value.hex(), res.iterations) == ("0x1.008e2e5caabb3p-1", 29)
+        assert calls == [False]
+        plain = minimize_tmam(start, dataclasses.replace(FD_FIELD, fd_jacobian=False))
+        assert np.array_equal(res.path.values, plain.path.values) and res.log == plain.log
+
+    @pytest.mark.parametrize("case", ["jacobian_given", "fixed_t"])
+    def test_lbfgs_without_the_marker_or_the_reduced_functional(self, monkeypatch, case):
+        calls = _newton_inverses(monkeypatch)
+        if case == "jacobian_given":
+            field = field_from_callable(2, _callable_maier_stein, _callable_maier_stein_jacobian)
+            assert not field.fd_jacobian
+            res = minimize_tmam(_bulged_start(64), field)
+            assert res.converged and res.iterations == 73
+        else:
+            res = minimize_fixed_T(_bulged_start(16), FD_FIELD, 3.0, OptimConfig(max_iters=40))
+            assert res.iterations > 0
+        assert calls == []
+
+    def test_rebuild_that_does_not_factor_takes_the_smallest_shift_that_does(self, monkeypatch):
+        # the first rebuild's band and its first two shifts are rejected
+        real, bands = optimize.cholesky_banded, []
+
+        def reject_the_first_rebuild(band):
+            bands.append(band.copy())
+            if 2 <= len(bands) <= 4:
+                raise optimize.LinAlgError("3-th leading minor not positive definite")
+            return real(band)
+
+        monkeypatch.setattr(optimize, "cholesky_banded", reject_the_first_rebuild)
+        res = minimize_tmam(_bulged_start(64), FD_FIELD)
+        assert res.converged and abs(res.value - BULGED_64) <= 1e-13
+        base = 1e-10 * np.max(np.abs(bands[1][-1]))
+        for k in range(3):
+            shifted = bands[1].copy()
+            shifted[-1] += base * 2.0**k
+            assert bands[2 + k].tobytes() == shifted.tobytes()
+        assert len(bands) >= 4 + res.iterations - 1  # a later rebuild may shift too
+
+    def test_rebuild_that_never_factors_goes_on_as_lbfgs(self, monkeypatch):
+        # no shift within 80 doublings: L-BFGS from there, on the start's
+        # operator, with no further rebuild.  It stalls in the curved valley
+        # (97 iterations, 6.9e-11 above the minimum), as L-BFGS solves of
+        # this problem do
+        real, bands = optimize.cholesky_banded, []
+
+        def reject_after_the_first(band):
+            bands.append(band.copy())
+            if len(bands) > 1:
+                raise optimize.LinAlgError("1-th leading minor not positive definite")
+            return real(band)
+
+        monkeypatch.setattr(optimize, "cholesky_banded", reject_after_the_first)
+        res = minimize_tmam(_bulged_start(64), FD_FIELD)
+        assert len(bands) == 1 + 1 + 81
+        assert res.iterations > 20
+        assert 0.0 <= res.value - BULGED_64 <= 1e-9
+
+    @pytest.mark.parametrize("at", ["start", "rebuild"])
+    def test_band_that_is_not_finite_gives_lbfgs(self, monkeypatch, at):
+        real, calls = action._Assembly.hessian, []
+
+        def poisoned(self, t_scale, resid):
+            band, c_vec, h_tt = real(self, t_scale, resid)
+            calls.append(t_scale)
+            if len(calls) == (1 if at == "start" else 2):
+                band[0, -1] = math.nan
+            return band, c_vec, h_tt
+
+        monkeypatch.setattr(action._Assembly, "hessian", poisoned)
+        res = minimize_tmam(_bulged_start(64), FD_FIELD)
+        assert res.iterations > 20
+        if at == "start":
+            plain = minimize_tmam(_bulged_start(64), dataclasses.replace(FD_FIELD, fd_jacobian=False))
+            assert calls == [res.log[0][3]]
+            assert np.array_equal(res.path.values, plain.path.values) and res.log == plain.log
+        else:
+            assert len(calls) == 2
+            assert 0.0 <= res.value - BULGED_64 <= 1e-9

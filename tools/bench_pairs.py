@@ -7,9 +7,12 @@ Usage (from any directory):
         --claim case_ii:wall_s --record BENCH_13.json
 
 Each checkout is a directory holding ``bench/run.py`` and ``src/minaction``;
-the runner there imports its own sources.  Pair k runs both checkouts with
-seed ``seed0 + k``, the parent first when k is even and the change first
-when k is odd, so drift in the host's load falls on both sides alike.
+the runner there imports its own sources.  Before pair 0 each checkout's
+``minaction`` and ``bench/workloads.py`` are imported once, untimed, so that
+neither side's first run pays for compiling their bytecode.  Pair k runs both
+checkouts with seed ``seed0 + k``, the parent first when k is even and the
+change first when k is odd, so drift in the host's load falls on both sides
+alike.
 
 For every end-to-end metric the change's ``BENCHMARK.json`` lists, it prints
 both medians, the parent's quartile spread (the distance between its first
@@ -67,6 +70,17 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool):
         sys.stderr.write(proc.stderr)
         return None
     return json.loads(lines[-1])
+
+
+def _warm_up(checkout: Path) -> None:
+    """Import ``checkout``'s ``minaction``, then its ``bench/workloads.py``, in one untimed process.
+
+    Python writes their bytecode as it imports them.  A failure is ignored:
+    the timed runs report their own.
+    """
+    paths = [str(checkout / "src"), str(checkout / "bench")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import minaction, workloads"
+    subprocess.run([sys.executable, "-c", code], cwd=checkout, capture_output=True)
 
 
 def _harness_difference(parent: Path, change: Path):
@@ -217,6 +231,8 @@ def main(argv=None) -> int:
                 return 1
 
     sides = {"parent": args.parent, "change": args.change}
+    for checkout in sides.values():
+        _warm_up(checkout)
     results = []
     ok = True
     for workload in args.workload:
