@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import DriftField
+from .drift import DriftField, _central_stencil
 from .pathcore import FePath, Mesh, _count_at_least, _finite_positive
 
 __all__ = [
@@ -158,10 +158,14 @@ class _Assembly:
     the points as ``points``, their (q N, n) transposed view, so every sum
     below runs over contiguous length-N rows.  An array the field returns
     is read, never written.  ``jac`` holds the Jacobian planes of the last
-    ``fixed_t_grad``, which ``hessian`` reads.
+    ``fixed_t_grad``, which ``hessian`` reads.  ``stencil`` holds the side
+    values and the per-point step of the last finite-difference Jacobian
+    (``_central_stencil``), or None: a field with ``fd_jacobian`` has its
+    Jacobian taken here from ``eval_many``, bit for bit its
+    ``jacobian_many``, so that Q reuses its sides.
     """
 
-    __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field", "jac")
+    __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field", "jac", "stencil")
 
     def __init__(self, mesh: Mesh, values: np.ndarray, field: DriftField, quad: Quadrature):
         self.geo = _geometry(mesh, quad)
@@ -173,11 +177,16 @@ class _Assembly:
         self.points = x_quad.reshape(x_quad.shape[0], -1).T                    # (q N, n) view
         self.w = quad.w[:, None]
         self.field = field
+        self.stencil = None
         self.b_quad = np.ascontiguousarray(field.eval_many(self.points).T).reshape(x_quad.shape)
 
     def jac_quad(self) -> np.ndarray:
         """(n, n, q, N) planes of the Jacobian; [j, i] holds db_j/dx_i."""
-        jac = self.field.jacobian_many(self.points)
+        if self.field.fd_jacobian:
+            jac, sides, step = _central_stencil(self.field.eval_many, self.points)
+            self.stencil = sides, step
+        else:
+            jac = self.field.jacobian_many(self.points)
         return jac.transpose(1, 2, 0).reshape(jac.shape[1:] + self.b_quad.shape[1:])
 
     # int |f|^2 ds from f's (n, q, N) values at the quadrature points
@@ -210,9 +219,8 @@ class _Assembly:
         with A_a = sigma_a I / (T h_e) - phi_a J_ek, sigma = (-1, 1) and
         phi = (1 - xi_k, xi_k): the Gauss-Newton part from the Jacobian that
         ``fixed_t_grad`` took, and the second-order part from Q_ek, the
-        Hessian of r_ek . b at the point with r_ek held fixed.  Q is taken by
-        central second differences of the field's values, 2 n^2 batched
-        calls, at the step 1e-4 max(1, |x|_inf) per point.  c = dg/dT is
+        Hessian of r_ek . b at the point with r_ek held fixed, by second
+        differences of the field's values (``_second_order``).  c = dg/dT is
         (p'_i - p'_{i-1}) / T^2 at node i plus the hat-weighted sums of
         J^T b from its two elements, flat in node-major order, and
         H_TT = sum_e |dp_e|^2 / (h_e T^3).  Nothing is checked finite.
@@ -243,28 +251,47 @@ class _Assembly:
         return band, c_vec, h_tt
 
     def _second_order(self, resid: np.ndarray) -> np.ndarray:
-        """(n, n, q, N) planes of Q, the Hessian of r . b at each point with ``resid`` r held fixed."""
+        """(n, n, q, N) planes of Q, the Hessian of g = r . b at each point with ``resid`` r held fixed.
+
+        Q_ii is the central second difference of g over the axis moves
+        x +- s e_i, and Q_ij, j < i, the shared stencil
+        [g(x + s(e_i + e_j)) + g(x - s(e_i + e_j)) - g(x +- s e_i) - g(x +- s e_j) + 2 g(x)] / (2 s^2),
+        second order and exact on a cubic.  The axis values are the sides of
+        the finite-difference Jacobian (``stencil``) when there are some, at
+        its step; otherwise one batched call of the 2n axis moves at
+        s = 1e-4 max(1, |x|_inf).  The n (n - 1) diagonal moves are one more
+        batched call.
+        """
         n = resid.shape[0]
-        step = 1e-4 * np.maximum(1.0, np.abs(self.points).max(axis=1))   # (q N,)
-
-        def r_dot_b(*moves):
-            # r . b at the points moved by sign * step along each (component, sign)
-            pts = self.points.copy()
-            for i, sign in moves:
-                pts[:, i] += sign * step
-            b_planes = np.ascontiguousarray(self.field.eval_many(pts).T).reshape(resid.shape)
-            return np.sum(resid * b_planes, axis=0)
-
-        at_points = np.sum(resid * self.b_quad, axis=0)
-        step_sq = (step * step).reshape(at_points.shape)
-        second = np.empty((n, n) + at_points.shape)
+        if self.stencil is None:
+            step = 1e-4 * np.maximum(1.0, np.abs(self.points).max(axis=1))   # (q N,)
+            eye = np.eye(n)
+            sides = self._moved(np.concatenate([eye, -eye]), step).reshape((2, n) + step.shape + (n,))
+        else:
+            sides, step = self.stencil
+        r_rows = resid.reshape(n, -1).T                              # (q N, n)
+        at_points = np.sum(resid * self.b_quad, axis=0).ravel()      # g(x)
+        axis = np.sum(sides * r_rows, axis=-1)                       # (2, n, q N): g(x +- s e_i)
+        step_sq = step * step
+        second = np.empty((n, n) + step.shape)
         for i in range(n):
-            second[i, i] = (r_dot_b((i, 1)) - 2.0 * at_points + r_dot_b((i, -1))) / step_sq
-            for j in range(i):
+            second[i, i] = (axis[0, i] - 2.0 * at_points + axis[1, i]) / step_sq
+        pairs = [(i, j) for i in range(n) for j in range(i)]
+        if pairs:
+            moves = np.zeros((2 * len(pairs), n))
+            for p, (i, j) in enumerate(pairs):
+                moves[2 * p, [i, j]], moves[2 * p + 1, [i, j]] = 1.0, -1.0
+            mixed = np.sum(self._moved(moves, step) * r_rows, axis=-1)   # (2 pairs, q N)
+            for p, (i, j) in enumerate(pairs):
                 second[i, j] = second[j, i] = (
-                    r_dot_b((i, 1), (j, 1)) - r_dot_b((i, 1), (j, -1))
-                    - r_dot_b((i, -1), (j, 1)) + r_dot_b((i, -1), (j, -1))) / (4.0 * step_sq)
-        return second
+                    mixed[2 * p] + mixed[2 * p + 1] - axis[0, i] - axis[1, i]
+                    - axis[0, j] - axis[1, j] + 2.0 * at_points) / (2.0 * step_sq)
+        return second.reshape((n, n) + resid.shape[1:])
+
+    def _moved(self, moves: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """(k, q N, n): b at the points moved by ``step`` times each of the k rows of ``moves``, in one batched call."""
+        pts = self.points + moves[:, None, :] * step[:, None]
+        return self.field.eval_many(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
 
 
 def _jt_times(jac: np.ndarray, planes: np.ndarray) -> np.ndarray:

@@ -27,7 +27,12 @@ __all__ = [
     "check_inward_condition",
 ]
 
-FD_JACOBIAN_STEP = 1e-6
+# The central difference's step is FD_JACOBIAN_STEP * max(1, |x|_2): near
+# eps^(1/3) of float64 (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+# sec. 8.1), where its truncation and roundoff errors balance.  The same step
+# serves the second differences of the reduced Newton Hessian, which
+# ``action._Assembly`` takes from the Jacobian's own side values.
+FD_JACOBIAN_STEP = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +46,11 @@ class DriftField:
     real number, not a bool; another value raises a ``ValueError`` that
     names it.  ``fd_jacobian`` is True exactly when the Jacobian is the
     central finite difference of the field's own values, as
-    ``field_from_callable`` makes it without ``jac``; the reduced solver
-    then takes Newton steps on a Hessian it differences itself
-    (``optimize._preconditioner``).  It must be a bool.
+    ``field_from_callable`` makes it without ``jac``; the action's assembly
+    then differences the values itself (``_central_stencil``), and the
+    reduced solver takes Newton steps on a Hessian whose second differences
+    reuse those side values (``optimize._preconditioner``).  It must be a
+    bool.
     """
 
     dim: int
@@ -171,15 +178,30 @@ def maier_stein_field(gamma: float = 10.0) -> DriftField:
     return DriftField(dim=2, _eval_many=eval_many, _jac_many=jac_many, beta=1.0, r2=1.5)
 
 
-def _fd_jacobian_many(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+def _central_stencil(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
+    """(jac, sides, step): the central-difference Jacobian of ``func`` at ``pts`` (m, n) and its stencil.
+
+    ``step`` (m,) is FD_JACOBIAN_STEP * max(1, |x|_2) per point, and
+    ``sides`` (2, n, m, n) holds func at the points moved by +step and by
+    -step along each axis j, at [0, j] and [1, j]: 2n batched calls.  Entry
+    (i, j) of the Jacobian at a point is the difference of component i over
+    the two sides of axis j, divided by 2 step.
+    """
     m, n = pts.shape
     jac = np.empty((m, n, n))
-    scale = FD_JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(pts, axis=1))
+    sides = np.empty((2, n, m, n))
+    step = FD_JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(pts, axis=1))
     for j in range(n):
         shift = np.zeros((m, n))
-        shift[:, j] = scale
-        jac[:, :, j] = (func(pts + shift) - func(pts - shift)) / (2.0 * scale)[:, None]
-    return jac
+        shift[:, j] = step
+        sides[0, j] = func(pts + shift)
+        sides[1, j] = func(pts - shift)
+        jac[:, :, j] = (sides[0, j] - sides[1, j]) / (2.0 * step)[:, None]
+    return jac, sides, step
+
+
+def _fd_jacobian_many(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    return _central_stencil(func, pts)[0]
 
 
 def field_from_callable(
@@ -189,7 +211,12 @@ def field_from_callable(
     **metadata,
 ) -> DriftField:
     """Wrap a pointwise drift function; a missing Jacobian falls back to
-    central finite differences with step 1e-6 * max(1, |x|).
+    central finite differences with step 1e-5 * max(1, |x|_2).
+
+    The step sits near eps^(1/3), where a central difference's truncation
+    and roundoff errors balance (``FD_JACOBIAN_STEP``); the reduced solver
+    takes the second differences of its Newton Hessian from the same side
+    values.
 
     ``func`` maps a single point to a single vector of ``dim`` entries, and
     ``jac`` to a ``dim`` x ``dim`` matrix; batching is added here.  A batch of

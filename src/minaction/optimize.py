@@ -213,7 +213,8 @@ def _no_smaller_step_shrinks(grad, g_try, grad_norm):
     return least >= _GRAD_SHRINK * _GRAD_SHRINK
 
 
-def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebuild=None):
+def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebuild=None,
+                fallback=None):
     """Core L-BFGS iteration, or damped Newton with ``rebuild``.
 
     ``evaluate(z) -> (value, grad_of, t_hat)`` gives the value at once and
@@ -236,7 +237,9 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
     ``precond_apply`` becomes the operator that ``rebuild`` returns at that
     iterate.  The accepted trial is the search's last evaluation, so its
     gradient is the last one taken when ``rebuild`` is called.  Once
-    ``rebuild`` returns None the loop is L-BFGS, with the last operator.
+    ``rebuild`` returns None the loop is L-BFGS, with the operator
+    ``fallback(t_hat)`` at that iterate if ``fallback`` is given, else with
+    the last one.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -350,10 +353,12 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
                 break
         if rebuild is not None and it < cfg.max_iters:
             # Newton: the exact operator at the new iterate; if it cannot be
-            # made, L-BFGS from here on, with the last one
+            # made, L-BFGS from here on, with the fallback or the last one
             operator = rebuild(z, t_hat)
             if operator is None:
                 rebuild = None
+                if fallback is not None:
+                    precond_apply = fallback(t_hat)
             else:
                 precond_apply = operator
 
@@ -634,7 +639,9 @@ def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: f
       gradient was taken: the start's at this call, the accepted iterate's
       at each rebuild, so no rebuild assembles or differences the Jacobian
       again.  ``apply`` and each rebuild are ``_newton_inverse`` of that
-      stage, and a rebuild may shift the band's diagonal;
+      stage, and a rebuild may shift the band's diagonal.  When a rebuild
+      fails, ``_minimize`` goes on with the scalar-rate band at the
+      iterate's t_hat, the operator a non-Newton solve of the field gets;
     - the field has an n x n ``linear_matrix`` A that equals its Jacobian at
       the start nodes, and A's band factors.  ``rebuild`` is that
       ``_Band``'s inverse at the iterate's interior ``z`` and its t_hat.
@@ -693,7 +700,9 @@ def _minimize(
     builds its preconditioner at ``T`` first; a reduced one evaluates the
     start first and builds it at the start's t_hat.  Either way the start is
     evaluated once.  ``_preconditioner`` gives the loop its operator and,
-    for a Newton solve, the rebuild of it at each iterate.  The diagnostics are
+    for a Newton solve, the rebuild of it at each iterate; a finite-difference
+    Newton solve whose rebuild fails goes on as L-BFGS on the scalar-rate
+    band at that iterate's t_hat.  The diagnostics are
     evaluated at the final t_hat: the Euler-Lagrange residual from the
     loop's last gradient, which is the fixed-T gradient there, and the
     Hamiltonian violation from one drift evaluation.
@@ -719,8 +728,11 @@ def _minimize(
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
     precond, rebuild = _preconditioner(start, field, quad, t_ref, reduced, latest)
+    fallback = None
+    if field.fd_jacobian:
+        fallback = lambda t_hat: _Band(start, field, quad, False).inverse(t_hat)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
-        evaluate, z0, cfg, precond, first, rebuild)
+        evaluate, z0, cfg, precond, first, rebuild, fallback)
     path = start.replace_interior(z.reshape(-1, n))
     t_hat = float(t_hat)
     return OptimResult(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -740,6 +741,56 @@ class TestHessianBand:
                         [r1 * -2.0 * gamma * v + r2 * -2.0 * u, r1 * -2.0 * gamma * u]])
         got = asm._second_order(resid)
         assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    def test_second_order_term_of_a_finite_difference_field_matches_the_closed_form(
+            self, nonuniform):
+        # Q of the callable Maier-Stein from the sides of its differenced
+        # Jacobian, at that Jacobian's step (~9e-7 relative here)
+        gamma = 10.0
+        _, _, stage = self.stage("callable_maier_stein", nonuniform)
+        asm, resid = stage.asm, stage.resid
+        assert asm.stencil is not None
+        u, v = asm.points[:, 0].reshape(resid.shape[1:]), asm.points[:, 1].reshape(resid.shape[1:])
+        r1, r2 = resid
+        ref = np.array([[r1 * -6.0 * u + r2 * -2.0 * v, r1 * -2.0 * gamma * v + r2 * -2.0 * u],
+                        [r1 * -2.0 * gamma * v + r2 * -2.0 * u, r1 * -2.0 * gamma * u]])
+        got = asm._second_order(resid)
+        assert np.max(np.abs(got - ref)) <= 2e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["callable_1d", "callable_maier_stein", "callable_3d"])
+    def test_finite_difference_jacobian_is_the_fields_own(self, name):
+        # the assembly differences the values itself, with the bits of jacobian_many
+        field, _, stage = self.stage(name, True)
+        asm = stage.asm
+        jac = asm.jac.reshape(field.dim, field.dim, -1).transpose(2, 0, 1)
+        assert np.array_equal(jac, field.jacobian_many(asm.points))
+
+    @pytest.mark.parametrize("name", ["callable_1d", "callable_maier_stein", "callable_3d"])
+    def test_newton_hessian_reuses_the_jacobians_sides(self, name):
+        # the gradient takes 2n batches of the points and no jacobian_many
+        # call; the Hessian one batch of the n (n - 1) diagonal moves of each
+        field, calls = HESSIAN_FIELDS[name], []
+
+        def counted(kind, fn):
+            def many(pts):
+                calls.append((kind, len(pts)))
+                return fn(pts)
+            return many
+
+        counting = dataclasses.replace(field, _eval_many=counted("eval", field.eval_many),
+                                       _jac_many=counted("jac", field.jacobian_many))
+        rng = np.random.default_rng(6)
+        mesh = random_mesh(rng, n_lo=12, n_hi=12, nonuniform=True)
+        path = FePath(mesh, 0.5 * rng.standard_normal((13, field.dim)))
+        _, stage, _ = _staged(path, counting, DEFAULT_QUAD, self.T)
+        n, points = field.dim, stage.asm.points.shape[0]
+        assert calls == [("eval", points)]
+        stage()
+        assert calls[1:] == [("eval", points)] * (2 * n)
+        del calls[:]
+        stage.hessian()
+        assert calls == ([("eval", n * (n - 1) * points)] if n > 1 else [])
 
     @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
     def test_linear_field_gives_the_linear_band_and_coupling(self, nonuniform):
