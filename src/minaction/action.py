@@ -251,22 +251,23 @@ class _Assembly:
         return band, c_vec, h_tt
 
     def _second_order(self, resid: np.ndarray) -> np.ndarray:
-        """(n, n, q, N) planes of Q, the Hessian of g = r . b at each point with ``resid`` r held fixed.
+        """(n, n, q, N) planes of Q, the Hessian of g = r . b at each point, ``resid`` r held fixed.
 
         Q_ii is the central second difference of g over the axis moves
         x +- s e_i, and Q_ij, j < i, the shared stencil
-        [g(x + s(e_i + e_j)) + g(x - s(e_i + e_j)) - g(x +- s e_i) - g(x +- s e_j) + 2 g(x)] / (2 s^2),
+        [g(x + s(e_i + e_j)) + g(x - s(e_i + e_j))
+         - g(x +- s e_i) - g(x +- s e_j) + 2 g(x)] / (2 s^2),
         second order and exact on a cubic.  The axis values are the sides of
         the finite-difference Jacobian (``stencil``) when there are some, at
         its step; otherwise one batched call of the 2n axis moves at
-        s = 1e-4 max(1, |x|_inf).  The n (n - 1) diagonal moves are one more
-        batched call.
+        s = 1e-4 max(1, |x|_inf).  The n (n - 1) moves x +- s(e_i + e_j) are
+        one more batched call.
         """
         n = resid.shape[0]
         if self.stencil is None:
             step = 1e-4 * np.maximum(1.0, np.abs(self.points).max(axis=1))   # (q N,)
             eye = np.eye(n)
-            sides = self._moved(np.concatenate([eye, -eye]), step).reshape((2, n) + step.shape + (n,))
+            sides = self._moved(np.concatenate([eye, -eye]), step).reshape(2, n, step.size, n)
         else:
             sides, step = self.stencil
         r_rows = resid.reshape(n, -1).T                              # (q N, n)
@@ -289,7 +290,7 @@ class _Assembly:
         return second.reshape((n, n) + resid.shape[1:])
 
     def _moved(self, moves: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """(k, q N, n): b at the points moved by ``step`` times each of the k rows of ``moves``, in one batched call."""
+        """(k, q N, n): b at the points moved by ``step`` times each row of ``moves`` (k, n), in one call."""
         pts = self.points + moves[:, None, :] * step[:, None]
         return self.field.eval_many(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
 

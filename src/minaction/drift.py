@@ -179,7 +179,7 @@ def maier_stein_field(gamma: float = 10.0) -> DriftField:
 
 
 def _central_stencil(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
-    """(jac, sides, step): the central-difference Jacobian of ``func`` at ``pts`` (m, n) and its stencil.
+    """(jac, sides, step): the central-difference Jacobian of ``func`` at ``pts`` (m, n), and its stencil.
 
     ``step`` (m,) is FD_JACOBIAN_STEP * max(1, |x|_2) per point, and
     ``sides`` (2, n, m, n) holds func at the points moved by +step and by

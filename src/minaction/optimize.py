@@ -26,11 +26,12 @@ definite at the start (``_preconditioner`` says when): in closed form for a
 field whose Jacobian is its ``linear_matrix``, and from each accepted
 evaluation's own assembly for a field whose Jacobian is a finite difference
 of its values (``fd_jacobian``), where a gradient costs 2n passes over the
-field.  The loop keeps no curvature pairs, takes the operator at each
-accepted iterate and skips the line search's gradient-model exit.  Every
-other solve is L-BFGS: fixed-T ones (a linear field's first fixed-T step is
-already exact), and those of fields with an analytic nonlinear Jacobian,
-whose Newton steps cost more than the iterations they save.
+field and the Hessian n (n - 1) more, its second differences reusing the
+gradient's stencil.  The loop keeps no curvature pairs, takes the operator
+at each accepted iterate and skips the line search's gradient-model exit.
+Every other solve is L-BFGS: fixed-T ones (a linear field's first fixed-T
+step is already exact), and those of fields with an analytic nonlinear
+Jacobian, whose Newton steps cost more than the iterations they save.
 
 A line search halves the step from 1 until a trial is accepted.  It fails
 after the step 2**-66, or at its first trial that rounds to the current
