@@ -158,11 +158,11 @@ class _Assembly:
     the points as ``points``, their (q N, n) transposed view, so every sum
     below runs over contiguous length-N rows.  An array the field returns
     is read, never written.  ``jac`` holds the Jacobian planes of the last
-    ``fixed_t_grad``, which ``hessian`` reads.  ``stencil`` holds the side
-    values and the per-point step of the last finite-difference Jacobian
-    (``_central_stencil``), or None: a field with ``fd_jacobian`` has its
-    Jacobian taken here from ``eval_many``, bit for bit its
-    ``jacobian_many``, so that Q reuses its sides.
+    ``fixed_t_grad``, which ``hessian`` and ``coupling`` read.  ``stencil``
+    holds the side values and the per-point step of the last
+    finite-difference Jacobian (``_central_stencil``), or None: a field with
+    ``fd_jacobian`` has its Jacobian taken here from ``eval_many``, bit for
+    bit its ``jacobian_many``, so that Q reuses its sides.
     """
 
     __slots__ = ("geo", "delta", "deriv", "points", "b_quad", "w", "field", "jac", "stencil")
@@ -210,20 +210,18 @@ class _Assembly:
         to_right = wr - t_scale * np.sum(self.geo.right * jtr, axis=1)
         return np.ascontiguousarray((to_left[:, 1:] + to_right[:, :-1]).T)
 
-    def hessian(self, t_scale: float, resid: np.ndarray):
-        """(band, c, H_TT): the fixed-T action's second derivatives at ``t_scale``, from ``resid``.
+    def hessian(self, t_scale: float, resid: np.ndarray) -> np.ndarray:
+        """Upper band of the fixed-T action's interior Hessian H at ``t_scale``, from ``resid``.
 
-        ``band`` is the upper band of the interior Hessian H in node-major
-        order (``_upper_band``).  Element e adds to the block of its nodes
-        a, b in {left, right} T h_e sum_k w_k [A_a^T A_b - phi_a phi_b Q_ek],
-        with A_a = sigma_a I / (T h_e) - phi_a J_ek, sigma = (-1, 1) and
+        The band is in node-major order (``_upper_band``).  Element e adds to
+        the block of its nodes a, b in {left, right}
+        T h_e sum_k w_k [A_a^T A_b - phi_a phi_b Q_ek], with
+        A_a = sigma_a I / (T h_e) - phi_a J_ek, sigma = (-1, 1) and
         phi = (1 - xi_k, xi_k): the Gauss-Newton part from the Jacobian that
         ``fixed_t_grad`` took, and the second-order part from Q_ek, the
         Hessian of r_ek . b at the point with r_ek held fixed, by second
-        differences of the field's values (``_second_order``).  c = dg/dT is
-        (p'_i - p'_{i-1}) / T^2 at node i plus the hat-weighted sums of
-        J^T b from its two elements, flat in node-major order, and
-        H_TT = sum_e |dp_e|^2 / (h_e T^3).  Nothing is checked finite.
+        differences of the field's values (``_second_order``).  Nothing is
+        checked finite.
         """
         geo, jac, n = self.geo, self.jac, self.delta.shape[0]
         second = self._second_order(resid)
@@ -241,14 +239,23 @@ class _Assembly:
                        + t_scale * np.sum(rr * curv, axis=2))
         left_right = (w_right - w_left.transpose(1, 0, 2) - stiff
                       + t_scale * np.sum(lr * curv, axis=2))
-        band = _upper_band(n, geo.h.size - 1, left_left[:, :, 1:] + right_right[:, :, :-1],
+        return _upper_band(n, geo.h.size - 1, left_left[:, :, 1:] + right_right[:, :, :-1],
                            left_right[:, :, 1:-1])
-        jtb = _jt_times(jac, self.b_quad)
-        to_left = self.deriv / (t_scale * t_scale) + np.sum(geo.left * jtb, axis=1)
-        to_right = -self.deriv / (t_scale * t_scale) + np.sum(geo.right * jtb, axis=1)
+
+    def coupling(self, t_scale: float):
+        """(c, H_TT): the fixed-T action's dg/dT and d^2S/dT^2 at ``t_scale``, for any field.
+
+        c is (p'_i - p'_{i-1}) / T^2 at node i plus the hat-weighted sums of
+        J^T b from its two elements, J the Jacobian that ``fixed_t_grad``
+        took, flat in node-major order; H_TT = sum_e |dp_e|^2 / (h_e T^3).
+        Nothing is checked finite.
+        """
+        jtb = _jt_times(self.jac, self.b_quad)
+        to_left = self.deriv / (t_scale * t_scale) + np.sum(self.geo.left * jtb, axis=1)
+        to_right = -self.deriv / (t_scale * t_scale) + np.sum(self.geo.right * jtb, axis=1)
         c_vec = (to_left[:, 1:] + to_right[:, :-1]).T.ravel()
         h_tt = float(np.vdot(self.delta, self.deriv)) / t_scale / t_scale / t_scale
-        return band, c_vec, h_tt
+        return c_vec, h_tt
 
     def _second_order(self, resid: np.ndarray) -> np.ndarray:
         """(n, n, q, N) planes of Q, the Hessian of g = r . b at each point, ``resid`` r held fixed.
@@ -358,8 +365,9 @@ class _Stage:
     """The gradient of one staged evaluation, and then its second derivatives, on demand.
 
     Calling it returns the interior gradient at the evaluation's horizon from
-    the evaluation's assembly and residual; ``hessian()``, once it has been
-    called, returns ``_Assembly.hessian`` there from the same Jacobian.
+    the evaluation's assembly and residual; once it has been called,
+    ``hessian()`` and ``coupling()`` return ``_Assembly.hessian`` and
+    ``_Assembly.coupling`` there from the same Jacobian.
     """
 
     __slots__ = ("asm", "t_scale", "resid")
@@ -372,6 +380,9 @@ class _Stage:
 
     def hessian(self):
         return self.asm.hessian(self.t_scale, self.resid)
+
+    def coupling(self):
+        return self.asm.coupling(self.t_scale)
 
 
 def _staged(path: FePath, field: DriftField, quad: Quadrature, T=None):

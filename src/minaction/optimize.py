@@ -21,14 +21,16 @@ more iterations or stop short of ``tol_grad``.  Endpoints are never touched.
 A solve writes no file: its per-iteration rows ride on ``OptimResult.log``.
 
 A reduced solve is damped Newton (Nocedal & Wright, ch. 3.4 and 6) when the
-exact reduced Hessian can be had at every accepted iterate and is positive
-definite at the start (``_preconditioner`` says when): in closed form for a
-field whose Jacobian is its ``linear_matrix``, and from each accepted
-evaluation's own assembly for a field whose Jacobian is a finite difference
-of its values (``fd_jacobian``), where a gradient costs 2n passes over the
-field and the Hessian n (n - 1) more, its second differences reusing the
-gradient's stencil.  The loop keeps no curvature pairs, takes the operator
-at each accepted iterate and skips the line search's gradient-model exit.
+exact reduced Hessian H - c c^T / H_TT can be had at every accepted iterate
+and is positive definite at the start (``_preconditioner`` says when).  c
+and H_TT come from each accepted evaluation's own assembly; H is in closed
+form for a field whose Jacobian is its ``linear_matrix``, and from that
+assembly for a field whose Jacobian is a finite difference of its values
+(``fd_jacobian``), where a gradient costs 2n passes over the field and the
+Hessian n (n - 1) more, its second differences reusing the gradient's
+stencil.  The loop keeps no curvature pairs, takes the operator at each
+accepted iterate and skips the line search's gradient-model exit; after a
+failed rebuild it is L-BFGS on the plain band at that iterate's t_hat.
 Every other solve is L-BFGS: fixed-T ones (a linear field's first fixed-T
 step is already exact), and those of fields with an analytic nonlinear
 Jacobian, whose Newton steps cost more than the iterations they save.
@@ -232,15 +234,14 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
     its first rejected trial with a finite gradient for which
     ``_no_smaller_step_shrinks``: if the gradient is affine in the step, no
     smaller step could then pass.
-    ``rebuild(z, t_hat)``, if given, makes the loop Newton's: it keeps no
-    curvature pairs, makes no gamma-scaling solve and its searches skip that
-    exit, and after each accepted iterate that does not end the loop
-    ``precond_apply`` becomes the operator that ``rebuild`` returns at that
-    iterate.  The accepted trial is the search's last evaluation, so its
-    gradient is the last one taken when ``rebuild`` is called.  Once
-    ``rebuild`` returns None the loop is L-BFGS, with the operator
-    ``fallback(t_hat)`` at that iterate if ``fallback`` is given, else with
-    the last one.
+    ``rebuild()``, if given, makes the loop Newton's: it keeps no curvature
+    pairs, makes no gamma-scaling solve and its searches skip that exit, and
+    after each accepted iterate that does not end the loop ``precond_apply``
+    becomes the operator that ``rebuild`` returns at that iterate.  The
+    accepted trial is the search's last evaluation, so its gradient is the
+    last one taken when ``rebuild`` is called.  Once ``rebuild`` returns None
+    the loop is L-BFGS, with the operator ``fallback(t_hat)`` at that
+    iterate.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -354,14 +355,10 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
                 break
         if rebuild is not None and it < cfg.max_iters:
             # Newton: the exact operator at the new iterate; if it cannot be
-            # made, L-BFGS from here on, with the fallback or the last one
-            operator = rebuild(z, t_hat)
-            if operator is None:
-                rebuild = None
-                if fallback is not None:
-                    precond_apply = fallback(t_hat)
-            else:
-                precond_apply = operator
+            # made, L-BFGS from here on, with the fallback at this iterate
+            precond_apply = rebuild()
+            if precond_apply is None:
+                rebuild, precond_apply = None, fallback(t_hat)
 
     return z, value, grad, t_hat, iterations, converged_now(), log_rows
 
@@ -475,18 +472,17 @@ class _Band:
     P = (1/T) K (x) I + T M (x) A^T A plus the skew part of A on the
     off-diagonal blocks, K and M the stiffness and mass matrices of the
     start path's mesh on its interior nodes.  P does not depend on the path.
-    ``linear`` says whether A is the field's ``linear_matrix``: then
-    ``gram`` is A^T A and, the rule being symmetric about 1/2, M takes its
-    moments ``same`` = sum_k w_k xi_k^2 (a node with itself) and 1/2 minus
-    that (a node with its neighbour).  Otherwise A = sqrt(kappa) I, kappa
-    from ``_drift_rate_sq``, with the exact P1 mass moments 1/3 and 1/6: a
-    Sobolev-type operator, the inverse Laplacian at small horizons and
-    aligned with the Hessian by its reaction term at large ones, whose 1 x 1
-    blocks give one factor for every state component.
+    With ``linear``, A is the field's ``linear_matrix`` and, the rule being
+    symmetric about 1/2, M takes its moments sum_k w_k xi_k^2 (a node with
+    itself) and 1/2 minus that (a node with its neighbour).  Otherwise
+    A = sqrt(kappa) I, kappa from ``_drift_rate_sq``, with the exact P1 mass
+    moments 1/3 and 1/6: a Sobolev-type operator, the inverse Laplacian at
+    small horizons and aligned with the Hessian by its reaction term at large
+    ones, whose 1 x 1 blocks give one factor for every state component.
 
     P is block tridiagonal with m x m blocks, so in the node-major order of
     the interior vector it is one upper band with 2m - 1 superdiagonals
-    (``_upper_band``): stiff / T + (skew + (T gram) mass), elementwise.
+    (``_upper_band``): stiff / T + (skew + (T A^T A) mass), elementwise.
     This holds those four T-independent arrays, built once per solve, so
     that P at another horizon costs five array operations.
     """
@@ -494,19 +490,18 @@ class _Band:
     def __init__(self, start: FePath, field: DriftField, quad: Quadrature, linear: bool):
         n = start.dim
         h = start.mesh.widths
-        self.linear, self.n = linear, n
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if linear:
                 a_mat = np.asarray(field.linear_matrix, dtype=float)
                 gram, skew = a_mat.T @ a_mat, 0.5 * (a_mat - a_mat.T)
-                self.same = quad.w.dot(quad.xi * quad.xi)
-                mass_diag, mass_off = self.same * (h[:-1] + h[1:]), (0.5 - self.same) * h[1:-1]
+                same = quad.w.dot(quad.xi * quad.xi)
+                mass_diag, mass_off = same * (h[:-1] + h[1:]), (0.5 - same) * h[1:-1]
             else:
                 gram, skew = np.array([[_drift_rate_sq(field, start)]]), np.zeros((1, 1))
                 mass_diag, mass_off = (h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0
             stiff_diag, stiff_off = 1.0 / h[:-1] + 1.0 / h[1:], -1.0 / h[1:-1]
-        self.gram = gram
-        m = self.m = gram.shape[0]
+        m = gram.shape[0]
+        self.cols = n // m
         nodes = h.size - 1
         # The diagonal block of interior node i sums element i-1's right-node
         # and element i's left-node parts, whose A + A^T terms cancel by the
@@ -521,38 +516,14 @@ class _Band:
                                 np.broadcast_to(mass_off, (m, m) + mass_off.shape))
         self.skew = _upper_band(m, nodes, np.zeros((m, m)), skew)
 
-    def t_coupling(self, path: FePath, t_ref: float):
-        """(c, H_TT) of the fixed-T action at ``path`` and T = ``t_ref``, for a linear band.
-
-        c = grad |b(p)|^2 / 2 - grad |p'|^2 / (2 T^2) is the derivative in T of
-        the interior gradient, flat in node-major order, and H_TT = |p'|^2 / T^3
-        the second derivative of the action in T.  The quadrature sums of
-        grad |b(p)|^2 / 2 reduce to the band's ``gram`` and the rule's moment
-        ``same``.
-        """
-        h = path.mesh.widths
-        nodes = path.values
-        delta = np.diff(nodes, axis=0)
-        deriv = delta / h[:, None]
-        h_tt = float(np.vdot(delta, deriv)) / t_ref / t_ref / t_ref
-        mass = ((self.same * (h[:-1] + h[1:]))[:, None] * nodes[1:-1]
-                + (0.5 - self.same) * (h[:-1, None] * nodes[:-2] + h[1:, None] * nodes[2:]))
-        return (mass @ self.gram + (deriv[1:] - deriv[:-1]) / t_ref / t_ref).ravel(), h_tt
-
-    def inverse(self, t_ref: float, path: Optional[FePath] = None):
-        """``_inverse`` of P at T = ``t_ref``, downdated at ``path`` if given and linear.
-
-        Given a ``path`` and a linear band, the downdate is by
-        ``t_coupling``'s c and H_TT there, so the closure applies the inverse
-        of the reduced Hessian.  A tridiagonal band (m = 1) is solved with
-        one column per state component, a wider one with one flat column.
-        """
-        coupling = ()
+    def at(self, t_ref: float) -> np.ndarray:
+        """The upper band of P at T = ``t_ref``, not checked finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            band = self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
-            if path is not None and self.linear:
-                coupling = self.t_coupling(path, t_ref)
-        return _inverse(band, self.n // self.m, *coupling)
+            return self.stiff / t_ref + (self.skew + (t_ref * self.reaction) * self.mass)
+
+    def inverse(self, t_ref: float):
+        """``_inverse`` of P at T = ``t_ref``, in one column per component if m = 1, else one."""
+        return _inverse(self.at(t_ref), self.cols)
 
 
 def _inverse(band, cols: int, c_vec=None, h_tt=None):
@@ -598,21 +569,24 @@ _SHIFT = 1e-10
 _SHIFT_DOUBLINGS = 80
 
 
-def _newton_inverse(stage, shift: bool):
+def _newton_inverse(stage, fixed_t, shift: bool):
     """``_inverse`` of the exact reduced Hessian at a staged evaluation whose gradient was taken, or None.
 
-    The band, c and H_TT are ``stage.hessian()``.  If the band does not
-    factor, ``shift`` adds the smallest diagonal shift of ``_SHIFT`` *
-    max|diag| * 2**k, k = 0 .. ``_SHIFT_DOUBLINGS``, with which it does.  None
-    when the band or a factor is not finite, or when no band tried factors.
+    The fixed-T band is ``fixed_t(stage)``, and c and H_TT are
+    ``stage.coupling()``.  If the band does not factor, ``shift`` adds the
+    smallest diagonal shift of ``_SHIFT`` * max|diag| * 2**k, k = 0 ..
+    ``_SHIFT_DOUBLINGS``, with which it does, and without ``shift`` the
+    factor's ``LinAlgError`` passes through.  None when the band or a factor
+    is not finite, or when no band tried factors.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        band, c_vec, h_tt = stage.hessian()
+        band = fixed_t(stage)
+        c_vec, h_tt = stage.coupling()
     try:
         return _inverse(band, 1, c_vec, h_tt)
     except LinAlgError:
         if not shift:
-            return None
+            raise
     except ActionError:
         return None
     base = _SHIFT * float(np.abs(band[-1]).max())
@@ -629,53 +603,52 @@ def _newton_inverse(stage, shift: bool):
 
 
 def _preconditioner(start: FePath, field: DriftField, quad: Quadrature, t_ref: float,
-                    reduced: bool, latest=()):
-    """``(apply, rebuild)``: the solver's operator at ``start`` and T = ``t_ref``, and its rebuild.
+                    reduced: bool, latest):
+    """``(apply, rebuild, fallback)``: the operator at ``start`` and T = ``t_ref``, and its successors.
 
-    A reduced solve is Newton's, with ``rebuild(z, t_hat)`` the inverse of
-    the exact reduced Hessian at each accepted iterate, in two cases:
-    - the field's Jacobian is its own finite difference (``fd_jacobian``),
-      and the band of ``_Stage.hessian`` at the start factors without a
-      shift.  ``latest[-1]`` is the ``_Stage`` of the last evaluation whose
-      gradient was taken: the start's at this call, the accepted iterate's
-      at each rebuild, so no rebuild assembles or differences the Jacobian
-      again.  ``apply`` and each rebuild are ``_newton_inverse`` of that
-      stage, and a rebuild may shift the band's diagonal.  When a rebuild
-      fails, ``_minimize`` goes on with the scalar-rate band at the
-      iterate's t_hat, the operator a non-Newton solve of the field gets;
-    - the field has an n x n ``linear_matrix`` A that equals its Jacobian at
-      the start nodes, and A's band factors.  ``rebuild`` is that
-      ``_Band``'s inverse at the iterate's interior ``z`` and its t_hat.
-    A rebuild that fails returns None.  Every other solve gets ``rebuild``
-    None and ``apply`` = ``_Band.inverse`` at ``t_ref``, downdated at
-    ``start`` if ``reduced``.  A field with an n x n ``linear_matrix`` gives
-    A; if the factor rejects that band with ``LinAlgError`` (the action is
-    then not strictly convex in the path), A = sqrt(kappa) I serves instead,
-    as for every other field.
+    ``latest[-1]`` is the ``_Stage`` of the last evaluation whose gradient was
+    taken: the start's at this call, the accepted iterate's at each rebuild.
+    A reduced solve is Newton's when the exact reduced Hessian's band factors
+    at the start without a shift, and either the field's Jacobian is its own
+    finite difference (``fd_jacobian``; the band is ``_Stage.hessian``) or
+    the field's n x n ``linear_matrix`` A equals its Jacobian at the start
+    nodes (A's ``_Band`` at the stage's horizon).  Then ``apply`` and each
+    ``rebuild()`` are ``_newton_inverse`` of ``latest[-1]``, so no rebuild
+    assembles or differences the Jacobian again, and a rebuild may shift the
+    band's diagonal.  When a rebuild fails (None), the solve goes on with
+    ``fallback(t_hat)``, the plain inverse below at that iterate's t_hat.
+    Every other solve gets ``rebuild`` and ``fallback`` None, and ``apply``
+    the plain inverse at ``t_ref``: ``_Band.inverse`` with A, or with
+    A = sqrt(kappa) I for a field without A or whose A band the factor
+    rejects with ``LinAlgError`` (the action is then not strictly convex in
+    the path).
     """
-    if reduced and field.fd_jacobian and latest:
-        apply = _newton_inverse(latest[-1], shift=False)
-        if apply is not None:
-            return apply, lambda z, t_hat: _newton_inverse(latest[-1], shift=True)
     linear = np.shape(field.linear_matrix) == (start.dim, start.dim)
-    band = _Band(start, field, quad, linear)
-    try:
-        apply = band.inverse(t_ref, start if reduced else None)
-    except LinAlgError:
-        if not linear:
-            raise
-        return _Band(start, field, quad, False).inverse(t_ref), None
-    if not (reduced and linear and _jacobian_is_linear_matrix(field, start)):
-        return apply, None
-    n = start.dim
+    band = _Band(start, field, quad, True) if linear else None
 
-    def rebuild(z, t_hat):
+    def plain(t):
+        if linear:
+            try:
+                return band.inverse(t)
+            except LinAlgError:
+                pass
+        return _Band(start, field, quad, False).inverse(t)
+
+    fixed_t = None
+    if reduced and field.fd_jacobian:
+        fixed_t = lambda stage: stage.hessian()
+    elif reduced and linear and _jacobian_is_linear_matrix(field, start):
+        fixed_t = lambda stage: band.at(stage.t_scale)
+    if fixed_t is not None:
         try:
-            return band.inverse(t_hat, start.replace_interior(z.reshape(-1, n)))
-        except (LinAlgError, ActionError):
-            return None
-
-    return apply, rebuild
+            apply = _newton_inverse(latest[-1], fixed_t, shift=False)
+        except LinAlgError:
+            apply = None
+            if not field.fd_jacobian:  # A's band at t_ref was rejected: not tried again
+                linear = False
+        if apply is not None:
+            return apply, lambda: _newton_inverse(latest[-1], fixed_t, shift=True), plain
+    return plain(t_ref), None, None
 
 
 def _jacobian_is_linear_matrix(field: DriftField, start: FePath) -> bool:
@@ -701,12 +674,11 @@ def _minimize(
     builds its preconditioner at ``T`` first; a reduced one evaluates the
     start first and builds it at the start's t_hat.  Either way the start is
     evaluated once.  ``_preconditioner`` gives the loop its operator and,
-    for a Newton solve, the rebuild of it at each iterate; a finite-difference
-    Newton solve whose rebuild fails goes on as L-BFGS on the scalar-rate
-    band at that iterate's t_hat.  The diagnostics are
-    evaluated at the final t_hat: the Euler-Lagrange residual from the
-    loop's last gradient, which is the fixed-T gradient there, and the
-    Hamiltonian violation from one drift evaluation.
+    for a Newton solve, its rebuild at each iterate and the fallback after a
+    failed one.  The diagnostics are evaluated at the final t_hat: the
+    Euler-Lagrange residual from the loop's last gradient, which is the
+    fixed-T gradient there, and the Hamiltonian violation from one drift
+    evaluation.
     """
     reduced = T is None
     t_ref = None if reduced else _finite_positive(T, "T")
@@ -728,10 +700,7 @@ def _minimize(
     if reduced:
         first = _evaluate_start(evaluate, z0)
         t_ref = first[2]
-    precond, rebuild = _preconditioner(start, field, quad, t_ref, reduced, latest)
-    fallback = None
-    if field.fd_jacobian:
-        fallback = lambda t_hat: _Band(start, field, quad, False).inverse(t_hat)
+    precond, rebuild, fallback = _preconditioner(start, field, quad, t_ref, reduced, latest)
     z, value, grad, t_hat, iters, ok, rows = _lbfgs_loop(
         evaluate, z0, cfg, precond, first, rebuild, fallback)
     path = start.replace_interior(z.reshape(-1, n))

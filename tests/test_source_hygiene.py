@@ -11,6 +11,8 @@
 * Every function, class and constant a module defines at its top level is
   loaded by name somewhere in ``src``, ``tests``, ``bench`` or ``tools``, so
   no helper outlives its last caller.
+* Every method and ``self.`` attribute of a class in a module is read as an
+  attribute somewhere in those folders, so no member outlives its last reader.
 """
 
 import ast
@@ -177,3 +179,50 @@ def test_unloaded_definition_is_found():
     )
     tree = ast.parse(source)
     assert [n for n in top_level_definitions(tree) if n not in loaded_names(tree)] == ["B", "_left"]
+
+
+def class_members(tree) -> list:
+    """``Class.name`` of each method and ``self.`` attribute of the classes in ``tree``, dunders aside."""
+    members = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = [node.name for node in cls.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names += [node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"]
+        members += [f"{cls.name}.{name}" for name in dict.fromkeys(names)
+                    if not (name.startswith("__") and name.endswith("__"))]
+    return members
+
+
+def read_attributes(tree) -> set:
+    """Attribute names ``tree`` reads, as in ``obj.name`` or ``obj.name()``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(read_attributes(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in SEARCHED))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_class_member_is_read_somewhere(path, read_anywhere):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [m for m in class_members(tree) if m.split(".")[1] not in read_anywhere] == []
+
+
+def test_unread_class_member_is_found():
+    source = (
+        "class Band:\n    def __init__(self, a):\n        self.a, self.left = a, 1\n"
+        "        self.gram = a\n    def at(self):\n        return self.a\n"
+        "    def unused(self):\n        self.gram = 2\n"
+        "    def __call__(self):\n        return self.at()\n"
+        "b = Band(1)\nb.gram_matrix = 0\nprint(b(), b.left)\n"
+    )
+    tree = ast.parse(source)
+    assert [m for m in class_members(tree) if m.split(".")[1] not in read_attributes(tree)] == [
+        "Band.unused", "Band.gram"]
