@@ -268,18 +268,18 @@ class _Assembly:
         the finite-difference Jacobian (``stencil``) when there are some, at
         its step; otherwise one batched call of the 2n axis moves at
         s = 1e-4 max(1, |x|_inf).  The n (n - 1) moves x +- s(e_i + e_j) are
-        one more batched call.
+        one more batched call.  Every r . b is ``_jt_times`` of r's planes.
         """
         n = resid.shape[0]
+        r_planes = resid.reshape(n, -1)                              # (n, q N)
         if self.stencil is None:
             step = 1e-4 * np.maximum(1.0, np.abs(self.points).max(axis=1))   # (q N,)
             eye = np.eye(n)
-            sides = self._moved(np.concatenate([eye, -eye]), step).reshape(2, n, step.size, n)
+            sides = self._moved(np.concatenate([eye, -eye]), step).reshape(n, 2, n, step.size)
         else:
             sides, step = self.stencil
-        r_rows = resid.reshape(n, -1).T                              # (q N, n)
-        at_points = np.sum(resid * self.b_quad, axis=0).ravel()      # g(x)
-        axis = np.sum(sides * r_rows, axis=-1)                       # (2, n, q N): g(x +- s e_i)
+        at_points = _jt_times(r_planes, self.b_quad.reshape(n, -1))   # g(x)
+        axis = _jt_times(r_planes, sides)                            # (2, n, q N): g(x +- s e_i)
         step_sq = step * step
         second = np.empty((n, n) + step.shape)
         for i in range(n):
@@ -289,7 +289,7 @@ class _Assembly:
             moves = np.zeros((2 * len(pairs), n))
             for p, (i, j) in enumerate(pairs):
                 moves[2 * p, [i, j]], moves[2 * p + 1, [i, j]] = 1.0, -1.0
-            mixed = np.sum(self._moved(moves, step) * r_rows, axis=-1)   # (2 pairs, q N)
+            mixed = _jt_times(r_planes, self._moved(moves, step))   # (2 pairs, q N)
             for p, (i, j) in enumerate(pairs):
                 second[i, j] = second[j, i] = (
                     mixed[2 * p] + mixed[2 * p + 1] - axis[0, i] - axis[1, i]
@@ -297,13 +297,13 @@ class _Assembly:
         return second.reshape((n, n) + resid.shape[1:])
 
     def _moved(self, moves: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """(k, q N, n): b at the points moved by ``step`` times each row of ``moves`` (k, n), in one call."""
-        pts = self.points + moves[:, None, :] * step[:, None]
-        return self.field.eval_many(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
+        """(n, k, q N) planes of b at the points moved by ``step`` times each row of ``moves`` (k, n), in one call."""
+        planes = self.points.T[:, None, :] + moves.T[:, :, None] * step     # (n, k, q N)
+        return self.field.eval_many(planes.reshape(len(planes), -1).T).T.reshape(planes.shape)
 
 
 def _jt_times(jac: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """(n, q, N) planes of J^T f from the Jacobian planes ``jac`` and the (n, q, N) planes of f."""
+    """sum_j jac[j] * planes[j] in component order: J^T f from J's and f's planes, or r . b from r's and b's."""
     out = jac[0] * planes[0]
     for j in range(1, planes.shape[0]):
         out += jac[j] * planes[j]

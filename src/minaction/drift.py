@@ -182,22 +182,22 @@ def _central_stencil(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
     """(jac, sides, step): the central-difference Jacobian of ``func`` at ``pts`` (m, n), and its stencil.
 
     ``step`` (m,) is FD_JACOBIAN_STEP * max(1, |x|_2) per point, and
-    ``sides`` (2, n, m, n) holds func at the points moved by +step and by
-    -step along each axis j, at [0, j] and [1, j]: 2n batched calls.  Entry
-    (i, j) of the Jacobian at a point is the difference of component i over
-    the two sides of axis j, divided by 2 step.
+    ``sides`` (n, 2, n, m) holds component i of func at the points moved by
+    +step and by -step along each axis j at [i, 0, j] and [i, 1, j]: 2n
+    batched calls.  ``jac`` is the (m, n, n) view of (n, n, m) planes, plane
+    (i, j) the difference of component i over the sides of axis j by 2 step.
     """
     m, n = pts.shape
-    jac = np.empty((m, n, n))
-    sides = np.empty((2, n, m, n))
+    planes = np.empty((n, n, m))
+    sides = np.empty((n, 2, n, m))
     step = FD_JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(pts, axis=1))
     for j in range(n):
         shift = np.zeros((m, n))
         shift[:, j] = step
-        sides[0, j] = func(pts + shift)
-        sides[1, j] = func(pts - shift)
-        jac[:, :, j] = (sides[0, j] - sides[1, j]) / (2.0 * step)[:, None]
-    return jac, sides, step
+        sides[:, 0, j] = func(pts + shift).T
+        sides[:, 1, j] = func(pts - shift).T
+        planes[:, j] = (sides[:, 0, j] - sides[:, 1, j]) / (2.0 * step)
+    return planes.transpose(2, 0, 1), sides, step
 
 
 def _fd_jacobian_many(func: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:

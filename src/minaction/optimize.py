@@ -29,8 +29,8 @@ assembly for a field whose Jacobian is a finite difference of its values
 (``fd_jacobian``), where a gradient costs 2n passes over the field and the
 Hessian n (n - 1) more, its second differences reusing the gradient's
 stencil.  The loop keeps no curvature pairs, takes the operator at each
-accepted iterate and skips the line search's gradient-model exit; after a
-failed rebuild it is L-BFGS on the plain band at that iterate's t_hat.
+accepted iterate and searches by Armijo's test alone; after a failed
+rebuild it is L-BFGS on the plain band at that iterate's t_hat.
 Every other solve is L-BFGS: fixed-T ones (a linear field's first fixed-T
 step is already exact), and those of fields with an analytic nonlinear
 Jacobian, whose Newton steps cost more than the iterations they save.
@@ -42,16 +42,15 @@ returns the iterate has failed, so that trial is never evaluated or accepted.
 Armijo's sufficient-decrease test reads only the value, so a trial evaluates
 the value first and its gradient, with the drift's Jacobian, only once the
 test accepts it; a trial whose gradient raises a typed error or is not finite
-is rejected like one whose value raises.  Near the minimizer the search
-accepts by gradient-norm descent instead of Armijo's test: a trial must shrink
-the gradient's 2-norm below 0.999 of the current one, so every such trial
-takes its gradient.  Unless the solve is Newton's, such a search also fails
-at its first rejected trial with a finite gradient whose linear model rules
-out every smaller step.  The premise is that the gradient is affine in the
-step over that range: the trial's gradient g + delta then gives g + t delta
-at t times its step, and when the least norm of that over t in [0, 1/2] is
-at least 0.999 of |g|, no later trial could pass (Nocedal & Wright,
-Numerical Optimization, ch. 3).
+is rejected like one whose value raises.  Near the minimizer an L-BFGS
+search accepts by gradient-norm descent instead of Armijo's test: a trial must
+shrink the gradient's 2-norm below 0.999 of the current one, so every such
+trial takes its gradient.  Such a search also fails at its first rejected
+trial with a finite gradient whose linear model rules out every smaller step.
+The premise is that the gradient is affine in the step over that range: the
+trial's gradient g + delta then gives g + t delta at t times its step, and
+when the least norm of that over t in [0, 1/2] is at least 0.999 of |g|, no
+later trial could pass (Nocedal & Wright, Numerical Optimization, ch. 3).
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ from .drift import DriftField
 from .pathcore import (
     FePath,
     Mesh,
-    _count_at_least,
     _finite_positive,
     _int_at_least,
     _uniform_mesh,
@@ -118,28 +116,26 @@ _GRAD_SHRINK = 0.999
 # Roundoff noise of a value v is taken as _NOISE * max(1, |v|).
 _NOISE = 64.0 * np.finfo(float).eps
 
+_MEMORY = 10  # the number of curvature pairs L-BFGS keeps
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     """Solver knobs.
 
     ``tol_grad`` stops the iteration once the gradient max-norm falls below
-    tol_grad * max(1, |value|); ``max_iters`` caps the iteration count;
-    ``memory`` is the number of L-BFGS curvature pairs kept (0 leaves only the
-    scaled preconditioner); a reduced Newton solve keeps none, and reads
-    ``memory`` only once a rebuild fails.  The preconditioner is always on,
-    and the line search's Armijo constant (1e-4) and backtracking factor
-    (0.5) are fixed.
+    tol_grad * max(1, |value|); ``max_iters`` caps the iteration count.
+    The preconditioner is always on, and the number of L-BFGS curvature
+    pairs kept (``_MEMORY``), the line search's Armijo constant (1e-4) and
+    its backtracking factor (0.5) are fixed.
     """
 
     tol_grad: float = 1e-9
     max_iters: int = 100_000
-    memory: int = 10
 
     def __post_init__(self):
         _finite_positive(self.tol_grad, "tol_grad")
         _int_at_least(self.max_iters, "max_iters", 1)
-        _count_at_least(self.memory, "memory", 0)
 
 
 @dataclass(frozen=True)
@@ -230,18 +226,18 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
     already, else None, and the loop evaluates the start itself.  A line
     search ends accepted at its first accepted trial, and fails after its
     last step (2**-66) or at its first trial that equals ``z`` bitwise,
-    which is not evaluated.  An L-BFGS gradient-norm search also fails at
-    its first rejected trial with a finite gradient for which
+    which is not evaluated.  A gradient-norm search also fails at its first
+    rejected trial with a finite gradient for which
     ``_no_smaller_step_shrinks``: if the gradient is affine in the step, no
     smaller step could then pass.
     ``rebuild()``, if given, makes the loop Newton's: it keeps no curvature
-    pairs, makes no gamma-scaling solve and its searches skip that exit, and
-    after each accepted iterate that does not end the loop ``precond_apply``
-    becomes the operator that ``rebuild`` returns at that iterate.  The
-    accepted trial is the search's last evaluation, so its gradient is the
-    last one taken when ``rebuild`` is called.  Once ``rebuild`` returns None
-    the loop is L-BFGS, with the operator ``fallback(t_hat)`` at that
-    iterate.
+    pairs, makes no gamma-scaling solve and its searches test Armijo's
+    condition alone, and after each accepted iterate that does not end the
+    loop ``precond_apply`` becomes the operator that ``rebuild`` returns at
+    that iterate.  The accepted trial is the search's last evaluation, so its
+    gradient is the last one taken when ``rebuild`` is called.  Once
+    ``rebuild`` returns None the loop is L-BFGS, with the operator
+    ``fallback(t_hat)`` at that iterate.
     Returns ``(z, value, grad, t_hat, iterations, converged, log_rows)``;
     the last row holds the max-norm of the returned gradient.
     """
@@ -251,7 +247,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
     log_rows = [(0, value, grad_max, t_hat)]
     iterations = 0
 
-    history = deque(maxlen=cfg.memory)  # (s, y, 1/(s.y)) curvature pairs
+    history = deque(maxlen=_MEMORY)  # (s, y, 1/(s.y)) curvature pairs
     gamma = 1.0
 
     def converged_now():
@@ -284,9 +280,10 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
         # Near the minimizer the largest decrease the Armijo test could see,
         # c1 * |slope|, drops below the roundoff noise of the value; comparing
         # values there is meaningless while the analytic gradient still holds
-        # real signal.  Switch the acceptance test to gradient-norm descent.
+        # real signal.  L-BFGS switches the acceptance test to gradient-norm
+        # descent there; Newton keeps Armijo's.
         noise_floor = _NOISE * max(1.0, abs(value))
-        grad_mode = _ARMIJO_C1 * (-slope) < noise_floor
+        grad_mode = rebuild is None and _ARMIJO_C1 * (-slope) < noise_floor
         cur_gn2 = _norm2(grad)
 
         accepted = False
@@ -313,7 +310,7 @@ def _lbfgs_loop(evaluate, z0, cfg: OptimConfig, precond_apply, start=None, rebui
             if try_gn2 < _GRAD_SHRINK * cur_gn2 and f_try <= value + noise_floor:
                 accepted = True
                 break
-            if rebuild is None and _no_smaller_step_shrinks(grad, g_try, cur_gn2):
+            if _no_smaller_step_shrinks(grad, g_try, cur_gn2):
                 break  # the search has failed
 
         if not accepted:

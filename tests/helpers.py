@@ -14,6 +14,7 @@ from minaction import (
     FePath,
     Mesh,
     Quadrature,
+    field_from_callable,
     fixed_t_value_grad,
     linear_field,
     maier_stein_field,
@@ -138,3 +139,56 @@ def builtin_fields():
 
 
 DEFAULT_QUAD = Quadrature(3)
+
+
+def spiral_point(c=2.0):
+    """(b, Db) at one point of b(x) = -(1 + |x|^2)(I - c R) x on R^2, R the rotation by pi/2.
+
+    b = -grad U + c R grad U with U = |x|^2 / 2 + |x|^4 / 4, whose two parts
+    are orthogonal, so the quasi-potential is 2U (Freidlin & Wentzell,
+    *Random Perturbations of Dynamical Systems*, ch. 4): a nonlinear,
+    non-gradient field with a closed-form minimum action (``spiral_transition``).
+    """
+    def func(x):
+        u, v = x
+        s = 1.0 + u * u + v * v
+        return np.array([-s * (u + c * v), -s * (v - c * u)])
+
+    def jac(x):
+        u, v = x
+        s = 1.0 + u * u + v * v
+        a, b = u + c * v, v - c * u
+        return np.array([[-2.0 * u * a - s, -2.0 * v * a - c * s],
+                         [-2.0 * u * b + c * s, -2.0 * v * b - s]])
+
+    return func, jac
+
+
+def spiral_transition(c=2.0, r_a=0.2, theta_a=0.3, tau=1.0):
+    """(x_a, x_b, S): the ends of ``spiral_point``'s uphill flow over the time ``tau``, and its action.
+
+    The uphill flow phi' = (I + c R) grad U has |phi'| = |b(phi)|, so it is
+    the minimizer from x_a to x_b with optimal horizon ``tau`` and action
+    S = 2 (U(x_b) - U(x_a)).  In polar coordinates r' = r + r^3, so
+    r(t)^2 = K^2 e^{2t} / (1 - K^2 e^{2t}) with K^2 = r_a^2 / (1 + r_a^2),
+    and theta = theta_a + c ln(r / r_a).
+    """
+    k_sq = r_a * r_a / (1.0 + r_a * r_a) * np.exp(2.0 * tau)
+    r_b = np.sqrt(k_sq / (1.0 - k_sq))
+    theta_b = theta_a + c * np.log(r_b / r_a)
+    potential = lambda r: r * r / 2.0 + r**4 / 4.0
+    return (r_a * np.array([np.cos(theta_a), np.sin(theta_a)]),
+            r_b * np.array([np.cos(theta_b), np.sin(theta_b)]),
+            2.0 * (potential(r_b) - potential(r_a)))
+
+
+def cyclic_chain_field(n):
+    """b(x) = (2 (S - S^T) - I) x - x * x * x on R^n, S the cyclic shift (S x)_i = x_{i+1}.
+
+    Non-gradient for n >= 3, where S - S^T is a nonzero skew matrix.  The
+    field has no Jacobian of its own, so it is a finite difference of its
+    values (``field_from_callable`` without ``jac``).
+    """
+    shift = np.roll(np.eye(n), 1, axis=1)
+    matrix = 2.0 * (shift - shift.T) - np.eye(n)
+    return field_from_callable(n, lambda x: matrix @ x - x * x * x)

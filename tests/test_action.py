@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     DEFAULT_QUAD,
     builtin_fields,
+    cyclic_chain_field,
     fd_grad_fixed_T,
     fd_grad_optimal,
     random_mesh,
@@ -666,7 +667,16 @@ HESSIAN_FIELDS = {
     "callable_3d": field_from_callable(3, lambda x: np.array([
         -x[0] + x[1] * x[2], -2.0 * x[1] - x[0] * x[2] + 0.3 * x[0] ** 2,
         -x[2] + np.sin(x[0] * x[1])])),
+    "chain_8d": cyclic_chain_field(8),
 }
+
+# (field, nonuniform) of the band and coupling checks: every field on both
+# meshes, but the eight-component chain, whose band check differences 176
+# gradients, on one
+BAND_CASES = [pytest.param(name, nonuniform, id=f"{name}-{mesh}")
+              for name in sorted(HESSIAN_FIELDS)
+              for nonuniform, mesh in ((False, "uniform"), (True, "nonuniform"))
+              if nonuniform or HESSIAN_FIELDS[name].dim < 8]
 
 
 def dense_from_band(band):
@@ -699,8 +709,7 @@ class TestHessianBand:
         return _staged(path.replace_interior(z.reshape(-1, field.dim)), field, DEFAULT_QUAD,
                        T)[1]().ravel()
 
-    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
-    @pytest.mark.parametrize("name", sorted(HESSIAN_FIELDS))
+    @pytest.mark.parametrize("name,nonuniform", BAND_CASES)
     def test_band_is_the_derivative_of_the_gradient(self, name, nonuniform):
         # a finite-difference Jacobian carries ~1e-10 of roundoff, which the
         # differenced gradient magnifies by 1/step
@@ -715,8 +724,7 @@ class TestHessianBand:
         err = np.max(np.abs(dense_from_band(band) - ref)) / np.max(np.abs(ref))
         assert err <= (1e-8 if name == "maier_stein" else 1e-5)
 
-    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
-    @pytest.mark.parametrize("name", sorted(HESSIAN_FIELDS))
+    @pytest.mark.parametrize("name,nonuniform", BAND_CASES)
     def test_horizon_coupling_is_the_derivative_in_t(self, name, nonuniform):
         field, path, stage = self.stage(name, nonuniform)
         c_vec, h_tt = stage.coupling()

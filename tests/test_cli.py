@@ -171,7 +171,6 @@ class TestSolve:
         [
             ("mode.T=Infinity", "mode.T"),
             ("optimizer.tol_grad=Infinity", "optimizer.tol_grad"),
-            ("optimizer.memory=true", "optimizer.memory"),
             ("optimizer.max_iters=2.5", "optimizer.max_iters"),
             ("quadrature.points_per_element=true", "quadrature.points_per_element"),
             ("mesh.N=true", "mesh.N"),
@@ -183,11 +182,12 @@ class TestSolve:
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
-    # the solver has one preconditioner and no optimal-time cap; even the
-    # old defaults of those keys are rejected
+    # the solver has one preconditioner, no optimal-time cap and a fixed
+    # L-BFGS memory; even the old defaults of those keys are rejected
     @pytest.mark.parametrize(
-        "key,value", [("sobolev_precondition", True), ("t_cap", None)],
-        ids=["sobolev_precondition", "t_cap"],
+        "key,value",
+        [("sobolev_precondition", True), ("t_cap", None), ("memory", 10), ("memory", True)],
+        ids=["sobolev_precondition", "t_cap", "memory", "memory_bool"],
     )
     def test_removed_optimizer_key_is_unknown(self, tmp_path, capsys, key, value):
         payload = solve_config()
@@ -870,10 +870,9 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 
 @pytest.mark.parametrize(
     "command,key,low,high",
-    [("solve", "optimizer.memory", 0, INTP_MAX),
-     ("solve", "quadrature.points_per_element", 1, MAX_POINTS_PER_ELEMENT),
+    [("solve", "quadrature.points_per_element", 1, MAX_POINTS_PER_ELEMENT),
      ("oracle", "oracle.samples", 2, INTP_MAX)],
-    ids=["memory", "points_per_element", "samples"],
+    ids=["points_per_element", "samples"],
 )
 def test_integer_past_index_range_names_the_key(tmp_path, capsys, command, key, low, high):
     out = tmp_path / "out"

@@ -37,8 +37,6 @@ CASES = [
     ("tol_grad_inf", "tol_grad",
      lambda: minimize_tmam(START, FIELD, OptimConfig(tol_grad=math.inf), QUAD)),
     ("max_iters_float", "max_iters", lambda: OptimConfig(max_iters=2.5)),
-    ("memory_bool", "memory", lambda: OptimConfig(memory=True)),
-    ("memory_past_index", "memory", lambda: OptimConfig(memory=10**400)),
     ("quadrature_past_index", "points_per_element", lambda: Quadrature(10**400)),
     ("quadrature_bool", "points_per_element", lambda: Quadrature(True)),
     ("quadrature_float", "points_per_element", lambda: Quadrature(2.5)),

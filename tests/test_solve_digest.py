@@ -1,4 +1,4 @@
-"""``tools/digest.py``: the solve lines of two runs of one checkout are the same."""
+"""``tools/digest.py``: the solve and band lines of two runs of one checkout are the same."""
 
 import re
 
@@ -10,14 +10,18 @@ LINE = re.compile(
     rf"converged=(True|False) grad_norm={HEX} el_residual={HEX} hamiltonian_violation={HEX} "
     rf"log_sha256=[0-9a-f]{{64}} value_grad_calls=[1-9]\d*$"
 )
-# the first line of the CLI runs that follow the solves
+# the Hessian and coupling of each branch of Q: analytic moves, then the stencil's sides
+BAND = re.compile(r"^band (\w+) (hessian|coupling) sha256=[0-9a-f]{64}$")
+BANDS = [("maier_stein", "hessian"), ("maier_stein", "coupling"),
+         ("callable_maier_stein", "hessian"), ("callable_maier_stein", "coupling")]
+# the first line of the CLI runs that follow the bands
 EXIT = re.compile(r"^\w+ exit=\d+$")
 
 
 def test_two_smoke_runs_print_identical_lines(digest_smoke_runs):
     first, second = digest_smoke_runs
     assert first == second
-    n_solves = next(i for i, line in enumerate(first) if EXIT.match(line))
+    n_solves = next(i for i, line in enumerate(first) if BAND.match(line))
     matches = [LINE.match(line) for line in first[:n_solves]]
     assert all(matches), first[:n_solves]
     counts = {}
@@ -25,3 +29,6 @@ def test_two_smoke_runs_print_identical_lines(digest_smoke_runs):
         assert int(m.group(2)) == counts.get(m.group(1), 0)  # indices count up per workload
         counts[m.group(1)] = int(m.group(2)) + 1
     assert counts == SMOKE_SOLVES
+    bands = [BAND.match(line) for line in first[n_solves:n_solves + len(BANDS)]]
+    assert [m.groups() for m in bands if m] == BANDS
+    assert EXIT.match(first[n_solves + len(BANDS)])

@@ -1,4 +1,4 @@
-"""Bit-exact digest of the benchmark solves and ten CLI runs of one checkout.
+"""Bit-exact digest of the benchmark solves, two Newton bands and ten CLI runs of one checkout.
 
 Usage (from any directory):
 
@@ -25,6 +25,15 @@ name, so equal lines also mean equal evaluation counts.  A checkout whose
 ``minaction.optimize`` has no ``_staged`` (one that evaluates through other
 names) prints ``value_grad_calls=0`` on every solve line.
 
+Bands (full size, also under ``--smoke``).  For gamma=10 Maier-Stein as
+``maier_stein_field`` (Q from moves of the analytic field) and as the
+``callable_field`` workload's pointwise drift (Q from the sides of its
+finite-difference Jacobian), at the workloads' bulged start with N=64 and
+``Quadrature(3)``: one reduced evaluation ``minaction.action._staged``, its
+gradient, then ``band <field> hessian sha256=<hex>`` of the little-endian
+float64 band of ``_Stage.hessian()`` and ``band <field> coupling
+sha256=<hex>`` of c followed by H_TT from ``_Stage.coupling()``.
+
 CLI runs (full size, also under ``--smoke``).  Each run writes its config into
 a fresh temporary working directory and calls ``minaction.cli.main`` with
 ``--config config.json --out-dir out``, so no output echoes that directory.
@@ -40,6 +49,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TWO_SCALE = {"type": "two_scale"}
 MAIER_STEIN_1 = {"type": "maier_stein", "gamma": 1.0}
@@ -184,6 +195,26 @@ def solve_lines(workloads, name: str, smoke: bool) -> list[str]:
     return lines
 
 
+def _sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def band_lines(workloads) -> list[str]:
+    """The Hessian and coupling lines of the two Maier-Stein fields, one per branch of Q."""
+    minaction = workloads.minaction
+    start = workloads._bulged_start(64)
+    fields = (("maier_stein", minaction.maier_stein_field(10.0)),
+              ("callable_maier_stein", minaction.field_from_callable(2, workloads._maier_stein_point)))
+    lines = []
+    for name, field in fields:
+        _, stage, _ = minaction.action._staged(start, field, minaction.Quadrature(3))
+        stage()  # the gradient takes the Jacobian that both read
+        c_vec, h_tt = stage.coupling()
+        lines.append(f"band {name} hessian sha256={_sha256(stage.hessian())}")
+        lines.append(f"band {name} coupling sha256={_sha256(np.append(c_vec, h_tt))}")
+    return lines
+
+
 def cli_lines(cli, name: str, command: str, config: dict) -> list[str]:
     """The exit line and the output-file lines of one CLI run."""
     home = os.getcwd()
@@ -214,6 +245,8 @@ def main(argv=None) -> int:
     for name in workloads.NAMES:
         for line in solve_lines(workloads, name, args.smoke):
             print(line, flush=True)
+    for line in band_lines(workloads):
+        print(line, flush=True)
     for run in RUNS:
         for line in cli_lines(workloads.cli, *run):
             print(line, flush=True)
